@@ -120,8 +120,7 @@ class CompiledModel:
         return self._collect_outputs(sim, 1)[0]
 
     def run_sequence_batched(self, xs_batch: List[List[np.ndarray]],
-                             sim: Optional[FunctionalSimulator] = None,
-                             exact: bool = False
+                             sim: Optional[FunctionalSimulator] = None
                              ) -> List[List[np.ndarray]]:
         """Run B independent input sequences through one batched replay.
 
@@ -130,9 +129,10 @@ class CompiledModel:
         each bit-identical to a sequential
         ``run_sequence(xs_batch[b], compiled=True)`` on a fresh
         simulator — the batched-execution contract asserted by the
-        four-way differential fuzzer and the perf benchmarks. ``exact``
-        selects the wide-mantissa simulator when ``sim`` is omitted
-        (mirrors :meth:`run_sequence`).
+        four-way differential fuzzer and the perf benchmarks. No state
+        is written back to ``sim`` (only its plan cache fills), so every
+        call starts from the same state and a long-lived simulator can
+        serve any number of calls.
         """
         if not self.is_recurrent:
             raise CompileError(f"{self.name} is not a recurrent model")
@@ -144,7 +144,7 @@ class CompiledModel:
             raise CompileError(
                 f"{self.name}: batched sequences must share one length")
         if sim is None:
-            sim = self.new_simulator(exact=exact)
+            sim = self.new_simulator()
         replay = BatchedReplay(sim, self.program, batch,
                                bindings={self.steps_binding: steps})
         n = self.config.native_dim

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..compiler.lowering import CompiledModel
 from ..errors import FaultError, ReproError
+from ..functional.executor import FunctionalSimulator
 from ..obs import Metrics, Tracer, or_null, or_null_metrics
 from ..timing.scheduler import TimingSimulator
 from .network import Locality, NetworkModel
@@ -43,6 +44,8 @@ class FpgaNode:
     name: str
     compiled: CompiledModel
     locality: Locality = Locality.SAME_RACK
+    _resident: Optional[FunctionalSimulator] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = next(_ip_counter)
@@ -98,29 +101,36 @@ class FpgaNode:
         the batch-1 latency — a batch-1 NPU gains nothing from
         coalescing); calibrated nodes scale by the measured relative
         curve, which is sublinear when batched replay amortizes
-        per-step overheads across requests.
+        per-step overheads across requests.  Batch 1 is exactly
+        :meth:`compute_latency_s` either way.
         """
         if batch < 1:
             raise ServiceError(f"{self.name}: batch must be >= 1, "
                                f"got {batch}")
         base = self.compute_latency_s(steps)
+        if batch == 1:
+            return base
         if self._batch_relative is None:
             return base * batch
         return base * float(self._batch_relative(batch))
 
-    def run_functional(self, xs: List[np.ndarray],
-                       exact: bool = True) -> List[np.ndarray]:
-        """Architecturally exact evaluation (small models/tests)."""
-        return self.compiled.run_sequence(xs, exact=exact)
+    def simulator(self) -> FunctionalSimulator:
+        """The node's resident functional simulator, built on first use:
+        weights pinned once in the configured BFP format, replay plans
+        cached across requests.  Requests never write state back to it.
+        Raises :class:`~repro.errors.CompileError` for shape-only
+        models."""
+        if self._resident is None:
+            self._resident = self.compiled.new_simulator()
+        return self._resident
 
-    def run_functional_batched(self, xs_batch: List[List[np.ndarray]],
-                               exact: bool = True
-                               ) -> List[List[np.ndarray]]:
-        """Architecturally exact batched evaluation: one
-        :class:`~repro.functional.replay.BatchedReplay` execution whose
-        per-request outputs are bit-identical to per-request
-        :meth:`run_functional` calls."""
-        return self.compiled.run_sequence_batched(xs_batch, exact=exact)
+    def run_functional(self, xs_batch: List[List[np.ndarray]]
+                       ) -> List[List[np.ndarray]]:
+        """Outputs of ``len(xs_batch)`` requests (lockstep lengths) from
+        one batched replay on :meth:`simulator`, each bit-identical to
+        ``compiled.run_sequence(xs)`` on a fresh simulator."""
+        return self.compiled.run_sequence_batched(xs_batch,
+                                                  sim=self.simulator())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,55 +202,24 @@ class HardwareMicroservice:
 
     def invoke(self, steps: int, functional_inputs:
                Optional[List[np.ndarray]] = None) -> InvocationResult:
-        """Serve one request of ``steps`` timesteps.
+        """Serve one request of ``steps`` timesteps: a batch-1
+        :meth:`invoke_batched`.
 
         Network time covers the input vector stream in and the output
         stream back; compute time comes from the timing simulator. Pass
-        ``functional_inputs`` to additionally produce real outputs via
-        the functional simulator. Raises
-        :class:`~repro.errors.FaultError` when the fault injector
+        ``functional_inputs`` to additionally produce real outputs on
+        the node's resident simulator (:meth:`FpgaNode.run_functional`).
+        Raises :class:`~repro.errors.FaultError` when the fault injector
         fails the invocation (node down, crash, or transient failure).
         """
-        compute_multiplier = 1.0
-        extra_network_s = 0.0
-        if self.injector is not None:
-            sample = self.injector.sample(self.node.name)
-            if sample.fail_kind is not None:
-                raise FaultError(
-                    f"{self.name}@{self.node.name}: injected "
-                    f"{sample.fail_kind} fault", kind=sample.fail_kind)
-            compute_multiplier = sample.compute_multiplier
-            extra_network_s = sample.extra_network_s
-        compiled = self.node.compiled
-        bytes_per_vec = compiled.config.native_dim * 2  # float16 wire fmt
-        in_bytes = steps * compiled.input_vectors_per_step * bytes_per_vec
-        out_bytes = steps * compiled.output_vectors_per_step * bytes_per_vec
-        # Inputs stream concurrently with compute (the NPU consumes
-        # vectors as they arrive) and outputs stream back per step, so
-        # the request pays one propagation plus the first step's
-        # serialization on the way in, and one propagation plus the
-        # last step's serialization on the way out; serialization of
-        # the full payload only matters if it exceeds compute.
-        first_in = in_bytes / max(steps, 1)
-        last_out = out_bytes / max(steps, 1)
-        net_in = self.network.transfer_us(first_in,
-                                          self.node.locality) * 1e-6
-        net_in += extra_network_s
-        net_out = self.network.transfer_us(last_out,
-                                           self.node.locality) * 1e-6
-        compute = max(self.node.compute_latency_s(steps),
-                      self.network.serialization_us(in_bytes) * 1e-6,
-                      self.network.serialization_us(out_bytes) * 1e-6)
-        compute *= compute_multiplier
-        outputs = None
-        if functional_inputs is not None:
-            if len(functional_inputs) != steps:
-                raise ServiceError(
-                    f"{self.name}: {len(functional_inputs)} inputs for "
-                    f"{steps} steps")
-            outputs = self.node.run_functional(functional_inputs)
-        return InvocationResult(network_in_s=net_in, compute_s=compute,
-                                network_out_s=net_out, outputs=outputs)
+        res = self.invoke_batched(
+            steps, batch=1,
+            functional_inputs=(None if functional_inputs is None
+                               else [functional_inputs]))
+        return InvocationResult(
+            network_in_s=res.network_in_s, compute_s=res.compute_s,
+            network_out_s=res.network_out_s,
+            outputs=None if res.outputs is None else res.outputs[0])
 
     def invoke_batched(self, steps: int, batch: Optional[int] = None,
                        functional_inputs:
@@ -249,18 +228,15 @@ class HardwareMicroservice:
         """Serve ``batch`` coalesced requests of ``steps`` timesteps in
         one dispatch.
 
-        The network model mirrors :meth:`invoke` with batch-scaled
-        payloads: each timestep now streams every request's vectors, so
-        the request pays the first (batched) step's serialization on
-        the way in and the last on the way out.  Compute comes from the
-        node's batched latency model
+        Each timestep streams every request's vectors.  Compute comes
+        from the node's batched latency model
         (:meth:`FpgaNode.batch_compute_latency_s`) — serial replay
         until the node is calibrated with a measured curve.  Pass
         ``functional_inputs`` (one input list per request, lockstep
         lengths) for real outputs via one
-        :class:`~repro.functional.replay.BatchedReplay` execution; the
-        fault injector is sampled once per dispatch, exactly as a
-        single invocation on the wire.
+        :class:`~repro.functional.replay.BatchedReplay` execution on the
+        node's resident simulator; the fault injector is sampled once
+        per dispatch, exactly as a single invocation on the wire.
         """
         if functional_inputs is not None:
             if batch is None:
@@ -294,6 +270,12 @@ class HardwareMicroservice:
                     * bytes_per_vec)
         out_bytes = (batch * steps * compiled.output_vectors_per_step
                      * bytes_per_vec)
+        # Inputs stream concurrently with compute (the NPU consumes
+        # vectors as they arrive) and outputs stream back per step, so
+        # the dispatch pays one propagation plus the first step's
+        # serialization on the way in, and one propagation plus the
+        # last step's serialization on the way out; serialization of
+        # the full payload only matters if it exceeds compute.
         first_in = in_bytes / max(steps, 1)
         last_out = out_bytes / max(steps, 1)
         net_in = self.network.transfer_us(first_in,
@@ -307,7 +289,7 @@ class HardwareMicroservice:
         compute *= compute_multiplier
         outputs = None
         if functional_inputs is not None:
-            outputs = self.node.run_functional_batched(functional_inputs)
+            outputs = self.node.run_functional(functional_inputs)
         return BatchedInvocationResult(
             batch=batch, network_in_s=net_in, compute_s=compute,
             network_out_s=net_out, outputs=outputs)

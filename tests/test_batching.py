@@ -292,6 +292,28 @@ class TestBatchedInvocation:
         assert batched.total_s == pytest.approx(single.total_s,
                                                 abs=1e-12)
 
+    @pytest.mark.tier1
+    def test_batch_one_latency_is_exact_on_calibrated_node(self, service):
+        # r(1) passes set_batch_curve's tolerance but is not exactly 1;
+        # a batch-1 invoke must still cost exactly the uncalibrated
+        # single-request formula, bit for bit.
+        node, net = service.node, service.network
+        node.set_batch_curve(
+            lambda b: 1.0 + 5e-7 if b == 1 else CURVE.relative(b))
+        steps = 4
+        compiled = node.compiled
+        bytes_per_vec = compiled.config.native_dim * 2
+        in_bytes = steps * compiled.input_vectors_per_step * bytes_per_vec
+        out_bytes = steps * compiled.output_vectors_per_step * bytes_per_vec
+        net_in = net.transfer_us(in_bytes / steps, node.locality) * 1e-6
+        net_out = net.transfer_us(out_bytes / steps, node.locality) * 1e-6
+        compute = max(node.compute_latency_s(steps),
+                      net.serialization_us(in_bytes) * 1e-6,
+                      net.serialization_us(out_bytes) * 1e-6)
+        assert node.batch_compute_latency_s(steps, 1) == \
+            node.compute_latency_s(steps)
+        assert service.invoke(steps).total_s == net_in + compute + net_out
+
     def test_uncalibrated_node_is_serial(self, service):
         node = service.node
         base = node.compute_latency_s(4)

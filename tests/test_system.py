@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_lstm
+from repro.compiler.lowering import compile_rnn_shape
+from repro.errors import CompileError
 from repro.models import LstmReference
 from repro.system import (
     BidirectionalRnnService,
@@ -25,8 +27,20 @@ def compiled(small_config):
     return compile_lstm(LstmReference(16, 16, seed=0), small_config)
 
 
+#: Served outputs are in the node's configured numerics; next to the
+#: float model only a loose sanity bound holds (5-bit BFP is ~1e-2 off).
+SANITY_ATOL = 0.05
+
+
 def make_service(compiled, name="svc"):
     return HardwareMicroservice(name, FpgaNode(name + "-node", compiled))
+
+
+def assert_bit_equal(got, want):
+    """Served outputs equal a reference run bit for bit."""
+    assert len(got) == len(want)
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype and np.array_equal(g, w), f"step {t}"
 
 
 class TestNetworkModel:
@@ -93,21 +107,103 @@ class TestMicroservice:
         assert result.compute_s > 5 * (result.network_in_s
                                        + result.network_out_s)
 
-    def test_functional_invocation_matches_reference(self, compiled,
-                                                     rng):
+    def test_functional_invocation_matches_reference(self, small_config,
+                                                     bfp_config, rng):
         model = LstmReference(16, 16, seed=0)
         xs = [rng.uniform(-1, 1, 16).astype(np.float32)
               for _ in range(4)]
-        result = make_service(compiled).invoke(
-            steps=4, functional_inputs=xs)
-        want = model.run(xs)
-        assert np.allclose(result.outputs[-1], want[-1], atol=1e-5)
+        for config in (small_config, bfp_config):
+            compiled = compile_lstm(model, config)
+            result = make_service(compiled).invoke(
+                steps=4, functional_inputs=xs)
+            assert_bit_equal(result.outputs, compiled.run_sequence(xs))
+            assert np.allclose(result.outputs[-1], model.run(xs)[-1],
+                               atol=SANITY_ATOL)
 
     def test_functional_input_count_checked(self, compiled, rng):
         svc = make_service(compiled)
         with pytest.raises(ServiceError):
             svc.invoke(steps=3,
                        functional_inputs=[rng.uniform(-1, 1, 16)])
+
+
+def _same_state(a, b) -> bool:
+    """Two architectural snapshots are equal field by field."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same_state(x, y)
+                                        for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestResidentModel:
+    """Every functional request runs on the node's one resident
+    simulator, and no request sees another's state."""
+
+    @pytest.mark.tier1
+    def test_requests_are_isolated_on_the_resident_simulator(
+            self, bfp_config, rng):
+        compiled = compile_lstm(LstmReference(24, 20, seed=3), bfp_config)
+        service = make_service(compiled)
+        steps = 3
+        dispatches = [[[rng.uniform(-1, 1, 20).astype(np.float32)
+                        for _ in range(steps)] for _ in range(size)]
+                      for size in (1, 4, 1, 3, 2)]
+
+        def serve(order):
+            outputs = {}
+            for d in order:
+                batch = dispatches[d]
+                if len(batch) == 1:
+                    got = [service.invoke(steps, batch[0]).outputs]
+                else:
+                    got = service.invoke_batched(
+                        steps, functional_inputs=batch).outputs
+                for r, out in enumerate(got):
+                    outputs[d, r] = out
+            return outputs
+
+        forward = serve(range(len(dispatches)))
+        assert len(forward) >= 8
+        for (d, r), out in forward.items():
+            assert_bit_equal(out, compiled.run_sequence(dispatches[d][r]))
+        backward = serve(reversed(range(len(dispatches))))
+        for key, out in forward.items():
+            assert_bit_equal(backward[key], out)
+        assert _same_state(service.node.simulator().snapshot(),
+                           compiled.new_simulator().snapshot())
+
+    def test_resident_simulator_is_built_once(self, compiled, rng):
+        node = FpgaNode("node", compiled)
+        xs = [rng.uniform(-1, 1, 16).astype(np.float32)]
+        HardwareMicroservice("svc", node).invoke(1, xs)
+        sim = node.simulator()
+        HardwareMicroservice("svc", node).invoke(1, xs)
+        assert node.simulator() is sim
+        # The resident simulator is run-time state, not node identity.
+        assert node == FpgaNode("node", compiled)
+        assert "_resident" not in repr(node)
+
+    def test_shape_only_node_serves_timing_only(self, small_config,
+                                                monkeypatch):
+        compiled = compile_rnn_shape("lstm", 24, small_config)
+        service = make_service(compiled)
+
+        def no_simulator(*args, **kwargs):
+            raise AssertionError("timing-only request built a simulator")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled, "new_simulator", no_simulator)
+            assert service.invoke(steps=5).total_s > 0
+            assert service.invoke_batched(steps=5, batch=4).total_s > 0
+        xs = [np.zeros(24, dtype=np.float32)] * 5
+        for _ in range(2):  # a failed build leaves nothing half-made
+            with pytest.raises(CompileError, match="shapes only"):
+                service.invoke(steps=5, functional_inputs=xs)
 
 
 class TestFederatedRuntime:
@@ -120,9 +216,10 @@ class TestFederatedRuntime:
         scale = CpuStage("scale", lambda seq: [0.5 * x for x in seq])
         plan = [scale, FpgaStage("rnn", "lstm")]
         result = runtime.execute(plan, xs, functional=True)
-        model = LstmReference(16, 16, seed=0)
-        want = model.run([0.5 * x for x in xs])
-        assert np.allclose(result.value[-1], want[-1], atol=1e-5)
+        scaled = [0.5 * x for x in xs]
+        assert_bit_equal(result.value, compiled.run_sequence(scaled))
+        want = LstmReference(16, 16, seed=0).run(scaled)
+        assert np.allclose(result.value[-1], want[-1], atol=SANITY_ATOL)
         assert len(result.stage_latencies) == 2
         assert result.total_latency_s == pytest.approx(
             sum(result.stage_latencies))
@@ -133,11 +230,11 @@ class TestFederatedRuntime:
         stages alternately: CPU -> FPGA -> CPU -> FPGA."""
         model_a = LstmReference(16, 16, seed=5)
         model_b = LstmReference(16, 16, seed=6)
+        compiled_a = compile_lstm(model_a, small_config)
+        compiled_b = compile_lstm(model_b, small_config)
         reg = MicroserviceRegistry()
-        reg.publish(make_service(compile_lstm(model_a, small_config),
-                                 "lstm-a"))
-        reg.publish(make_service(compile_lstm(model_b, small_config),
-                                 "lstm-b"))
+        reg.publish(make_service(compiled_a, "lstm-a"))
+        reg.publish(make_service(compiled_b, "lstm-b"))
         runtime = FederatedRuntime(reg)
         xs = [rng.uniform(-1, 1, 16).astype(np.float32)
               for _ in range(3)]
@@ -148,9 +245,11 @@ class TestFederatedRuntime:
             FpgaStage("rnn-b", "lstm-b"),
         ]
         result = runtime.execute(plan, xs, functional=True)
-        mid = model_a.run([0.5 * x for x in xs])
-        want = model_b.run([-h for h in mid])
-        assert np.allclose(result.value[-1], want[-1], atol=1e-4)
+        mid = compiled_a.run_sequence([0.5 * x for x in xs])
+        assert_bit_equal(result.value,
+                         compiled_b.run_sequence([-h for h in mid]))
+        want = model_b.run([-h for h in model_a.run([0.5 * x for x in xs])])
+        assert np.allclose(result.value[-1], want[-1], atol=SANITY_ATOL)
         assert len(result.stage_latencies) == 4
         assert result.total_latency_s == pytest.approx(
             sum(result.stage_latencies))
