@@ -33,7 +33,11 @@ runs B independent requests through one plan by stacking every piece of
 architectural state along a new leading batch axis; the quantize,
 GEMV, and pointwise kernels all vectorize batch-wise, and on the
 exact-integer paths the batched results are bit-identical to B
-sequential runs.
+sequential runs. ``mv_mul`` groups whose input never depends on the
+recurrence — every occurrence reads a known slot of the network input
+queue, like an RNN's ``x_t * W`` — are *hoisted*: batched replay
+computes them for all timesteps in one GEMM per segment before the
+first step (``ReplayPlan.hoists``, :func:`_plan_hoists`).
 
 Bit-exactness contract (checked by the four-way differential fuzzer in
 :mod:`repro.verify` and by ``tests/test_replay_equivalence.py``):
@@ -59,6 +63,7 @@ differential comparisons only inspect state when no engine raised.
 from __future__ import annotations
 
 import collections
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,6 +84,13 @@ _MV, _BIN, _UN, _WR_VRF, _WR_NETQ, _WR_DRAM = range(6)
 _H_VRF, _H_NETQ, _H_DRAM = range(3)
 # mv_mul compute modes (mirror the executor's fast-path selection).
 _MODE_PACKED, _MODE_MANTISSA, _MODE_F64 = range(3)
+
+
+#: Rows (requests, or hoisted occurrence x request pairs) per chunk of
+#: the batched ``mv_mul`` epilogue. Fixes each group's unpack scratch at
+#: about 2 * segs * _EPILOGUE_ROWS * padded_rows float64 values,
+#: whatever the batch size or the number of hoisted timesteps.
+_EPILOGUE_ROWS = 8
 
 
 def _unpack_slots(packed_dots: np.ndarray, k: int, w: int) -> np.ndarray:
@@ -118,7 +130,7 @@ class _MvGroup:
     __slots__ = ("mode", "members", "cols", "segs", "seg_width", "nb", "n",
                  "tiles", "offsets", "padded_offsets", "groups_total",
                  "total_rows", "_generation", "_operands",
-                 "_batched_generation", "_batched_operands", "outputs")
+                 "_scratch_generation", "_scratch", "outputs")
 
     def __init__(self, sim, members: List[Tuple[int, int]], cols: int):
         self.members = tuple(members)  # (mrf_base, rows) per member
@@ -153,8 +165,8 @@ class _MvGroup:
         self.groups_total = poff // k
         self._generation = None
         self._operands = None
-        self._batched_generation = None
-        self._batched_operands = None
+        self._scratch_generation = None
+        self._scratch = None
         self.outputs = None
 
     # -- operand binding ---------------------------------------------------
@@ -189,45 +201,58 @@ class _MvGroup:
                 scales = np.concatenate([p[1] for p in parts], axis=1)
         return w_stack, scales
 
-    def _bound_operands(self, sim) -> tuple:
+    def _bound_operands(self, sim, count: bool = True) -> tuple:
+        """Stacked operands for the current MRF generation.
+
+        Sequential runs (``count``) account the architectural tile reads
+        of every ``mv_mul`` on ``sim.mrf``, like the interpreter; batched
+        runs keep no counters, so they leave ``mrf.reads`` untouched even
+        when the operands are re-derived.
+        """
         mrf = sim.mrf
         if self._generation != mrf.generation:
+            reads = mrf.reads
             self._operands = self._refresh(sim)
             self._generation = mrf.generation
-        else:
+            if not count:
+                mrf.reads = reads
+        elif count:
             # Architectural tile reads still occur on every mv_mul; the
             # interpreter accounts them on window-cache hits too.
             mrf.reads += self.tiles
         return self._operands
 
-    def _batched_scratch(self, w_scales: np.ndarray, batch: int, k: int
-                         ) -> tuple:
+    def _packed_scratch(self, w_scales: np.ndarray, k: int,
+                        width: int) -> tuple:
         """Persistent work buffers for the batched packed epilogue.
 
         Unpacking k slot dots per float64 lane churns several
-        (cols, B, k, groups) temporaries per call; allocating them once
-        and writing through ``out=`` keeps the epilogue off the
-        allocator (large numpy temporaries are mmap-backed, so fresh
-        ones fault in pages every call). Rebuilt when the batch size or
-        the weight scales (MRF generation) change.
+        (segs, rows, k, groups) temporaries; allocating them once and
+        writing through ``out=`` keeps the epilogue off the allocator
+        (large numpy temporaries are mmap-backed, so fresh ones fault in
+        pages every call). Sized for :data:`_EPILOGUE_ROWS` rows, so
+        neither the batch size nor a hoisted sequence length changes
+        them; rebuilt only when the weight scales (MRF generation) do.
         """
-        key = (batch, self._generation)
-        if self._batched_generation != key:
+        if self._scratch_generation != self._generation:
             segs = self.segs
             gp = self.groups_total
+            rows = _EPILOGUE_ROWS
             # Scale layout matching the unpack layout: slot t of packed
             # group g is unpadded row g*k + t.
             ws_kgp = np.ascontiguousarray(
                 w_scales.reshape(segs, gp, k).transpose(0, 2, 1))
-            self._batched_operands = (
+            self._scratch = (
                 ws_kgp,
-                np.empty((segs, batch, gp)),        # packed GEMM out
-                np.empty((segs, batch, k, gp)),     # slot prefixes
-                np.empty((segs, batch, k, gp)),     # slot dots
-                np.empty((batch, k, gp)),           # segment accumulator
+                np.empty((segs, rows, gp)),         # packed GEMM out
+                np.empty((segs, rows, k, gp)),      # slot prefixes
+                np.empty((segs, rows, k, gp)),      # slot dots
+                np.empty((rows, k, gp)),            # segment accumulator
+                # Slot t's prefix is packed / 2^(w*(k-1-t)).
+                np.exp2(-width * (k - 1 - np.arange(k, dtype=np.float64))),
             )
-            self._batched_generation = key
-        return self._batched_operands
+            self._scratch_generation = self._generation
+        return self._scratch
 
     # -- single-request compute --------------------------------------------
 
@@ -284,12 +309,22 @@ class _MvGroup:
     def compute_batched(self, bstate, value: np.ndarray) -> None:
         """Compute all members for a (B, cols, N) head stack.
 
-        With the MRF still shared across requests the stacked operands
-        go through one batched matmul; once the plan has rewritten
-        matrix registers (per-request MRFs), operands are derived per
-        request and applied one request at a time — identical math,
-        identical bits, just without the batch-axis speedup.
+        A group hoisted out of the time loop (``ReplayPlan.hoists``)
+        only advances its cursor over the outputs :class:`BatchedReplay`
+        computed for every occurrence at the start of the run. With the
+        MRF still shared across requests the stacked operands go through
+        one batched GEMM (:meth:`apply_rows`); once the plan has
+        rewritten matrix registers (per-request MRFs), operands are
+        derived per request and applied one request at a time —
+        identical math, identical bits, just without the batch-axis
+        speedup.
         """
+        hoisted = bstate._hoisted.get(self)
+        if hoisted is not None:
+            occurrence = hoisted[1]
+            hoisted[1] = occurrence + 1
+            self.outputs = tuple(out[occurrence] for out in hoisted[0])
+            return
         sim = bstate.sim
         batch = bstate.batch
         if bstate._mrfs is not None:
@@ -308,73 +343,95 @@ class _MvGroup:
                 self._f64_member(sim, value[b], blocks, rows)
                 for b in range(batch)]),)
             return
-        w_stack, w_scales = self._bound_operands(sim)
-        self.outputs = self._apply_batched(sim, value, w_stack, w_scales)
+        self.outputs = self.apply_rows(sim, value)
 
-    def _apply_batched(self, sim, value: np.ndarray, w_stack: np.ndarray,
-                       w_scales: np.ndarray) -> tuple:
-        # The GEMMs batch requests along the GEMM's N dimension — that
-        # is what amortizes the weight traffic; a (B, ...) batched
-        # matmul would degrade to B separate GEMVs. Every dot product
-        # is an exact integer, so the batched results equal the
-        # per-request GEMVs bit for bit; scale products and the
-        # segment summation keep the reference operation order.
-        mant, exps = decompose(value, sim._bfp)  # (B, cols, N)
-        batch = value.shape[0]
+    def apply_rows(self, sim, value: np.ndarray) -> tuple:
+        """Every member's outputs for an (R, cols, N) stack of inputs.
+
+        Rows are requests on the per-step path and (occurrence, request)
+        pairs for a hoisted group. One decomposition and one GEMM per
+        segment cover all R rows — the GEMMs batch rows along the GEMM's
+        N dimension, which is what amortizes the weight traffic (a
+        (R, ...) batched matmul would degrade to R separate GEMVs). The
+        unpack/scale/``to_float16`` epilogue then runs in chunks of
+        :data:`_EPILOGUE_ROWS` rows through fixed scratch. Every dot
+        product is an exact integer, so the results equal per-row GEMVs
+        bit for bit; scale products and the segment summation keep the
+        reference operation order. Packed/mantissa modes only.
+        """
+        w_stack, w_scales = self._bound_operands(sim, count=False)
+        mant, exps = decompose(value, sim._bfp)
+        total = value.shape[0]
         segs = self.segs
-        mant = mant.reshape(batch, segs, self.seg_width)
-        x_scales = scales_of(exps, sim._bfp).reshape(batch, segs, 1)
+        mant = mant.reshape(total, segs, self.seg_width)
+        x_scales = scales_of(exps, sim._bfp).reshape(total, segs, 1)
+        chunk = _EPILOGUE_ROWS
         if self.mode == _MODE_PACKED:
-            k, width = sim._pack_slots, sim._pack_width
-            ws_kgp, packed, pref, dots, accb = \
-                self._batched_scratch(w_scales, batch, k)
+            scratch = self._packed_scratch(w_scales, sim._pack_slots,
+                                           sim._pack_width)
+            gemm = scratch[1][:, :total] if total <= chunk else \
+                np.empty((segs, total, self.groups_total))
             x = mant.astype(np.float64)
             for s in range(segs):
-                np.matmul(x[:, s], w_stack[s].T, out=packed[s])
-            # Unpack the k slot dots per lane in (.., k, groups) layout
-            # (one transposing copy at the very end instead of one per
-            # column block): dots[t] = pref[t] - pref[t-1] * 2^w.
-            inv = np.exp2(-width * (k - 1 - np.arange(k,
-                                                      dtype=np.float64)))
-            np.multiply(packed[:, :, np.newaxis, :], inv[:, np.newaxis],
-                        out=pref)
-            np.rint(pref, out=pref)
-            two_w = float(np.exp2(width))
-            dots[:, :, 0] = pref[:, :, 0]
-            np.multiply(pref[:, :, :-1], two_w, out=dots[:, :, 1:])
-            np.subtract(pref[:, :, 1:], dots[:, :, 1:],
-                        out=dots[:, :, 1:])
-            # terms = dots * (w_scales * x_scales). Both scale factors
-            # are exact powers of two, so the two in-place multiplies
-            # equal the reference's dots * (ws * xs) bit for bit.
-            np.multiply(dots, ws_kgp[:, np.newaxis], out=dots)
-            np.multiply(dots, x_scales.transpose(1, 0, 2)[..., np.newaxis],
-                        out=dots)
-            if segs == 1:
-                acc = dots[0]
-            else:
-                np.add(dots[0], dots[1], out=accb)
-                for s in range(2, segs):
-                    np.add(accb, dots[s], out=accb)
-                acc = accb
-            # (B, k, groups) -> (B, groups, k) -> rows g*k + t.
-            out = acc.transpose(0, 2, 1).astype(np.float32)
-            out = out.reshape(batch, -1)
+                np.matmul(x[:, s], w_stack[s].T, out=gemm[s])
+            parts = [self._unpack_chunk(gemm[:, r0:r0 + chunk],
+                                        x_scales[r0:r0 + chunk], scratch,
+                                        sim._pack_width)
+                     for r0 in range(0, total, chunk)]
             starts = self.padded_offsets
         else:
-            acc = (np.matmul(mant[:, 0], w_stack[0].T).astype(np.float64)
-                   * (w_scales[0] * x_scales[:, 0]))
-            for s in range(1, segs):
-                acc += (np.matmul(mant[:, s], w_stack[s].T)
-                        .astype(np.float64)
-                        * (w_scales[s] * x_scales[:, s]))
-            out = acc.astype(np.float32)
+            gemm = np.empty((segs, total, self.total_rows), dtype=np.float32)
+            for s in range(segs):
+                np.matmul(mant[:, s], w_stack[s].T, out=gemm[s])
+            parts = []
+            for r0 in range(0, total, chunk):
+                part, xs = gemm[:, r0:r0 + chunk], x_scales[r0:r0 + chunk]
+                acc = part[0].astype(np.float64) * (w_scales[0] * xs[:, 0])
+                for s in range(1, segs):
+                    acc += (part[s].astype(np.float64)
+                            * (w_scales[s] * xs[:, s]))
+                parts.append(to_float16(acc.astype(np.float32)))
             starts = self.offsets
-        out = to_float16(out)
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
         n = self.n
         return tuple(
-            out[:, start:start + rows * n].reshape(batch, rows, n)
+            out[:, start:start + rows * n].reshape(total, rows, n)
             for (_, rows), start in zip(self.members, starts))
+
+    def _unpack_chunk(self, gemm: np.ndarray, x_scales: np.ndarray,
+                      scratch: tuple, width: int) -> np.ndarray:
+        """Packed epilogue for one row chunk: (segs, c, groups) packed
+        dots and (c, segs, 1) input scales to (c, groups*k) float16
+        values, through the :meth:`_packed_scratch` buffers."""
+        c = gemm.shape[1]
+        segs = self.segs
+        ws_kgp, _, pref, dots, accb, inv = scratch
+        pref, dots, accb = pref[:, :c], dots[:, :c], accb[:c]
+        # Unpack the k slot dots per lane in (.., k, groups) layout
+        # (one transposing copy at the very end instead of one per
+        # column block): dots[t] = pref[t] - pref[t-1] * 2^w.
+        np.multiply(gemm[:, :, np.newaxis, :], inv[:, np.newaxis], out=pref)
+        np.rint(pref, out=pref)
+        two_w = float(2 ** width)
+        dots[:, :, 0] = pref[:, :, 0]
+        np.multiply(pref[:, :, :-1], two_w, out=dots[:, :, 1:])
+        np.subtract(pref[:, :, 1:], dots[:, :, 1:], out=dots[:, :, 1:])
+        # terms = dots * (w_scales * x_scales). Both scale factors are
+        # exact powers of two, so the two in-place multiplies equal the
+        # reference's dots * (ws * xs) bit for bit.
+        np.multiply(dots, ws_kgp[:, np.newaxis], out=dots)
+        np.multiply(dots, x_scales.transpose(1, 0, 2)[..., np.newaxis],
+                    out=dots)
+        if segs == 1:
+            acc = dots[0]
+        else:
+            np.add(dots[0], dots[1], out=accb)
+            for s in range(2, segs):
+                np.add(accb, dots[s], out=accb)
+            acc = accb
+        # (c, k, groups) -> (c, groups, k) -> rows g*k + t.
+        return to_float16(
+            acc.transpose(0, 2, 1).astype(np.float32).reshape(c, -1))
 
     def _compute_one_request(self, sim, mrf: MatrixRegisterFile,
                              value: np.ndarray) -> list:
@@ -723,14 +780,15 @@ class ReplayPlan:
                  "instructions", "mv_muls", "macs", "pointwise_flops",
                  "ticks", "vrf_reads", "vrf_writes", "vrf_footprints",
                  "compiled_chains", "fallback_steps", "loopable_fallbacks",
-                 "fallback_step_kinds", "groups", "fused_groups")
+                 "fallback_step_kinds", "groups", "fused_groups", "hoists",
+                 "hoisted_groups", "hoisted_inputs")
 
     def __init__(self, program, bindings_key, entry_scalars, final_scalars,
                  steps, batchable, chains, instructions, mv_muls, macs,
                  pointwise_flops, ticks, vrf_reads, vrf_writes,
                  vrf_footprints, compiled_chains, fallback_steps,
                  loopable_fallbacks, fallback_step_kinds, groups,
-                 fused_groups):
+                 fused_groups, hoists, hoisted_inputs):
         self.program = program
         self.bindings_key = bindings_key
         self.entry_scalars = entry_scalars
@@ -760,6 +818,14 @@ class ReplayPlan:
         self.fallback_step_kinds = fallback_step_kinds
         self.groups = groups
         self.fused_groups = fused_groups
+        #: ``(group, positions)`` per ``mv_mul`` group that batched replay
+        #: computes for every timestep up front (:func:`_plan_hoists`);
+        #: ``positions`` is (occurrences, cols): the network-queue index,
+        #: counted from the start of the run, of each input vector.
+        self.hoists = hoists
+        self.hoisted_groups = len(hoists)
+        #: Queued input vectors hoisting reads (max position + 1).
+        self.hoisted_inputs = hoisted_inputs
 
 
 class _ChainTemplate:
@@ -1108,6 +1174,7 @@ def compile_plan(sim, program: NpuProgram,
 
     final_scalars = {ScalarReg.Rows: rows, ScalarReg.Columns: cols,
                      ScalarReg.Iterations: iters}
+    hoists, hoisted_inputs = _plan_hoists(steps)
     return ReplayPlan(
         program=program,
         bindings_key=tuple(sorted((bindings or {}).items())),
@@ -1130,7 +1197,78 @@ def compile_plan(sim, program: NpuProgram,
         fallback_step_kinds=tuple(fallback_kinds),
         groups=tuple(groups),
         fused_groups=sum(1 for g in groups if len(g.members) > 1),
+        hoists=hoists,
+        hoisted_inputs=hoisted_inputs,
     )
+
+
+def _plan_hoists(steps) -> Tuple[tuple, int]:
+    """Find the ``mv_mul`` groups batched replay may hoist out of the
+    unrolled time loop; returns ``(hoists, hoisted_inputs)``.
+
+    A group is hoisted when its input never depends on the recurrence:
+
+    * its mode is packed or mantissa (exact integer dot products, so
+      one GEMM over many rows equals the per-step GEMVs bit for bit);
+    * it occurs at least twice (otherwise nothing is saved);
+    * at every occurrence each of its input rows is a known slot of
+      the network input queue — popped by the chain head itself, or
+      written into the VRF head window by a pure copy chain (a head
+      followed only by ``v_wr``s) with nothing overwriting it before
+      the read;
+    * the plan has no fallback steps and writes no MRF tiles, so the
+      queue consumption is static and the weights are fixed for the
+      whole run.
+
+    Walks the steps once, tracking the queue cursor and, per VRF row,
+    the queue slot its current contents came from (absent: unknown).
+    """
+    for step in steps:
+        if isinstance(step, _FallbackStep) or (
+                isinstance(step, _MatrixStep) and step.dst_mrf):
+            return (), 0
+    cursor = 0
+    source: Dict[Tuple[MemId, int], int] = {}
+    occurrences: Dict[_MvGroup, list] = {}
+    for step in steps:
+        if not isinstance(step, _VectorStep):
+            continue
+        width = step.width_in
+        if step.head_kind == _H_NETQ:
+            value = tuple(range(cursor, cursor + width))
+            cursor += width
+        elif step.head_kind == _H_VRF:
+            value = tuple(source.get((step.head_mem, step.head_index + i))
+                          for i in range(width))
+            if None in value:
+                value = None
+        else:
+            value = None
+        for p in step.pieces:
+            kind = p[0]
+            if kind == _MV:
+                if p[2] == 0:
+                    occurrences.setdefault(p[1], []).append(value)
+                value = None
+            elif kind == _BIN or kind == _UN:
+                value = None
+            elif kind == _WR_VRF:
+                mem, index, rows = p[2], p[3], p[4]
+                known = value is not None and len(value) == rows
+                for i in range(rows):
+                    if known:
+                        source[(mem, index + i)] = value[i]
+                    else:
+                        source.pop((mem, index + i), None)
+    hoists = []
+    inputs = 0
+    for group, occ in occurrences.items():
+        if group.mode == _MODE_F64 or len(occ) < 2 or None in occ:
+            continue
+        positions = np.array(occ, dtype=np.intp)
+        hoists.append((group, positions))
+        inputs = max(inputs, int(positions.max()) + 1)
+    return tuple(hoists), inputs
 
 
 class _MatrixTemplate:
@@ -1220,8 +1358,10 @@ class BatchedReplay:
     (``plan.batchable`` is False) are rejected with
     :class:`~repro.errors.UnbatchablePlanError` — run those
     sequentially. Per-simulator statistics and metric counters are not
-    maintained for batched runs; outputs and architectural state are
-    the contract (via :meth:`snapshot`).
+    maintained for batched runs, and the base simulator's are never
+    touched; outputs and architectural state are the contract (via
+    :meth:`snapshot`). Hoisted ``mv_mul`` groups (``plan.hoists``) are
+    computed for every timestep at the start of :meth:`run`.
     """
 
     def __init__(self, sim, program: NpuProgram, batch: int,
@@ -1267,6 +1407,9 @@ class BatchedReplay:
             np.repeat(v[np.newaxis], b, axis=0)
             for v in sim.netq._out_vectors]
         self._scalars = dict(sim.scalar_regs)
+        #: Hoisted group -> [per-member (occurrences, B, rows, N)
+        #: outputs, next occurrence]; filled only while :meth:`run` runs.
+        self._hoisted: Dict[_MvGroup, list] = {}
 
     # -- request-side I/O --------------------------------------------------
 
@@ -1298,10 +1441,47 @@ class BatchedReplay:
     # -- execution ---------------------------------------------------------
 
     def run(self) -> "BatchedReplay":
-        for step in self.plan.steps:
-            step.run_batched(self)
+        try:
+            self._hoist()
+            for step in self.plan.steps:
+                step.run_batched(self)
+        finally:
+            self._hoisted = {}
+            for group, _ in self.plan.hoists:
+                group.outputs = None
         self._scalars.update(self.plan.final_scalars)
         return self
+
+    def _hoist(self) -> None:
+        """Compute every hoisted group (``plan.hoists``) for all of its
+        occurrences at once, before the first step.
+
+        Each group's inputs are gathered from the pending input queue at
+        the positions the plan recorded, as (occurrence, request) rows,
+        and go through one :meth:`_MvGroup.apply_rows` — one GEMM per
+        segment for the whole sequence instead of one per timestep. The
+        per-step ``compute_batched`` calls then read the results in
+        order. With too few queued inputs nothing is hoisted, so the
+        per-step path raises the same error at the same step as an
+        unhoisted run.
+        """
+        plan = self.plan
+        pending = self._pending_vectors
+        if not plan.hoists or len(pending) < plan.hoisted_inputs:
+            return
+        queue = list(itertools.islice(pending, plan.hoisted_inputs))
+        batch, n = self.batch, self.sim.config.native_dim
+        for group, positions in plan.hoists:
+            occurrences, cols = positions.shape
+            rows = np.empty((occurrences, batch, cols, n), dtype=np.float32)
+            for o in range(occurrences):
+                for c in range(cols):
+                    rows[o, :, c] = queue[positions[o, c]]
+            outs = group.apply_rows(
+                self.sim, rows.reshape(occurrences * batch, cols, n))
+            self._hoisted[group] = [
+                tuple(out.reshape((occurrences, batch) + out.shape[1:])
+                      for out in outs), 0]
 
     # -- plan-facing state helpers -----------------------------------------
 
@@ -1322,8 +1502,9 @@ class BatchedReplay:
         return np.stack([pending.popleft() for _ in range(count)], axis=1)
 
     def _push_outputs(self, value: np.ndarray) -> None:
+        # Copies: a view would keep a whole hoisted output block alive.
         for r in range(value.shape[1]):
-            self._outputs.append(np.ascontiguousarray(value[:, r]))
+            self._outputs.append(value[:, r].copy())
 
     def _read_dram_vectors(self, index: int, count: int) -> np.ndarray:
         parts = []

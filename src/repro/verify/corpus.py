@@ -34,8 +34,9 @@ _VRF_ORDER = (MemId.InitialVrf, MemId.AddSubVrf, MemId.MultiplyVrf)
 
 
 def case_to_json(case: ProgramCase) -> Dict[str, object]:
-    """Serialize ``case`` to a JSON-compatible dict."""
-    return {
+    """Serialize ``case`` to a JSON-compatible dict (``mrf_tiles`` only
+    when the case pins them, so older files stay byte-identical)."""
+    data = {
         "format": CORPUS_FORMAT,
         "note": case.note,
         "config": dataclasses.asdict(case.config),
@@ -50,6 +51,9 @@ def case_to_json(case: ProgramCase) -> Dict[str, object]:
             "netq_tiles": case.netq_tiles.tolist(),
         },
     }
+    if case.mrf_tiles is not None:
+        data["state"]["mrf_tiles"] = case.mrf_tiles.tolist()
+    return data
 
 
 def case_from_json(data: Dict[str, object]) -> ProgramCase:
@@ -79,6 +83,8 @@ def case_from_json(data: Dict[str, object]) -> ProgramCase:
         netq_vectors=vectors(state["netq_vectors"]),
         netq_tiles=tiles(state["netq_tiles"]),
         note=data.get("note", ""),
+        mrf_tiles=(tiles(state["mrf_tiles"]) if "mrf_tiles" in state
+                   else None),
     )
 
 

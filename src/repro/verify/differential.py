@@ -24,13 +24,14 @@ conformance requirement is that every engine produces the *same* NaNs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ReproError, UnbatchablePlanError
 from ..functional.executor import FunctionalSimulator
 from ..functional.replay import BatchedReplay
+from ..numerics.bfp import quantize
 from ..obs.metrics import Metrics
 from ..obs.trace import Tracer
 from ..timing import (TimingSimulator, occupancy, occupancy_from_trace,
@@ -63,6 +64,9 @@ class DiffResult:
 
     case: ProgramCase
     mismatches: List[str]
+    #: ``mv_mul`` groups the case's batched replay hoisted out of its
+    #: loops (``ReplayPlan.hoisted_groups``; 0 when unbatchable).
+    hoisted_groups: int = 0
 
     @property
     def ok(self) -> bool:
@@ -74,6 +78,8 @@ def load_reference(case: ProgramCase) -> ReferenceInterpreter:
     ref = ReferenceInterpreter(case.config)
     for mem, data in case.vrf_init.items():
         ref.load_vrf(mem, data)
+    if case.mrf_tiles is not None:
+        ref.load_mrf_tiles(0, case.mrf_tiles)
     ref.load_dram_vectors(0, case.dram_vectors)
     ref.load_dram_tiles(0, case.dram_tiles)
     if case.netq_vectors.shape[0]:
@@ -88,6 +94,11 @@ def load_simulator(case: ProgramCase, naive: bool,
     sim = FunctionalSimulator(case.config, metrics=metrics, naive=naive)
     for mem, data in case.vrf_init.items():
         sim.vrfs[mem].write(0, data)
+    if case.mrf_tiles is not None:
+        tiles = case.mrf_tiles
+        if not sim.exact:
+            tiles = quantize(tiles, case.config.bfp_format)
+        sim.mrf.write_tiles(0, tiles)
     sim.dram.write_vectors(0, case.dram_vectors)
     sim.dram.write_tiles(0, case.dram_tiles)
     for vec in case.netq_vectors:
@@ -229,15 +240,17 @@ def run_differential(case: ProgramCase,
         mismatches.append(f"metrics counters vectorized vs compiled: "
                           f"{vec_counts} != {comp_counts}")
 
-    mismatches.extend(check_batched_replay(case))
+    batched, hoisted = check_batched_replay(case)
+    mismatches.extend(batched)
 
     if check_timing:
         mismatches.extend(check_timing_invariants(case, ref))
-    return DiffResult(case, mismatches)
+    return DiffResult(case, mismatches, hoisted_groups=hoisted)
 
 
-def check_batched_replay(case: ProgramCase) -> List[str]:
-    """Batched replay vs per-request sequential compiled runs.
+def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
+    """Batched replay vs per-request sequential compiled runs; returns
+    the mismatches and the plan's hoisted ``mv_mul`` group count.
 
     Builds a :class:`BatchedReplay` whose requests see the case's
     network-input vectors scaled by :data:`_BATCH_SCALES` (all other
@@ -247,8 +260,11 @@ def check_batched_replay(case: ProgramCase) -> List[str]:
     plans are additionally re-run with a deterministic subset of chain
     events *forced* into loopable interpreted fallback steps
     (``force_fallback``) — the widened batchable subset must stay bit
-    identical to the fully compiled path. Unbatchable plans (a broken
-    fallback tail) must be rejected with
+    identical to the fully compiled path. The plain arm runs any
+    hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); the forced arm
+    never hoists (its plan has fallback steps), so the hoisted and
+    per-step paths meet the same ground truth. Unbatchable plans (a
+    broken fallback tail) must be rejected with
     :class:`~repro.errors.UnbatchablePlanError` naming the offending
     step kinds.
     """
@@ -273,7 +289,7 @@ def check_batched_replay(case: ProgramCase) -> List[str]:
                        f"instead of UnbatchablePlanError: {exc}")
         else:
             out.append("unbatchable plan accepted by BatchedReplay")
-        return out
+        return out, 0
 
     out = _check_batched_against_sequential(case, base, None, "batched")
     # Forced-fallback arm: demote every third chain event to a loopable
@@ -284,7 +300,7 @@ def check_batched_replay(case: ProgramCase) -> List[str]:
     out.extend(_check_batched_against_sequential(
         case, forced_base, lambda pos, event: pos % 3 == 1,
         "batched+fallback"))
-    return out
+    return out, plan.hoisted_groups
 
 
 def _check_batched_against_sequential(case: ProgramCase, base,

@@ -50,6 +50,9 @@ class FuzzReport:
     failures: List[FuzzFailure]
     invalid: int = 0
     label: str = "fuzz"
+    #: Cases whose batched replay hoisted at least one ``mv_mul`` group
+    #: out of a loop (so the hoisted path was checked too).
+    hoisted_plans: int = 0
 
     @property
     def ok(self) -> bool:
@@ -57,7 +60,8 @@ class FuzzReport:
 
     def render(self) -> str:
         head = (f"{self.label}: {self.cases_run} case(s), "
-                f"{len(self.failures)} failure(s)")
+                f"{len(self.failures)} failure(s), "
+                f"{self.hoisted_plans} with hoisted mv_mul groups")
         if self.invalid:
             head += f", {self.invalid} invalid"
         if self.ok:
@@ -90,7 +94,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
     """
     profile_name = profile.name if profile else "default"
     failures: List[FuzzFailure] = []
-    invalid = 0
+    invalid = hoisted = 0
     for i in range(iterations):
         case_seed = seed + i
         case = generate_case(case_seed, profile=profile, config=config)
@@ -99,6 +103,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
         except CaseInvalid:
             invalid += 1  # generator regression; surfaced in the report
             continue
+        hoisted += result.hoisted_groups > 0
         if not result.ok:
             failures.append(_handle_failure(
                 case, case_seed, result.mismatches, corpus_dir, shrink,
@@ -106,7 +111,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
         if progress is not None:
             progress(i + 1, iterations)
     return FuzzReport(cases_run=iterations, failures=failures,
-                      invalid=invalid,
+                      invalid=invalid, hoisted_plans=hoisted,
                       label=f"fuzz(seed={seed}, profile={profile_name})")
 
 

@@ -95,6 +95,15 @@ class FuzzProfile:
     #: Restrict the per-seed configuration draw to these
     #: :data:`FUZZ_CONFIGS` names (``None`` = the whole pool).
     config_pool: Optional[Sequence[str]] = None
+    #: Probability the MRF window is pinned before the program runs
+    #: (``ProgramCase.mrf_tiles``, the serving model's resident weights)
+    #: instead of written by an in-program ``m_rd``/``m_wr`` prologue.
+    p_pinned_mrf: float = 0.0
+    #: Probability a vector-chain event becomes an input projection: a
+    #: counted loop of a pure ``v_rd NetQ -> v_wr`` copy chain and one
+    #: or two ``mv_mul`` chains reading the copied window (the RNN
+    #: lowerings' ``x_t * W`` pattern, which batched replay hoists).
+    p_projection: float = 0.0
 
 
 #: Named opcode-weight profiles for the CLI.
@@ -110,6 +119,9 @@ PROFILES: Dict[str, FuzzProfile] = {
     "formats": FuzzProfile(name="formats", p_mv_mul=0.9,
                            w_matrix_chain=2.5, mean_pointwise=1.0,
                            config_pool=FORMAT_POOL),
+    "recurrent": FuzzProfile(name="recurrent", w_matrix_chain=0.3,
+                             p_netq=0.35, p_pinned_mrf=1.0,
+                             p_projection=0.35),
 }
 
 #: Point-wise opcodes in the order ``pointwise_weights`` indexes them.
@@ -145,6 +157,9 @@ class ProgramCase:
     netq_tiles: np.ndarray
     #: Provenance note (seed, profile, shrink history).
     note: str = ""
+    #: MRF tiles pinned from slot 0 before the program runs, (W, N, N),
+    #: quantized on write like ``m_wr``; ``None``: the MRF starts zeroed.
+    mrf_tiles: Optional[np.ndarray] = None
 
     def instruction_count(self) -> int:
         """Chain instructions plus scalar writes (``end_chain`` markers
@@ -207,7 +222,10 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
     state = _GenState(rng, config, profile)
 
     events: List[object] = []
-    _emit_mrf_init(state, events)
+    pinned = (profile.p_pinned_mrf > 0
+              and rng.random() < profile.p_pinned_mrf)
+    if not pinned:
+        _emit_mrf_init(state, events)
     n_events = int(rng.integers(profile.min_events,
                                 profile.max_events + 1))
     weights = np.array([profile.w_scalar_write, profile.w_matrix_chain,
@@ -219,6 +237,9 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
             _emit_scalar_write(state, events)
         elif kind == 1:
             _emit_matrix_chain(state, events)
+        elif (profile.p_projection > 0
+              and rng.random() < profile.p_projection):
+            _emit_projection(state, events)
         else:
             _emit_vector_chain(state, events)
 
@@ -241,6 +262,9 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
         netq_tiles=state.rand_values(
             (state.netq_tiles, config.native_dim, config.native_dim)),
         note=f"seed={seed} profile={profile.name} config={config.name}",
+        mrf_tiles=(state.rand_values((state.mrf_window, config.native_dim,
+                                      config.native_dim))
+                   if pinned else None),
     )
 
 
@@ -338,6 +362,34 @@ def _emit_vector_chain(state: _GenState, events: List[object]) -> None:
     events.append(InstructionChain(instrs))
 
 
+def _emit_projection(state: _GenState, events: List[object]) -> None:
+    """An input projection as a counted loop: a pure copy chain from the
+    network queue into a VRF window, then one or two ``mv_mul`` chains
+    reading (part of) that window. Their terminal writes may overwrite
+    the window, which batched replay must then refuse to hoist."""
+    rng = state.rng
+    if state.rows < state.cols:
+        events.append(SetScalar(ScalarReg.Rows, state.cols))
+        state.rows = state.cols
+    rows, cols = state.rows, state.cols
+    if rows * cols > state.mrf_window:
+        _emit_vector_chain(state, events)
+        return
+    mem = (MemId.InitialVrf, MemId.AddSubVrf,
+           MemId.MultiplyVrf)[int(rng.integers(3))]
+    index = int(rng.integers(0, _vrf_depth(state.config, mem) - rows + 1))
+    count = int(rng.integers(2, 4))
+    state.netq_vectors += count * rows
+    body = [InstructionChain([ins.v_rd(MemId.NetQ), ins.v_wr(mem, index)])]
+    for _ in range(int(rng.integers(1, 3))):
+        offset = int(rng.integers(0, rows - cols + 1))
+        base = int(rng.integers(0, state.mrf_window - rows * cols + 1))
+        body.append(InstructionChain(
+            [ins.v_rd(mem, index + offset), ins.mv_mul(base)]
+            + _pointwise_run(state) + [_terminal_write(state, rows)]))
+    events.append(Loop(count, tuple(body)))
+
+
 def _head_read(state: _GenState, width_in: int):
     rng = state.rng
     sources = [MemId.InitialVrf, MemId.AddSubVrf, MemId.MultiplyVrf,
@@ -411,10 +463,11 @@ def _vrf_depth(config: NpuConfig, mem: MemId) -> int:
 def _fold_loops(state: _GenState, events: List[object]) -> List[object]:
     """Fold eligible spans of the flat event list into counted loops.
 
-    A span is loopable only if it contains no network-queue reads (the
-    queue balance would change across iterations) and no scalar writes
-    (the first iteration would otherwise run under different
-    ``rows``/``columns`` than later ones).
+    A span is loopable only if it contains no scalar writes (the first
+    iteration would otherwise run under different ``rows``/``columns``
+    than later ones) and no loop. Network-queue reads inside a folded
+    span repeat every iteration, so the queued input supply grows by
+    the span's consumption times the extra iterations.
     """
     rng = state.rng
     if len(events) < 2 or rng.random() < 0.4:
@@ -430,12 +483,33 @@ def _fold_loops(state: _GenState, events: List[object]) -> List[object]:
         if not all(_loopable(item) for item in span):
             continue
         count = int(rng.integers(2, 4))
+        vectors, tiles = _netq_demand(items[:start], span)
+        state.netq_vectors += (count - 1) * vectors
+        state.netq_tiles += (count - 1) * tiles
         items[start:start + length] = [Loop(count, tuple(span))]
     return items
 
 
 def _loopable(item) -> bool:
-    if isinstance(item, (SetScalar, Loop)):
-        return False
-    head = item.instructions[0]
-    return head.mem_id is not MemId.NetQ
+    return not isinstance(item, (SetScalar, Loop))
+
+
+def _netq_demand(prefix: List[object], span: List[object]) -> tuple:
+    """Network-queue (vectors, tiles) one pass over ``span`` pops, under
+    the ``rows``/``columns`` the scalar writes in ``prefix`` leave."""
+    rows = cols = 1
+    for item in prefix:
+        if isinstance(item, SetScalar):
+            if item.reg is ScalarReg.Rows:
+                rows = item.value
+            elif item.reg is ScalarReg.Columns:
+                cols = item.value
+    vectors = tiles = 0
+    for chain in span:
+        if chain.instructions[0].mem_id is not MemId.NetQ:
+            continue
+        if chain.is_matrix_chain:
+            tiles += rows * cols
+        else:
+            vectors += cols if chain.has_mv_mul else rows
+    return vectors, tiles

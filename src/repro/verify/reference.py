@@ -91,6 +91,12 @@ class ReferenceInterpreter:
         arr = np.asarray(data, dtype=np.float32)
         self.vrfs[mem][:arr.shape[0]] = arr
 
+    def load_mrf_tiles(self, index: int, tiles: np.ndarray) -> None:
+        """Pin tiles into the MRF, quantized exactly as ``m_wr`` does."""
+        for i, tile in enumerate(np.asarray(tiles, dtype=np.float32)):
+            self.mrf[index + i] = (tile if self.exact
+                                   else quantize_reference(tile, self._fmt))
+
     def load_dram_vectors(self, index: int, vectors: np.ndarray) -> None:
         for i, vec in enumerate(np.atleast_2d(vectors)):
             self.dram_vectors[index + i] = \

@@ -127,8 +127,8 @@ def _data_candidates(case: ProgramCase) -> Iterator[ProgramCase]:
                   for m, a in case.vrf_init.items()}
         yield dataclasses.replace(case, vrf_init=zeroed)
     for field in ("dram_vectors", "dram_tiles", "netq_vectors",
-                  "netq_tiles"):
+                  "netq_tiles", "mrf_tiles"):
         data = getattr(case, field)
-        if not data.size or not data.any():
+        if data is None or not data.size or not data.any():
             continue
         yield dataclasses.replace(case, **{field: np.zeros_like(data)})

@@ -4,10 +4,10 @@ federated runtime, and the bidirectional-RNN split."""
 import numpy as np
 import pytest
 
-from repro.compiler import compile_lstm
+from repro.compiler import compile_gru, compile_lstm
 from repro.compiler.lowering import compile_rnn_shape
 from repro.errors import CompileError
-from repro.models import LstmReference
+from repro.models import GruReference, LstmReference
 from repro.system import (
     BidirectionalRnnService,
     CpuStage,
@@ -176,6 +176,33 @@ class TestResidentModel:
             assert_bit_equal(backward[key], out)
         assert _same_state(service.node.simulator().snapshot(),
                            compiled.new_simulator().snapshot())
+
+    @pytest.mark.tier1
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_requests_leave_resident_counters_untouched(self, kind,
+                                                        bfp_config, rng):
+        """Batched runs keep no counters: after requests in mixed batch
+        sizes the resident simulator's register-file counters and stats
+        equal a freshly loaded simulator's."""
+        model, comp = ((LstmReference, compile_lstm) if kind == "lstm"
+                       else (GruReference, compile_gru))
+        compiled = comp(model(24, 20, seed=3), bfp_config)
+        service = make_service(compiled)
+        for size, steps in ((1, 3), (4, 3), (16, 1), (1, 1), (3, 2)):
+            batch = [[rng.uniform(-1, 1, 20).astype(np.float32)
+                      for _ in range(steps)] for _ in range(size)]
+            if size == 1:
+                service.invoke(steps, batch[0])
+            else:
+                service.invoke_batched(steps, functional_inputs=batch)
+        sim = service.node.simulator()
+        fresh = compiled.new_simulator()
+        assert (sim.mrf.reads, sim.mrf.writes) == \
+            (fresh.mrf.reads, fresh.mrf.writes)
+        for mem, vrf in sim.vrfs.items():
+            assert (vrf.reads, vrf.writes) == \
+                (fresh.vrfs[mem].reads, fresh.vrfs[mem].writes), mem
+        assert sim.stats == fresh.stats
 
     def test_resident_simulator_is_built_once(self, compiled, rng):
         node = FpgaNode("node", compiled)

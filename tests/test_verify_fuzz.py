@@ -13,8 +13,8 @@ from repro.isa import InstructionChain, MemId, v_rd, v_wr
 from repro.isa.assembler import format_program
 from repro.isa.opcodes import Opcode
 from repro.isa.program import NpuProgram
-from repro.verify import (CaseInvalid, PROFILES, generate_case,
-                          load_corpus_case, replay_corpus,
+from repro.verify import (CaseInvalid, PROFILES, case_to_json,
+                          generate_case, load_corpus_case, replay_corpus,
                           run_differential, run_fuzz, save_case,
                           shrink_case)
 
@@ -30,6 +30,35 @@ def test_small_campaign_per_profile(profile):
     assert report.ok, report.render()
     assert report.invalid == 0
     assert report.cases_run == 8
+
+
+@pytest.mark.tier1
+def test_recurrent_profile_reaches_hoisted_replay():
+    """The ``recurrent`` profile pins the MRF and emits looped input
+    projections, so the batched-vs-sequential check covers plans whose
+    mv_mul groups batched replay hoists out of the loop."""
+    report = run_fuzz(seed=300, iterations=12,
+                      profile=PROFILES["recurrent"])
+    assert report.ok, report.render()
+    assert report.hoisted_plans > 0
+    assert f"{report.hoisted_plans} with hoisted" in report.render()
+
+
+@pytest.mark.tier1
+def test_netq_chains_fold_into_loops_with_enough_supply():
+    """Folded spans may read the network queue; the generated supply
+    covers every iteration, so every engine runs the case cleanly."""
+    from repro.isa.program import Loop
+    folded = 0
+    for seed in range(60):
+        case = generate_case(seed, profile=PROFILES["memory"])
+        loops = [item for item in case.program.items
+                 if isinstance(item, Loop)]
+        if any(chain.instructions[0].mem_id is MemId.NetQ
+               for loop in loops for chain in loop.body):
+            folded += 1
+            assert run_differential(case, check_timing=False).ok
+    assert folded > 0
 
 
 @pytest.mark.tier1
@@ -65,6 +94,17 @@ def test_corpus_roundtrip_bit_exact(tmp_path):
     # Serialization is deterministic: same case, same bytes.
     assert path.read_text() == save_case(back, tmp_path / "b.json") \
         .read_text()
+
+
+@pytest.mark.tier1
+def test_corpus_roundtrip_pinned_mrf(tmp_path):
+    case = generate_case(4, profile=PROFILES["recurrent"])
+    assert case.mrf_tiles is not None
+    back = load_corpus_case(save_case(case, tmp_path))
+    assert np.array_equal(back.mrf_tiles, case.mrf_tiles)
+    assert run_differential(back, check_timing=False).ok
+    # Cases without pinned tiles serialize without the key.
+    assert "mrf_tiles" not in case_to_json(generate_case(21))["state"]
 
 
 @pytest.mark.tier1
@@ -179,6 +219,16 @@ def test_fuzz_gate(profile):
     """Bounded fixed-seed campaign per profile (the CI fuzz step)."""
     report = run_fuzz(seed=0, iterations=60, profile=PROFILES[profile])
     assert report.ok, report.render()
+
+
+@pytest.mark.fuzz
+def test_fuzz_gate_checks_hoisted_plans():
+    """Bounded recurrent-profile campaign: clean, and it must reach
+    plans whose mv_mul groups batched replay hoists."""
+    report = run_fuzz(seed=3000, iterations=80,
+                      profile=PROFILES["recurrent"])
+    assert report.ok, report.render()
+    assert report.hoisted_plans > 0, report.render()
 
 
 @pytest.mark.fuzz
