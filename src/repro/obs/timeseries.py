@@ -103,8 +103,7 @@ class RingSeries:
         if k <= self._last:
             return
         lo = max(self._last + 1, k - self.capacity + 1)
-        for j in range(lo, k + 1):
-            self._values[self._slot(j)] = np.nan
+        self._values[np.arange(lo, k + 1) % self.capacity] = np.nan
         self._last = k
         first = max(0, k - self.capacity + 1)
         if first > self._first:

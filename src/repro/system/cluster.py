@@ -33,6 +33,7 @@ gate rely on it.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import math
@@ -520,9 +521,11 @@ class ClusterSimulator:
     evict/readmit edges); the data plane processes the open-loop
     arrival trace in time order between them.  Per-request work is
     O(1) for ``p2c``/``random`` routing (O(nodes) for
-    ``least_loaded``), with all per-request randomness pre-drawn as
-    vectorized ``numpy`` arrays, so million-request traces run in
-    seconds and are bit-deterministic per seed.
+    ``least_loaded``).  All per-request randomness is pre-drawn as
+    vectorized ``numpy`` arrays, and the loops read it, the arrivals
+    and the outcome arrays through ``memoryview``s as plain Python
+    scalars, so million-request traces run in seconds and are
+    bit-deterministic per seed.
 
     Ground truth (which nodes are actually up/reachable) is separate
     from the router's view (the failure detector's eviction set): in
@@ -697,27 +700,29 @@ class ClusterSimulator:
             events: Sequence[ClusterEvent] = ()) -> ClusterResult:
         """Drive ``arrivals`` (sorted seconds) through the cluster.
 
-        With a :class:`NodeBatching` configured this delegates to the
-        batched data plane (:meth:`_run_batched`); the unbatched hot
-        loop below is untouched by that path and stays bit-identical
-        to its pre-batching behavior.
+        One per-run setup and teardown serves both data planes.  It
+        coerces and checks the trace, pre-draws the routing randomness,
+        resets the cluster state, seeds the event heap and allocates
+        the outcome arrays; after the loop it counts outcomes and
+        builds the :class:`ClusterResult`.  In between runs the
+        unbatched loop (:meth:`_run_unbatched`) or, with a
+        :class:`NodeBatching` configured, the batched one
+        (:meth:`_run_batched`).  Both loops index the trace, the draws
+        and the outcome arrays through ``memoryview``s, so every
+        per-request value is a Python scalar, not a numpy one.
         """
-        if self.batching is not None:
-            return self._run_batched(arrivals, events)
         spec = self.spec
+        # Memoryviews need C-contiguous float64, whatever came in.
         arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
         if arrivals.size and np.any(np.diff(arrivals) < 0):
             raise ClusterError("arrivals must be sorted")
         n = int(arrivals.size)
 
         # Pre-vectorized load generation: every per-request random draw
-        # for the whole run happens here, in two numpy calls — the hot
-        # loop below only indexes. This is what keeps 1e6+ requests
-        # fast *and* bit-deterministic per seed.
-        rng = np.random.default_rng(self.seed)
-        route_u = rng.random((2, max(n, 1)))
-        choice1 = route_u[0]
-        choice2 = route_u[1]
+        # for the whole run happens here, in one numpy call — the loops
+        # only index. This is what keeps 1e6+ requests fast *and*
+        # bit-deterministic per seed.
+        route_u = np.random.default_rng(self.seed).random((2, max(n, 1)))
 
         self._up = [True] * spec.num_nodes
         self._slow = [1.0] * spec.num_nodes
@@ -745,9 +750,45 @@ class ClusterSimulator:
                 heapq.heappush(
                     heap, (float(ts), next(seq), "_scrape", 0, 0.0))
 
+        # FAILED is the default: loops leave a failed request's status.
         status = np.full(n, FAILED, dtype=np.uint8)
         latency = np.full(n, np.nan, dtype=np.float64)
+        loop_args = (memoryview(arrivals), memoryview(route_u[0]),
+                     memoryview(route_u[1]), memoryview(status),
+                     memoryview(latency), heap, seq)
+        batch_log = active_trace = None
+        if self.batching is None:
+            self._run_unbatched(*loop_args, node_of)
+        else:
+            batch_log, active_trace = self._run_batched(*loop_args)
 
+        m = self.metrics
+        for code, name in STATUS_NAMES.items():
+            count = int(np.count_nonzero(status == code))
+            if count:
+                m.counter(f"cluster.requests.{name}").inc(count)
+        finite = np.isfinite(latency)
+        if finite.any():
+            m.counter("cluster.deadline_violations").inc(
+                int(np.count_nonzero(latency[finite] > spec.deadline_s)))
+
+        result = ClusterResult(
+            spec=spec, arrivals=arrivals, status=status,
+            latency_s=latency, event_log=list(self._event_log),
+            detector_transitions=list(
+                self.detector.transitions if self.detector else []),
+            batch_log=batch_log, active_nodes_trace=active_trace)
+        if monitor is not None:
+            monitor.finish(result, node_of)
+        return result
+
+    def _run_unbatched(self, times, draw1, draw2, status, latency, heap,
+                       seq, node_of) -> None:
+        """Unbatched data plane: each node serves one request at a
+        time, first come first served.  The first five arguments are
+        memoryviews of :meth:`run`'s arrivals, routing draws, status
+        and latency; ``node_of`` is the monitor's attribution."""
+        spec = self.spec
         # Hot-loop locals (attribute lookups hoisted out of the loop).
         service_s = spec.service_time_s
         deadline_s = spec.deadline_s
@@ -760,35 +801,47 @@ class ClusterSimulator:
         random_router = self.router == "random"
         retries = self.retries
         admission = self.admission
-        tokens = admission.burst if admission else 0.0
+        tokens = tok_burst = admission.burst if admission else 0.0
         tok_rate = admission.rate_rps if admission else 0.0
-        tok_burst = admission.burst if admission else 0.0
-        last_t = float(arrivals[0]) if n else 0.0
+        n = len(times)
+        last_t = times[0] if n else 0.0
         brownout = self.brownout
         cpu_free: List[float] = []
         if brownout is not None:
             cpu_free = [0.0] * brownout.max_concurrent
             cpu_latency = brownout.cpu_latency_s
+        ncpu = len(cpu_free)
         shed_on_deadline = self.shed_on_deadline
         cut_racks = self._cut_racks
         rack_span = spec.nodes_per_rack
+        # Only control events push onto this heap and change the
+        # router's view, so both are re-read after events, not per
+        # request.
+        view = self._view
+        nh = len(view)
+        next_at = heap[0][0] if heap else math.inf
 
         for i in range(n):
-            t = float(arrivals[i])
-            while heap and heap[0][0] <= t:
-                when, _, action, target, value = heapq.heappop(heap)
-                self._apply(when, action, target, value, heap, seq)
-            view = self._view
+            t = times[i]
+            if t >= next_at:
+                while heap and heap[0][0] <= t:
+                    when, _, action, target, value = heapq.heappop(heap)
+                    self._apply(when, action, target, value, heap, seq)
+                view = self._view
+                nh = len(view)
+                next_at = heap[0][0] if heap else math.inf
 
             # Admission control: continuous token refill, 1/request.
             # Rejected requests get the brownout CPU path if it has
             # room — degrade before turning users away.
             if admission is not None:
-                tokens = min(tok_burst, tokens + (t - last_t) * tok_rate)
+                tokens += (t - last_t) * tok_rate
+                if tokens > tok_burst:
+                    tokens = tok_burst
                 last_t = t
                 if tokens < 1.0:
                     if brownout is not None:
-                        slot = int(choice1[i] * len(cpu_free))
+                        slot = int(draw1[i] * ncpu)
                         finish = max(t, cpu_free[slot]) + cpu_latency
                         if finish - t <= deadline_s:
                             cpu_free[slot] = finish
@@ -799,47 +852,44 @@ class ClusterSimulator:
                     continue
                 tokens -= 1.0
 
-            nh = len(view)
             node = -1
             if nh:
                 if random_router:
-                    node = view[int(choice1[i] * nh)]
+                    node = view[int(draw1[i] * nh)]
                 elif least_loaded:
                     backlog = [free_at[j] for j in view]
                     node = view[min(range(nh),
                                     key=backlog.__getitem__)]
                 else:  # p2c
-                    a = view[int(choice1[i] * nh)]
-                    b = view[int(choice2[i] * nh)]
+                    a = view[int(draw1[i] * nh)]
+                    b = view[int(draw2[i] * nh)]
                     node = a if free_at[a] <= free_at[b] else b
-                # Failover: in the detection window after a fault the
-                # router's view still contains dead nodes; one retry on
-                # the alternate candidate is the client-side hedge.
-                chosen = node
-                if not up[node] or node // rack_span in cut_racks:
-                    node = -1 if retries < 1 else \
-                        view[int(choice2[i] * nh)]
-                    if node >= 0 and (not up[node]
-                                      or node // rack_span in cut_racks):
-                        node = -1
-
                 if node_of is not None:
                     # Failed requests attribute to the dead node they
                     # landed on — that's the failure domain that ate
                     # them, which is what the per-rack breakdown needs.
-                    node_of[i] = node if node >= 0 else chosen
+                    node_of[i] = node
+                # Failover: in the detection window after a fault the
+                # router's view still contains dead nodes; one retry on
+                # the alternate candidate is the client-side hedge.
+                if not up[node] or node // rack_span in cut_racks:
+                    node = -1 if retries < 1 else \
+                        view[int(draw2[i] * nh)]
+                    if node >= 0 and (not up[node]
+                                      or node // rack_span in cut_racks):
+                        node = -1
+                    elif node >= 0 and node_of is not None:
+                        node_of[i] = node
 
             if node < 0:
                 # No live candidate: brownout if possible, else fail.
                 if brownout is not None:
-                    slot = int(choice1[i] * len(cpu_free))
+                    slot = int(draw1[i] * ncpu)
                     finish = max(t, cpu_free[slot]) + cpu_latency
                     if finish - t <= deadline_s:
                         cpu_free[slot] = finish
                         status[i] = BROWNOUT
                         latency[i] = finish - t
-                        continue
-                status[i] = FAILED
                 continue
 
             wait = free_at[node] - t
@@ -854,7 +904,7 @@ class ClusterSimulator:
                 # The ablated stack skips this — it queues without
                 # backpressure and lets clients time out instead.
                 if brownout is not None:
-                    slot = int(choice2[i] * len(cpu_free))
+                    slot = int(draw2[i] * ncpu)
                     finish = max(t, cpu_free[slot]) + cpu_latency
                     if finish - t <= deadline_s:
                         cpu_free[slot] = finish
@@ -873,32 +923,15 @@ class ClusterSimulator:
             when, _, action, target, value = heapq.heappop(heap)
             self._apply(when, action, target, value, heap, seq)
 
-        m = self.metrics
-        for code, name in STATUS_NAMES.items():
-            count = int(np.count_nonzero(status == code))
-            if count:
-                m.counter(f"cluster.requests.{name}").inc(count)
-        finite = np.isfinite(latency)
-        if finite.any():
-            m.counter("cluster.deadline_violations").inc(
-                int(np.count_nonzero(
-                    latency[finite] > deadline_s)))
-
-        result = ClusterResult(
-            spec=spec, arrivals=arrivals, status=status,
-            latency_s=latency, event_log=list(self._event_log),
-            detector_transitions=list(
-                self.detector.transitions if self.detector else []))
-        if monitor is not None:
-            monitor.finish(result, node_of)
-        return result
-
     # -- the batched data plane -------------------------------------------
 
-    def _run_batched(self, arrivals: Sequence[float],
-                     events: Sequence[ClusterEvent] = ()
-                     ) -> ClusterResult:
-        """Batched-node discrete-event run (see :class:`NodeBatching`).
+    def _run_batched(self, times, draw1, draw2, status, latency, heap,
+                     seq) -> Tuple[List[Tuple[float, int]],
+                                   Optional[List[Tuple[float, int]]]]:
+        """Batched-node data plane (see :class:`NodeBatching`); takes
+        the arguments of :meth:`_run_unbatched` but ``node_of`` and
+        returns the batch log and the autoscaler's resize trace
+        (``None`` without one).
 
         Each node owns a FIFO batching queue: a dispatch of
         ``min(queued, max_batch)`` requests starts when the node is
@@ -908,32 +941,15 @@ class ClusterSimulator:
         Requests queued or in flight on a node that crashes or is
         partitioned away are ``FAILED`` — batching widens the blast
         radius of a node loss, and the model is honest about it.
-        Routing, the failure detector, and control events share the
-        unbatched path's machinery; per-request routing randomness is
-        pre-vectorized exactly the same way, so runs are
+        Routing, the failure detector, control events and the per-run
+        setup are shared with the unbatched plane, so runs are
         bit-deterministic per seed.
         """
         spec = self.spec
         bcfg = self.batching
         autoscaler = self.autoscaler
-        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-        if arrivals.size and np.any(np.diff(arrivals) < 0):
-            raise ClusterError("arrivals must be sorted")
-        n = int(arrivals.size)
+        n = len(times)
         num_nodes = spec.num_nodes
-
-        rng = np.random.default_rng(self.seed)
-        route_u = rng.random((2, max(n, 1)))
-        choice1 = route_u[0]
-        choice2 = route_u[1]
-
-        self._up = [True] * num_nodes
-        self._slow = [1.0] * num_nodes
-        self._free_at = [0.0] * num_nodes
-        self._cut_racks = set()
-        self._event_log = []
-        self.fabric.heal_all()
-        self._rebuild_view()
 
         max_batch = bcfg.max_batch
         timeout_s = bcfg.timeout_s
@@ -961,8 +977,6 @@ class ClusterSimulator:
             = [None] * num_nodes
         epoch = [0] * num_nodes
         flush_at = [math.inf] * num_nodes
-        status = np.full(n, FAILED, dtype=np.uint8)
-        latency = np.full(n, np.nan, dtype=np.float64)
         batch_log: List[Tuple[float, int]] = []
         active_trace: List[Tuple[float, int]] = []
 
@@ -971,12 +985,6 @@ class ClusterSimulator:
                                 bounds=OCCUPANCY_BOUNDS)
         queue_wait = m.histogram("cluster.queue_wait_s",
                                  bounds=QUEUE_WAIT_BOUNDS)
-
-        seq = iter(range(1 << 62))
-        heap: List[Tuple[float, int, str, int, float]] = []
-        for ev in events:
-            heapq.heappush(heap, (ev.time_s, next(seq), ev.action,
-                                  ev.target, ev.value))
 
         active_count = num_nodes
         if autoscaler is not None:
@@ -995,7 +1003,7 @@ class ClusterSimulator:
                 inflight[node] = None
                 for _, idx in flight[1]:
                     status[idx] = FAILED
-                    latency[idx] = np.nan
+                    latency[idx] = math.nan
             for _, idx in queues[node]:
                 status[idx] = FAILED
             queues[node].clear()
@@ -1053,10 +1061,9 @@ class ClusterSimulator:
                 maybe_dispatch(target, when)
                 return
             if action == "_ascale":
-                lo = np.searchsorted(arrivals,
-                                     when - autoscaler.interval_s,
-                                     side="right")
-                hi = np.searchsorted(arrivals, when, side="right")
+                lo = bisect.bisect_right(times,
+                                         when - autoscaler.interval_s)
+                hi = bisect.bisect_right(times, when)
                 rate = (hi - lo) / autoscaler.interval_s
                 cap = max_batch / svc[max_batch]
                 desired = math.ceil(
@@ -1073,7 +1080,7 @@ class ClusterSimulator:
                     self.tracer.instant("cluster:autoscale", when,
                                         track="cluster",
                                         target=desired)
-                if n and when <= float(arrivals[-1]):
+                if n and when <= times[n - 1]:
                     heapq.heappush(
                         heap, (when + autoscaler.interval_s,
                                next(seq), "_ascale", 0, 0.0))
@@ -1095,8 +1102,10 @@ class ClusterSimulator:
                 busy = 0.0
             return busy + len(queues[node]) * per_req_s
 
+        # Dispatches push onto the heap between control events, so
+        # unlike the unbatched loop this one checks it per request.
         for i in range(n):
-            t = float(arrivals[i])
+            t = times[i]
             while heap and heap[0][0] <= t:
                 when, _, action, target, value = heapq.heappop(heap)
                 handle(when, action, target, value)
@@ -1110,24 +1119,28 @@ class ClusterSimulator:
             node = -1
             if nh:
                 if random_router:
-                    node = eligible[int(choice1[i] * nh)]
+                    node = eligible[int(draw1[i] * nh)]
                 elif least_loaded:
                     backlog = [load(j, t) for j in eligible]
                     node = eligible[min(range(nh),
                                         key=backlog.__getitem__)]
-                else:  # p2c
-                    a = eligible[int(choice1[i] * nh)]
-                    b = eligible[int(choice2[i] * nh)]
-                    node = a if load(a, t) <= load(b, t) else b
+                else:  # p2c: load() inlined, as it runs per request
+                    a = eligible[int(draw1[i] * nh)]
+                    b = eligible[int(draw2[i] * nh)]
+                    busy_a = free_at[a] - t
+                    busy_b = free_at[b] - t
+                    node = a if ((busy_a if busy_a >= 0.0 else 0.0)
+                                 + len(queues[a]) * per_req_s
+                                 <= (busy_b if busy_b >= 0.0 else 0.0)
+                                 + len(queues[b]) * per_req_s) else b
                 if not up[node] or node // rack_span in cut_racks:
                     node = -1 if retries < 1 else \
-                        eligible[int(choice2[i] * nh)]
+                        eligible[int(draw2[i] * nh)]
                     if node >= 0 and (not up[node]
                                       or node // rack_span in cut_racks):
                         node = -1
 
             if node < 0:
-                status[i] = FAILED
                 continue
 
             q = queues[node]
@@ -1150,7 +1163,8 @@ class ClusterSimulator:
                     status[i] = SHED_DEADLINE
                     continue
             q.append((t, i))
-            maybe_dispatch(node, t)
+            if inflight[node] is None:
+                maybe_dispatch(node, t)
 
         # Drain everything past the last arrival: pending timeouts
         # dispatch, in-flight batches commit, control events land.
@@ -1158,20 +1172,5 @@ class ClusterSimulator:
             when, _, action, target, value = heapq.heappop(heap)
             handle(when, action, target, value)
 
-        for code, name in STATUS_NAMES.items():
-            count = int(np.count_nonzero(status == code))
-            if count:
-                m.counter(f"cluster.requests.{name}").inc(count)
-        finite = np.isfinite(latency)
-        if finite.any():
-            m.counter("cluster.deadline_violations").inc(
-                int(np.count_nonzero(latency[finite] > deadline_s)))
-
-        return ClusterResult(
-            spec=spec, arrivals=arrivals, status=status,
-            latency_s=latency, event_log=list(self._event_log),
-            detector_transitions=list(
-                self.detector.transitions if self.detector else []),
-            batch_log=batch_log,
-            active_nodes_trace=active_trace if autoscaler is not None
-            else None)
+        return batch_log, (active_trace if autoscaler is not None
+                           else None)

@@ -11,10 +11,11 @@ instead of taking it on faith.
 
 The monitor is strictly an observer: scrapes read simulator state and
 write only into the monitor's own store, the per-request node
-attribution is a plain list assignment, and all counters/quantiles are
-built from the result arrays in one vectorized pass after the run — a
-monitored run is bit-identical to an unmonitored one in outcomes (the
-benchmark asserts it) and introduces no new RNG streams.
+attribution is one byte stored into a bytearray (a list for fleets of
+255+ nodes), and all counters/quantiles are built from the result
+arrays in one vectorized pass after the run — a monitored run is
+bit-identical to an unmonitored one in outcomes (the benchmark asserts
+it) and introduces no new RNG streams.
 """
 
 from __future__ import annotations
@@ -224,33 +225,43 @@ class FleetMonitor:
         status = result.status
         latency = result.latency_s
         windows = store.windows
-        span = spec.nodes_per_rack
-        if isinstance(node_of, (bytes, bytearray)):
-            # The simulator hands attribution back as raw bytes with
-            # 0xFF for unrouted.  The sentinel's slot (0xFF//span + 1)
-            # is strictly past every real rack slot, so it needs no
-            # remapping: fleet sums cover it, rack slices skip it.
-            rack_slot = np.frombuffer(node_of, dtype=np.uint8) \
-                .astype(np.int64)
-            nslots = 0xFF // span + 2
-        else:
-            # List path: -1 marks unrouted, and floor division maps
-            # -1 // span to -1, so the sentinel lands in slot 0.
-            rack_slot = np.asarray(node_of, dtype=np.int64)
-            nslots = spec.racks + 1
-        rack_slot //= span
-        rack_slot += 1
+        racks = spec.racks
+        nslots = racks + 1
+        fleet_q = store.quantile(LATENCY_METRIC,
+                                 bounds=self.latency_bounds,
+                                 scope="fleet")
+        ns = len(STATUS_NAMES)
+        nb = len(fleet_q.bounds) + 1
+        # Every grid cell is ``stride`` keys wide, so one shared
+        # ``(slot, window)`` key plus a status code or a latency bucket
+        # addresses either grid without re-scaling the key.
+        stride = max(ns, nb)
+        cells = nslots * windows * stride
+
+        # One table gather maps each request's node to its rack slot's
+        # key offset.  Racks take slots 0..racks-1; unrouted requests
+        # (0xFF in a bytearray, -1 in a list: the table's last entry
+        # either way) take slot ``racks``.
+        lut = np.full(max(0x100, spec.num_nodes + 1),
+                      racks * windows * stride, dtype=np.int64)
+        lut[:spec.num_nodes] = np.arange(spec.num_nodes) \
+            // spec.nodes_per_rack * (windows * stride)
+        base = lut.take(np.frombuffer(node_of, dtype=np.uint8)
+                        if isinstance(node_of, (bytes, bytearray))
+                        else np.asarray(node_of, dtype=np.int64))
+        # Arrivals are sorted, so each window is one run of requests:
+        # its edges come from a search, and a window's key offset is
+        # repeated over its run — the same windows as clipping
+        # ``int(rel * (1 / interval))`` per request, in fewer passes.
         rel = arrivals if store.start_s == 0.0 \
             else arrivals - store.start_s
-        w = (rel * (1.0 / store.interval_s)).astype(np.int64)
-        np.clip(w, 0, windows - 1, out=w)
+        edges = np.searchsorted(rel * (1.0 / store.interval_s),
+                                np.arange(1, windows, dtype=np.float64))
+        base += np.repeat(np.arange(windows) * stride,
+                          np.diff(edges, prepend=0, append=rel.size))
 
-        # ``base`` is the shared (rack_slot, window) key.  The latency
-        # pass slices it before the status pass consumes it in place.
-        ns = len(STATUS_NAMES)
-        base = rack_slot
-        base *= windows
-        base += w
+        # The latency pass slices ``base`` before the status pass
+        # consumes it in place.
         finite = np.isfinite(latency)
         skey = base[finite]
         ms = latency[finite]
@@ -258,11 +269,9 @@ class FleetMonitor:
 
         # Request counters per (status, scope): one keyed bincount
         # over (rack_slot, window, status).
-        key = base
-        key *= ns
-        key += status
-        grid = np.bincount(key, minlength=nslots * windows * ns) \
-            .reshape(nslots, windows, ns)
+        base += status
+        grid = np.bincount(base, minlength=cells) \
+            .reshape(nslots, windows, stride)
         fleet_grid = grid.sum(axis=0)
         for code, name in STATUS_NAMES.items():
             fleet = fleet_grid[:, code]
@@ -270,38 +279,32 @@ class FleetMonitor:
                 continue
             store.counter(REQUESTS_METRIC, scope="fleet",
                           status=name).add_increments(fleet)
-            for rack in range(spec.racks):
+            for rack in range(racks):
                 store.counter(
                     REQUESTS_METRIC, scope=f"rack{rack}",
-                    status=name).add_increments(grid[rack + 1, :, code])
+                    status=name).add_increments(grid[rack, :, code])
 
         # Latency quantiles (ms): one rack-slot-keyed pass over the
         # finite completions; the fleet window is the slot sum, so
         # unrouted completions (brownouts) count fleet-wide but in no
         # rack (the mergeable-window layout).
-        fleet_q = store.quantile(LATENCY_METRIC,
-                                 bounds=self.latency_bounds,
-                                 scope="fleet")
-        nb = len(fleet_q.bounds) + 1
         if self._pow2_e0 is not None:
             bs = _pow2_buckets(ms, self._pow2_e0, nb)
         else:
             bs = np.searchsorted(fleet_q.bounds, ms)
-        lat_sums = np.bincount(
-            skey, weights=ms, minlength=nslots * windows) \
-            .reshape(nslots, windows)
-        skey *= nb
+        lat_sums = np.ascontiguousarray(np.bincount(
+            skey, weights=ms, minlength=cells)
+            .reshape(nslots, windows, stride)[:, :, 0])
         skey += bs
-        lat_counts = np.bincount(
-            skey, minlength=nslots * windows * nb) \
-            .reshape(nslots, windows, nb)
+        lat_counts = np.bincount(skey, minlength=cells) \
+            .reshape(nslots, windows, stride)[:, :, :nb]
         fleet_q.add_counts(lat_counts.sum(axis=0),
                            lat_sums.sum(axis=0))
-        for rack in range(spec.racks):
+        for rack in range(racks):
             store.quantile(
                 LATENCY_METRIC, bounds=self.latency_bounds,
                 scope=f"rack{rack}").add_counts(
-                    lat_counts[rack + 1], lat_sums[rack + 1])
+                    lat_counts[rack], lat_sums[rack])
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,25 @@ class TestSimulatorValidation:
             sim.run([0.0, 0.2, 0.1])
 
 
+def _unbatched_sim():
+    return ClusterSimulator(
+        _spec(), admission=TokenBucket(rate_rps=3000.0, burst=8.0),
+        brownout=BrownoutPolicy(max_concurrent=2), seed=5)
+
+
+def _batched_sim():
+    return ClusterSimulator(
+        _spec(), batching=_batching(),
+        autoscaler=AutoscalePolicy(min_nodes=1, interval_s=0.05), seed=5)
+
+
+#: Both event loops: the unbatched mitigated stack and the batched,
+#: autoscaled one.
+_LOOPS = pytest.mark.parametrize("make_sim", [_unbatched_sim,
+                                              _batched_sim],
+                                 ids=["unbatched", "batched"])
+
+
 class TestEmptyRun:
     def test_nan_with_flag_semantics(self):
         res = ClusterSimulator(_spec()).run([])
@@ -177,6 +196,48 @@ class TestEmptyRun:
         assert math.isnan(res.goodput_rps)
         assert not res.has_latencies
         assert math.isnan(res.p99_ms)
+
+    @_LOOPS
+    def test_both_loops_still_apply_events(self, make_sim):
+        sim = make_sim()
+        res = sim.run([], [ClusterEvent(0.01, "crash", 0)])
+        assert res.empty and not res.has_latencies
+        assert math.isnan(res.availability)
+        assert res.event_log[0] == (0.01, "crash", 0)
+        if sim.batching is not None:
+            assert res.batch_log == []
+            assert res.active_nodes_trace == [(0.0, 1)]
+
+
+class TestInputForms:
+    """Every array-like trace runs exactly like the same values as a
+    contiguous float64 array: the loops read arrivals through a
+    memoryview, which needs that layout, so the coercion must come
+    first."""
+
+    @staticmethod
+    def _same(a, b):
+        assert np.array_equal(a.arrivals, b.arrivals)
+        assert a.arrivals.dtype == np.float64
+        assert np.array_equal(a.status, b.status)
+        assert np.array_equal(a.latency_s, b.latency_s, equal_nan=True)
+        assert a.event_log == b.event_log
+        assert a.batch_log == b.batch_log
+        assert a.active_nodes_trace == b.active_nodes_trace
+
+    @_LOOPS
+    def test_forms_match_contiguous_float64(self, make_sim):
+        trace = np.sort(np.random.default_rng(2).uniform(0.0, 0.3, 2000))
+        events = [ClusterEvent(0.1, "rack_down", 0),
+                  ClusterEvent(0.2, "rack_up", 0)]
+        f32 = trace.astype(np.float32)
+        strided = np.stack([trace, -trace], axis=1)[:, 0]
+        assert not strided.flags.c_contiguous
+        for given, same_as in ((list(trace), trace),
+                               (f32, f32.astype(np.float64)),
+                               (strided, trace)):
+            self._same(make_sim().run(given, events),
+                       make_sim().run(same_as, events))
 
 
 class TestHappyPath:
