@@ -1,9 +1,10 @@
 """Smoke test for the perf harness (the CI perf gate).
 
 Runs the quick suite end to end through ``scripts/bench.py``, checks the
-``BENCH_perf.json`` payload shape, and asserts the vectorized path beats
-the naive reference on the headline LSTM workload — the same gate CI
-applies. Full-suite numbers live in the committed BENCH_perf.json.
+``BENCH_perf.json`` payload shape, and asserts the headline gates on the
+LSTM workload — compiled replay, batch=16 replay and dynamic batching
+over their baselines — the same gates CI applies. Full-suite numbers
+live in the committed BENCH_perf.json.
 """
 
 import json
@@ -24,7 +25,6 @@ from repro.harness.perf import (
     bench_compiled_rnn,
     bench_functional_rnn,
     compiled_headline_speedup,
-    headline_speedup,
     render_table,
     results_from_json,
     run_suite,
@@ -52,14 +52,6 @@ def test_quick_suite_payload_shape(quick_payload):
     for row in quick_payload["results"]:
         assert row["unit_ms"] > 0
         assert row["repeats"] >= 1
-
-
-def test_headline_vectorized_beats_naive(quick_payload):
-    speedup = headline_speedup(results_from_json(quick_payload))
-    assert speedup is not None
-    assert speedup > 1.0, (
-        f"vectorized path is {speedup:.2f}x the naive reference on the "
-        f"headline LSTM — the perf layer regressed")
 
 
 def test_headline_compiled_beats_vectorized(quick_payload):
@@ -113,7 +105,7 @@ def test_bench_result_guards_divergence():
     """The harness itself must reject a divergent fast path — spot-check
     the equivalence assertions run (they raise, not warn, on mismatch)."""
     res = bench_functional_rnn("lstm", 128, BW_S5, steps=2, repeats=1)
-    assert res.speedup is not None  # warm-up equivalence check passed
+    assert res.unit_ms > 0 and res.speedup is None  # no baseline row
     res = bench_compiled_rnn("lstm", 128, BW_S5, steps=2, repeats=1)
     assert res.speedup is not None
     rows = bench_batch_sweep("lstm", 128, BW_S5, batches=(2,), steps=2,
@@ -131,5 +123,7 @@ def test_cli_driver_writes_json(tmp_path, capsys):
     rc = bench.main(["--quick", "--output", str(out)])
     assert rc == 0
     payload = json.loads(out.read_text())
-    assert payload["headline"]["speedup"] is not None
+    assert "speedup" not in payload["headline"]
+    assert payload["headline"]["compiled_speedup"] is not None
+    assert payload["blas_threads"] >= 1
     assert "headline" in capsys.readouterr().out

@@ -2,29 +2,39 @@
 trajectory, and gate on the headline speedups.
 
 Runs the :mod:`repro.harness.perf` suite — functional LSTM/GRU execution
-(vectorized vs. ``naive=True``), compiled program replay (sequential and
-batched vs. the vectorized interpreter), timing-simulator scheduling,
-and BFP quantization on the Table IV configs — prints a comparison
-table, and writes ``BENCH_perf.json`` at the repository root::
+on the vectorized interpreter, compiled program replay (sequential and
+batched vs. the vectorized interpreter), dynamic-batching goodput,
+timing-simulator scheduling, and BFP quantization on the Table IV
+configs — prints a comparison table, and writes ``BENCH_perf.json`` at
+the repository root::
 
     PYTHONPATH=src python scripts/bench.py            # full suite
     PYTHONPATH=src python scripts/bench.py --quick    # CI smoke subset
 
-Exits non-zero if, on the headline h=1024 LSTM (BW_S10): the vectorized
-path is slower than the naive reference, compiled replay misses its
-speedup floor over the vectorized interpreter, or batch=16 replay
-misses its aggregate-throughput floor (relaxed floors under ``--quick``;
-see the gate constants in :mod:`repro.harness.perf`). See
+Exits non-zero if, on the headline h=1024 LSTM (BW_S10): compiled replay
+misses its speedup floor over the vectorized interpreter, batch=16
+replay misses its aggregate-throughput floor, or dynamic batching
+misses its goodput floor over the batch-1 server (relaxed floors under
+``--quick``; see the gate constants in :mod:`repro.harness.perf`). See
 docs/PERFORMANCE.md for how to read the numbers. ``repro bench`` is an
 equivalent entry point.
+
+Timings are taken with one BLAS thread: ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` default to 1 before numpy is first imported (an
+explicit setting in the environment wins), and the payload records the
+value as ``blas_threads``.
 """
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
-from repro.harness.perf import (headline_gates, render_table,
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from repro.harness.perf import (headline_gates, render_table,  # noqa: E402
                                 results_from_json, run_suite)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,6 +50,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     payload = run_suite(quick=args.quick)
+    payload["blas_threads"] = int(os.environ["OPENBLAS_NUM_THREADS"])
     results = results_from_json(payload)
     print(render_table(results))
 

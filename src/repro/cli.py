@@ -653,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="run the perf suite and gate on the headline speedups "
-             "(vectorized vs naive, compiled replay, batched replay)")
+             "(compiled replay, batched replay, dynamic batching)")
     p.add_argument("mode", nargs="?", default="quick",
                    choices=["quick", "full"],
                    help="workload sizes: quick CI smoke or the full "

@@ -69,17 +69,14 @@ class CompiledModel:
     ops_per_step: int = 0
 
     def new_simulator(self, exact: bool = False, tracer=None,
-                      metrics=None, naive: bool = False) -> FunctionalSimulator:
+                      metrics=None) -> FunctionalSimulator:
         """Create a simulator with this model's weights pinned on chip.
 
         ``tracer``/``metrics`` are optional :mod:`repro.obs` hooks
-        passed through to the :class:`FunctionalSimulator`; ``naive``
-        selects the reference per-tile ``mv_mul`` path (bit-identical,
-        used by the perf benchmark and equivalence tests).
+        passed through to the :class:`FunctionalSimulator`.
         """
         sim = FunctionalSimulator(self.config, exact=exact,
-                                  tracer=tracer, metrics=metrics,
-                                  naive=naive)
+                                  tracer=tracer, metrics=metrics)
         self.loader(sim)
         return sim
 
@@ -129,7 +126,7 @@ class CompiledModel:
         each bit-identical to a sequential
         ``run_sequence(xs_batch[b], compiled=True)`` on a fresh
         simulator — the batched-execution contract asserted by the
-        four-way differential fuzzer and the perf benchmarks. No state
+        three-way differential fuzzer and the perf benchmarks. No state
         is written back to ``sim`` (only its plan cache fills), so every
         call starts from the same state and a long-lived simulator can
         serve any number of calls.

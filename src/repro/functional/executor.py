@@ -68,8 +68,7 @@ class FunctionalSimulator:
 
     def __init__(self, config: NpuConfig, exact: bool = False,
                  tracer: Optional[Tracer] = None,
-                 metrics: Optional[Metrics] = None,
-                 naive: bool = False):
+                 metrics: Optional[Metrics] = None):
         """
         Args:
             config: The NPU instance to simulate.
@@ -81,17 +80,10 @@ class FunctionalSimulator:
                 retired instruction count (one tick per instruction).
             metrics: Optional :class:`~repro.obs.Metrics` registry
                 receiving per-opcode counters, MAC, and FLOP totals.
-            naive: Execute ``mv_mul`` with the reference per-tile loop
-                (one MRF tile read and one small matmul per tile,
-                re-quantizing inputs on every call) instead of the
-                vectorized window path. Bit-identical to the default;
-                kept as the baseline for the perf benchmark harness and
-                the equivalence test suite (see docs/PERFORMANCE.md).
         """
         self.config = config
         self.tracer = or_null(tracer)
         self.metrics = or_null_metrics(metrics)
-        self.naive = naive
         #: Fast no-observer check: when False, per-instruction spans and
         #: counters are skipped entirely (the trace clock still advances).
         self._observing = self.tracer.enabled or self.metrics.enabled
@@ -306,8 +298,7 @@ class FunctionalSimulator:
         return self.stats
 
     def plan_for(self, program: NpuProgram,
-                 bindings: Optional[Dict[str, int]] = None,
-                 force_fallback=None):
+                 bindings: Optional[Dict[str, int]] = None):
         """Compiled replay plan for ``program``, cached on this simulator.
 
         The cache key covers everything compilation depends on: the
@@ -315,15 +306,8 @@ class FunctionalSimulator:
         registers (compile-time control folding). Plans survive MRF
         rewrites — pre-bound weight decompositions revalidate against the
         MRF generation counter on every execution.
-
-        ``force_fallback`` (see :func:`repro.functional.replay.compile_plan`)
-        compiles fresh and bypasses the cache — forced-fallback plans
-        are a verification tool, not a steady-state serving path.
         """
         from .replay import compile_plan
-        if force_fallback is not None:
-            return compile_plan(self, program, bindings,
-                                force_fallback=force_fallback)
         key = (program.uid, tuple(sorted((bindings or {}).items())),
                self.scalar_regs[ScalarReg.Rows],
                self.scalar_regs[ScalarReg.Columns],
@@ -523,10 +507,7 @@ class FunctionalSimulator:
                 f"mv_mul tile window [{base}, {base + rows * cols}) "
                 f"exceeds MRF address space "
                 f"{self.config.mrf_address_space}")
-        if self.naive:
-            out = self._mv_mul_naive(base, value, rows, cols)
-        else:
-            out = self._mv_mul_vectorized(base, value, rows, cols)
+        out = self._mv_mul_vectorized(base, value, rows, cols)
         self.stats.mv_mul_count += 1
         self.stats.macs += rows * cols * n * n
         if self._observing:
@@ -534,42 +515,14 @@ class FunctionalSimulator:
         result = out.astype(np.float32)
         return result if self.exact else to_float16(result)
 
-    def _mv_mul_naive(self, base: int, value: np.ndarray,
-                      rows: int, cols: int) -> np.ndarray:
-        """Reference mega-SIMD MVM: one tile read and one small matmul
-        per (row, column) tile, accumulating segments left to right."""
-        n = self.config.native_dim
-        if self.exact:
-            inputs = value.astype(np.float64)
-        else:
-            # The MVM quantizes its input vector at the scale-block level;
-            # weights were quantized when written into the MRF.
-            inputs = quantize(value, self._bfp).astype(np.float64)
-        b, nb = self._seg_width, self._nb
-        out = np.zeros((rows, n), dtype=np.float64)
-        for r in range(rows):
-            acc = np.zeros(n, dtype=np.float64)
-            for c in range(cols):
-                tile = self.mrf.read_tile(base + r * cols + c)
-                if nb == 1:
-                    acc += tile.astype(np.float64) @ inputs[c]
-                else:
-                    # Sub-native scale blocks: one GEMV per segment so
-                    # the (inexact) cross-block additions happen in the
-                    # reference (c, k) order. Each segment GEMV itself
-                    # is exact (one shared scale per output element).
-                    tile64 = tile.astype(np.float64)
-                    for k in range(nb):
-                        lo, hi = k * b, (k + 1) * b
-                        acc += tile64[:, lo:hi] @ inputs[c, lo:hi]
-            out[r] = acc
-        return out
-
     def _mv_mul_vectorized(self, base: int, value: np.ndarray,
                            rows: int, cols: int) -> np.ndarray:
         """Vectorized mega-SIMD MVM over the assembled weight window.
 
-        Bit-identical to :meth:`_mv_mul_naive` by construction:
+        Bit-identical by construction to the reference interpreter's
+        per-tile loop (:mod:`repro.verify.reference`), which accumulates
+        one float64 dot product per (row, column) tile and scale-block
+        segment in (c, k) order:
 
         * **Quantized path** — weights and inputs are BFP values
           ``m * 2^e`` with integer mantissas ``|m| <= 2^mb - 1``. Each
@@ -584,7 +537,7 @@ class FunctionalSimulator:
         * **Exact/wide path** — per-tile float64 matvecs batched as one
           stacked GEMV per segment, accumulated in the reference
           segment order; the per-element dot and add sequence is the
-          same as the naive loop's.
+          same as the reference loop's.
         """
         n = self.config.native_dim
         segs = cols * self._nb
@@ -773,8 +726,8 @@ class FunctionalSimulator:
         mrf = self.mrf
         entry = self._derived_windows.get(key)
         if entry is not None and entry[3] == mrf.generation:
-            # read_window's tile-read accounting must match the naive
-            # path even on derived-cache hits.
+            # Every mv_mul reads rows * cols MRF tiles, derived-cache
+            # hit or not.
             mrf.reads += rows * cols
             self._derived_windows.move_to_end(key)
             return entry

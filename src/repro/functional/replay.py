@@ -39,25 +39,20 @@ queue, like an RNN's ``x_t * W`` — are *hoisted*: batched replay
 computes them for all timesteps in one GEMM per segment before the
 first step (``ReplayPlan.hoists``, :func:`_plan_hoists`).
 
-Bit-exactness contract (checked by the four-way differential fuzzer in
-:mod:`repro.verify` and by ``tests/test_replay_equivalence.py``):
+Bit-exactness contract (checked by the three-way differential fuzzer
+in :mod:`repro.verify` and by ``tests/test_replay_equivalence.py``):
 compiled output state, outputs, ``ExecutionStats``, op counters, and
 trace spans equal the vectorized interpreter's exactly. Statically
 invalid constructs (out-of-bounds operands, over-capacity chains)
 compile into *fallback steps* that delegate to the interpreter so error
-types, positions, and partial side effects match; a plan whose fallback
-steps stem from such a definitely-raising event is not batchable and
-:class:`BatchedReplay` rejects it with
-:class:`~repro.errors.UnbatchablePlanError` naming the offending step
-kinds (``ReplayPlan.fallback_step_kinds``). *Loopable* fallback steps —
-statically valid chains forced to interpretation via
-``compile_plan(..., force_fallback=...)`` — stay batchable: the batched
-replayer swaps each request's architectural state into the base
-simulator, interprets the step, and harvests the state back, still bit
-identical to sequential runs. One intentional divergence: on a run
-that raises, the compiled path's stats/clock/scalar registers may lag
-the interpreter's (totals are applied at successful completion) —
-differential comparisons only inspect state when no engine raised.
+types, positions, and partial side effects match. A plan is batchable
+iff it has no fallback steps; :class:`BatchedReplay` rejects any other
+plan with :class:`~repro.errors.UnbatchablePlanError` naming the
+offending step kinds (``ReplayPlan.fallback_step_kinds``). One
+intentional divergence: on a run that raises, the compiled path's
+stats/clock/scalar registers may lag the interpreter's (totals are
+applied at successful completion) — differential comparisons only
+inspect state when no engine raised.
 """
 
 from __future__ import annotations
@@ -721,30 +716,20 @@ def _event_kind(event) -> str:
 class _FallbackStep:
     """Interpreted escape hatch for uncompiled events.
 
-    Restores the compile-time scalar registers and delegates to the
-    interpreter, so the raised error type, its position in the event
-    stream, and any partial side effects match interpretation exactly.
-    Two flavors share this class:
-
-    * *broken* (``loopable`` False): compilation marks everything from
-      the first definitely-raising event onward as fallback (it is
-      unreachable on a successful run). Such plans are not batchable.
-    * *loopable* (``loopable`` True): a statically valid chain forced
-      to interpretation (``compile_plan(..., force_fallback=...)``).
-      Scalar tracking continues past it, its register-file extents are
-      folded into the plan footprints, and batched replay interprets
-      it per request via :meth:`BatchedReplay._run_fallback`.
+    Compilation marks everything from the first definitely-raising
+    event onward as fallback (it is unreachable on a successful run).
+    Each step restores the compile-time scalar registers and delegates
+    to the interpreter, so the raised error type, its position in the
+    event stream, and any partial side effects match interpretation
+    exactly. Plans with fallback steps are not batchable.
     """
 
-    __slots__ = ("event", "rows", "cols", "loopable", "writes_mrf", "kind")
+    __slots__ = ("event", "rows", "cols", "kind")
 
-    def __init__(self, event, rows: int, cols: int,
-                 loopable: bool = False, writes_mrf: bool = False):
+    def __init__(self, event, rows: int, cols: int):
         self.event = event
         self.rows = rows
         self.cols = cols
-        self.loopable = loopable
-        self.writes_mrf = writes_mrf
         self.kind = _event_kind(event)
 
     def run(self, sim) -> None:
@@ -756,9 +741,6 @@ class _FallbackStep:
             sim.execute_chain(self.event)
 
     run_observed = run
-
-    def run_batched(self, bstate) -> None:
-        bstate._run_fallback(self)
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +761,16 @@ class ReplayPlan:
                  "final_scalars", "steps", "batchable", "chains",
                  "instructions", "mv_muls", "macs", "pointwise_flops",
                  "ticks", "vrf_reads", "vrf_writes", "vrf_footprints",
-                 "compiled_chains", "fallback_steps", "loopable_fallbacks",
-                 "fallback_step_kinds", "groups", "fused_groups", "hoists",
-                 "hoisted_groups", "hoisted_inputs")
+                 "compiled_chains", "fallback_steps", "fallback_step_kinds",
+                 "groups", "fused_groups", "hoists", "hoisted_groups",
+                 "hoisted_inputs")
 
     def __init__(self, program, bindings_key, entry_scalars, final_scalars,
                  steps, batchable, chains, instructions, mv_muls, macs,
                  pointwise_flops, ticks, vrf_reads, vrf_writes,
                  vrf_footprints, compiled_chains, fallback_steps,
-                 loopable_fallbacks, fallback_step_kinds, groups,
-                 fused_groups, hoists, hoisted_inputs):
+                 fallback_step_kinds, groups, fused_groups, hoists,
+                 hoisted_inputs):
         self.program = program
         self.bindings_key = bindings_key
         self.entry_scalars = entry_scalars
@@ -809,10 +791,6 @@ class ReplayPlan:
         self.vrf_footprints = vrf_footprints
         self.compiled_chains = compiled_chains
         self.fallback_steps = fallback_steps
-        #: Fallback steps that are individually interpretable mid-plan
-        #: (forced via ``force_fallback``); the rest form a broken tail
-        #: after the first definitely-raising event.
-        self.loopable_fallbacks = loopable_fallbacks
         #: Kind tags of every fallback step, in plan order — the
         #: diagnostic payload of :class:`UnbatchablePlanError`.
         self.fallback_step_kinds = fallback_step_kinds
@@ -962,43 +940,25 @@ def _compile_vector_chain(sim, chain: InstructionChain, rows: int,
 
 
 def compile_plan(sim, program: NpuProgram,
-                 bindings: Optional[Dict[str, int]] = None,
-                 force_fallback=None) -> ReplayPlan:
+                 bindings: Optional[Dict[str, int]] = None) -> ReplayPlan:
     """Compile ``program`` against ``sim``'s current scalar state.
 
     Walks the (loop-unrolled) event stream with compile-time scalar
     tracking, compiles every chain once per (rows, cols) context, fuses
     runs of same-head ``mv_mul`` chains, and precomputes the run's
     statistic/counter/clock totals.
-
-    ``force_fallback`` — a collection of event positions (indices into
-    the unrolled event stream) or a ``(position, event) -> bool``
-    predicate — demotes statically *valid* chains to loopable
-    interpreted fallback steps. Scalar tracking continues past them and
-    the plan stays batchable; used by the differential fuzzer and the
-    equivalence tests to exercise the fallback machinery on programs
-    that would otherwise compile fully.
     """
     rows = sim.scalar_regs[ScalarReg.Rows]
     cols = sim.scalar_regs[ScalarReg.Columns]
     iters = sim.scalar_regs[ScalarReg.Iterations]
     entry_scalars = (rows, cols, iters)
 
-    if force_fallback is None:
-        forced = None
-    elif callable(force_fallback):
-        forced = force_fallback
-    else:
-        positions = frozenset(force_fallback)
-        forced = lambda pos, event: pos in positions  # noqa: E731
-
     # Pass 1: unroll and compile chain templates (dedup per context).
     # records: ("scalar", event) | ("chain", template) | ("fb", event)
-    #          | ("lfb", event, rows, cols, template)  [loopable]
     records = []
     template_cache: Dict[tuple, object] = {}
     broken = False
-    for pos, event in enumerate(program.events(bindings)):
+    for event in program.events(bindings):
         if broken:
             records.append(("fb", event, rows, cols))
             continue
@@ -1035,10 +995,6 @@ def compile_plan(sim, program: NpuProgram,
         if template is None:
             records.append(("fb", event, rows, cols))
             broken = True
-        elif forced is not None and forced(pos, event):
-            # Valid chain demoted to a loopable interpreted step; the
-            # template survives only for its footprint extents.
-            records.append(("lfb", event, rows, cols, template))
         else:
             records.append(("chain", template, rows, cols))
 
@@ -1050,7 +1006,7 @@ def compile_plan(sim, program: NpuProgram,
     step_cache: Dict[tuple, object] = {}
     groups: List[_MvGroup] = []
     chains = instructions = mv_muls = macs = flops = ticks = 0
-    compiled_chains = fallback_steps = loopable_fallbacks = 0
+    compiled_chains = fallback_steps = 0
     fallback_kinds: List[str] = []
     reads: Dict[int, list] = {}
     writes: Dict[int, list] = {}
@@ -1145,26 +1101,6 @@ def compile_plan(sim, program: NpuProgram,
             steps.append(_ScalarStep(event.reg, event.value))
             instructions += 1
             ticks += 1
-        elif kind == "lfb":
-            # Loopable fallback: interpreted live (stats, counters and
-            # the trace clock advance inside the interpreter), so it
-            # contributes nothing to the plan totals — but its static
-            # register-file extents must still widen the batched
-            # footprints, which bound what `_run_fallback` swaps.
-            template = record[4]
-            writes_mrf = False
-            if isinstance(template, _MatrixTemplate):
-                writes_mrf = template.step.dst_mrf
-            else:
-                for mem, end in template.vrf_extents:
-                    if end > footprints.get(mem, 0):
-                        footprints[mem] = end
-            step = _FallbackStep(record[1], record[2], record[3],
-                                 loopable=True, writes_mrf=writes_mrf)
-            steps.append(step)
-            fallback_steps += 1
-            loopable_fallbacks += 1
-            fallback_kinds.append(step.kind)
         else:  # broken-tail fallback
             step = _FallbackStep(record[1], record[2], record[3])
             steps.append(step)
@@ -1181,7 +1117,7 @@ def compile_plan(sim, program: NpuProgram,
         entry_scalars=entry_scalars,
         final_scalars=final_scalars,
         steps=tuple(steps),
-        batchable=fallback_steps == loopable_fallbacks,
+        batchable=fallback_steps == 0,
         chains=chains,
         instructions=instructions,
         mv_muls=mv_muls,
@@ -1193,7 +1129,6 @@ def compile_plan(sim, program: NpuProgram,
         vrf_footprints=footprints,
         compiled_chains=compiled_chains,
         fallback_steps=fallback_steps,
-        loopable_fallbacks=loopable_fallbacks,
         fallback_step_kinds=tuple(fallback_kinds),
         groups=tuple(groups),
         fused_groups=sum(1 for g in groups if len(g.members) > 1),
@@ -1349,15 +1284,11 @@ class BatchedReplay:
     writes matrix registers, at which point it is transparently
     replicated per request. On the exact-integer mantissa paths every
     batched kernel is bit-identical to B sequential compiled runs —
-    the invariant the four-way differential fuzzer asserts.
+    the invariant the three-way differential fuzzer asserts.
 
-    Loopable fallback steps (statically valid chains forced to
-    interpretation) are executed per request by swapping each request's
-    state into the base simulator (:meth:`_run_fallback`); plans whose
-    fallback steps form a broken tail after a definitely-raising event
-    (``plan.batchable`` is False) are rejected with
-    :class:`~repro.errors.UnbatchablePlanError` — run those
-    sequentially. Per-simulator statistics and metric counters are not
+    Plans with interpreted fallback steps (``plan.batchable`` is False)
+    are rejected with :class:`~repro.errors.UnbatchablePlanError` — run
+    those sequentially. Per-simulator statistics and metric counters are not
     maintained for batched runs, and the base simulator's are never
     touched; outputs and architectural state are the contract (via
     :meth:`snapshot`). Hoisted ``mv_mul`` groups (``plan.hoists``) are
@@ -1365,20 +1296,18 @@ class BatchedReplay:
     """
 
     def __init__(self, sim, program: NpuProgram, batch: int,
-                 bindings: Optional[Dict[str, int]] = None,
-                 force_fallback=None):
+                 bindings: Optional[Dict[str, int]] = None):
         if batch < 1:
             raise ExecutionError("batch size must be >= 1")
         self.sim = sim
         self.batch = batch
-        self.plan = sim.plan_for(program, bindings,
-                                 force_fallback=force_fallback)
+        self.plan = sim.plan_for(program, bindings)
         if not self.plan.batchable:
             kinds = self.plan.fallback_step_kinds
-            broken = self.plan.fallback_steps - self.plan.loopable_fallbacks
             raise UnbatchablePlanError(
-                f"plan is not batchable: {broken} interpreted fallback "
-                "step(s) follow a statically invalid event (step kinds: "
+                f"plan is not batchable: {self.plan.fallback_steps} "
+                "interpreted fallback step(s) follow a statically invalid "
+                "event (step kinds: "
                 f"{', '.join(kinds)}); run requests sequentially",
                 step_kinds=kinds)
         b = batch
@@ -1536,111 +1465,6 @@ class BatchedReplay:
                 mrf._tiles[...] = base._tiles
                 self._mrfs.append(mrf)
         return self._mrfs
-
-    def _run_fallback(self, step) -> None:
-        """Interpret one loopable fallback step per request.
-
-        Swaps request ``b``'s architectural state into the base
-        simulator, runs the interpreter, and harvests the state back
-        into the batch arrays — bit-identical to the sequential
-        fallback by construction, since it *is* the sequential
-        fallback. The base simulator (data, counters, stats, clock,
-        scalar registers) is restored afterward even on error; fallback
-        scratch stats are discarded, matching the batched-run contract
-        that per-simulator statistics are not maintained.
-        """
-        sim = self.sim
-        if step.writes_mrf:
-            self._split_mrfs()
-        split = self._mrfs is not None
-        # Base-simulator state to restore. VRF swaps are bounded by the
-        # plan footprints, which compile_plan widened with this step's
-        # own extents.
-        saved_vrf = {}
-        for mem, data in self._vrf.items():
-            depth = data.shape[1]
-            if depth:
-                vrf = sim.vrfs[mem]
-                saved_vrf[mem] = (vrf._data[:depth].copy(), vrf.reads,
-                                  vrf.writes)
-        saved_scalars = dict(sim.scalar_regs)
-        saved_stats = sim.stats
-        saved_clock = sim._trace_clock
-        dram = sim.dram
-        saved_dram = (dram._vectors, dram._tiles, dram.bytes_read,
-                      dram.bytes_written)
-        netq = sim.netq
-        saved_netq = (netq._in_vectors, netq._in_tiles, netq._out_vectors,
-                      netq.vectors_received, netq.vectors_sent)
-        saved_mrf = sim.mrf
-        saved_mrf_counts = (saved_mrf.reads, saved_mrf.writes)
-        saved_windows = sim._derived_windows
-        popped_v = popped_t = 0
-        new_outs: List[List[np.ndarray]] = []
-        try:
-            sim.stats = type(saved_stats)()
-            for b in range(self.batch):
-                for mem, data in self._vrf.items():
-                    if data.shape[1]:
-                        sim.vrfs[mem]._data[:data.shape[1]] = data[b]
-                dram._vectors = {k: v[b].copy()
-                                 for k, v in self._dram_vectors.items()}
-                dram._tiles = {k: v[b].copy()
-                               for k, v in self._dram_tiles.items()}
-                netq._in_vectors = collections.deque(
-                    v[b].copy() for v in self._pending_vectors)
-                netq._in_tiles = collections.deque(
-                    t[b].copy() for t in self._pending_tiles)
-                netq._out_vectors = []
-                if split:
-                    sim.mrf = self._mrfs[b]
-                    # The derived-window cache validates entries against
-                    # the *current* MRF's generation counter; private
-                    # per-request MRFs can collide on generation, so
-                    # each request gets a fresh (scratch) cache.
-                    sim._derived_windows = collections.OrderedDict()
-                step.run(sim)
-                for mem, data in self._vrf.items():
-                    if data.shape[1]:
-                        data[b] = sim.vrfs[mem]._data[:data.shape[1]]
-                for space, batched in ((dram._vectors, self._dram_vectors),
-                                       (dram._tiles, self._dram_tiles)):
-                    for k, arr in space.items():
-                        dst = batched.get(k)
-                        if dst is None or dst.shape[1:] != arr.shape:
-                            dst = np.zeros((self.batch,) + arr.shape,
-                                           dtype=arr.dtype)
-                            batched[k] = dst
-                        dst[b] = arr
-                popped_v = len(self._pending_vectors) - len(netq._in_vectors)
-                popped_t = len(self._pending_tiles) - len(netq._in_tiles)
-                new_outs.append([np.asarray(v, dtype=np.float32)
-                                 for v in netq._out_vectors])
-        finally:
-            for mem, (data, nreads, nwrites) in saved_vrf.items():
-                vrf = sim.vrfs[mem]
-                vrf._data[:data.shape[0]] = data
-                vrf.reads, vrf.writes = nreads, nwrites
-            sim.scalar_regs.clear()
-            sim.scalar_regs.update(saved_scalars)
-            sim.stats = saved_stats
-            sim._trace_clock = saved_clock
-            (dram._vectors, dram._tiles, dram.bytes_read,
-             dram.bytes_written) = saved_dram
-            (netq._in_vectors, netq._in_tiles, netq._out_vectors,
-             netq.vectors_received, netq.vectors_sent) = saved_netq
-            sim.mrf = saved_mrf
-            sim.mrf.reads, sim.mrf.writes = saved_mrf_counts
-            sim._derived_windows = saved_windows
-        # Lockstep execution: every request popped/pushed identically.
-        for _ in range(popped_v):
-            self._pending_vectors.popleft()
-        for _ in range(popped_t):
-            self._pending_tiles.popleft()
-        if new_outs and new_outs[0]:
-            for j in range(len(new_outs[0])):
-                self._outputs.append(
-                    np.stack([new_outs[b][j] for b in range(self.batch)]))
 
     # -- inspection --------------------------------------------------------
 

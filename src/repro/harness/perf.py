@@ -1,18 +1,20 @@
 """Micro-benchmark harness for the vectorized execution layer.
 
 Times the simulator hot paths on the Table IV configurations —
-functional LSTM/GRU execution (vectorized vs. the ``naive=True``
-reference per-tile path), compiled program replay (sequential and
-batched, vs. the vectorized interpreter), timing-simulator scheduling,
+functional LSTM/GRU execution on the vectorized interpreter, compiled
+program replay (sequential and batched, vs. the vectorized
+interpreter), dynamic-batching goodput, timing-simulator scheduling,
 and BFP quantization — and assembles the ``BENCH_perf.json`` trajectory
 record: wall-clock per step/call, op rates, and baseline-over-optimized
 speedups. ``scripts/bench.py`` and ``repro bench`` are the command-line
 drivers.
 
 Every fast path benchmarked here is bit-identical to its baseline by
-construction (see docs/PERFORMANCE.md); each benchmark re-checks output
-equality on its warm-up so a speedup number can never come from a
-divergent fast path.
+construction (see docs/PERFORMANCE.md); each replay benchmark re-checks
+output equality against the vectorized interpreter on its warm-up, so
+a speedup number can never come from a divergent fast path. The
+interpreter itself is held bit-exact to the reference interpreter
+(:mod:`repro.verify.reference`) by the differential fuzzer.
 """
 
 from __future__ import annotations
@@ -61,16 +63,16 @@ class BenchResult:
     repeats: int
     #: Model-level useful operations per unit (0 when not applicable).
     ops_per_unit: float = 0.0
-    #: Baseline-path wall-clock per unit: the naive per-tile path for
-    #: ``functional_*`` rows, the vectorized interpreter for
-    #: ``compiled_*``/``batched_*`` rows.
-    naive_unit_ms: Optional[float] = None
+    #: Baseline wall-clock per unit: the vectorized interpreter for
+    #: ``compiled_*``/``batched_*`` rows, the batch-1 server for the
+    #: ``batching_goodput_*`` row; ``None`` for rows without a baseline.
+    baseline_unit_ms: Optional[float] = None
 
     @property
     def speedup(self) -> Optional[float]:
-        if self.naive_unit_ms is None or self.unit_ms <= 0:
+        if self.baseline_unit_ms is None or self.unit_ms <= 0:
             return None
-        return self.naive_unit_ms / self.unit_ms
+        return self.baseline_unit_ms / self.unit_ms
 
     @property
     def gops(self) -> Optional[float]:
@@ -104,45 +106,25 @@ def _compile_rnn(kind: str, hidden: int, config: NpuConfig) -> CompiledModel:
 
 def bench_functional_rnn(kind: str, hidden: int, config: NpuConfig,
                          steps: int = 8, repeats: int = 3) -> BenchResult:
-    """Time steady-state functional execution, vectorized vs. naive.
+    """Time steady-state functional execution on the vectorized
+    interpreter.
 
-    Each path keeps one long-lived simulator (weights pin once — the
-    amortization the hardware gets from its pinned MRF), runs one
-    untimed warm-up sequence, then takes the best of ``repeats``
-    interleaved timed sequences so host noise hits both paths alike.
-    The warm-up also asserts the two paths are bit-identical, so a
-    speedup can never come from a divergent fast path.
+    One long-lived simulator (weights pin once — the amortization the
+    hardware gets from its pinned MRF) runs one untimed warm-up
+    sequence, then the best of ``repeats`` timed sequences is kept.
     """
     model = _compile_rnn(kind, hidden, config)
     rng = np.random.default_rng(11)
     xs = [rng.standard_normal(model.input_length).astype(np.float32)
           for _ in range(steps)]
 
-    sims = {False: model.new_simulator(naive=False),
-            True: model.new_simulator(naive=True)}
-    warm = {naive: (model.run_sequence(xs, sim=sim), sim.stats)
-            for naive, sim in sims.items()}
-    fast_outs, fast_stats = warm[False]
-    ref_outs, ref_stats = warm[True]
-    if fast_stats != ref_stats or any(
-            not np.array_equal(a, b) for a, b in zip(fast_outs, ref_outs)):
-        raise AssertionError(
-            f"{kind} h={hidden} on {config.name}: vectorized path "
-            f"diverged from naive reference")
-
-    best = {False: float("inf"), True: float("inf")}
-    for _ in range(repeats):
-        for naive in (False, True):
-            t0 = time.perf_counter()
-            model.run_sequence(xs, sim=sims[naive])
-            best[naive] = min(best[naive], time.perf_counter() - t0)
-
-    ops = model.ops_per_step
+    sim = model.new_simulator()
+    model.run_sequence(xs, sim=sim)  # warm
+    total = _best_time(lambda: model.run_sequence(xs, sim=sim), repeats)
     return BenchResult(
         name=f"functional_{kind}_h{hidden}", config=config.name,
-        unit_ms=best[False] / steps * 1e3, units=steps, repeats=repeats,
-        ops_per_unit=float(ops),
-        naive_unit_ms=best[True] / steps * 1e3)
+        unit_ms=total / steps * 1e3, units=steps, repeats=repeats,
+        ops_per_unit=float(model.ops_per_step))
 
 
 def bench_compiled_rnn(kind: str, hidden: int, config: NpuConfig,
@@ -162,8 +144,8 @@ def bench_compiled_rnn(kind: str, hidden: int, config: NpuConfig,
     xs = [rng.standard_normal(model.input_length).astype(np.float32)
           for _ in range(steps)]
 
-    sim_v = model.new_simulator(naive=False)
-    sim_c = model.new_simulator(naive=False)
+    sim_v = model.new_simulator()
+    sim_c = model.new_simulator()
     out_v = model.run_sequence(xs, sim=sim_v)
     out_c = model.run_sequence(xs, sim=sim_c, compiled=True)
     if any(not np.array_equal(a, b) for a, b in zip(out_v, out_c)):
@@ -186,7 +168,7 @@ def bench_compiled_rnn(kind: str, hidden: int, config: NpuConfig,
         name=f"compiled_{kind}_h{hidden}", config=config.name,
         unit_ms=best["comp"] / steps * 1e3, units=steps, repeats=repeats,
         ops_per_unit=float(model.ops_per_step),
-        naive_unit_ms=best["vec"] / steps * 1e3)
+        baseline_unit_ms=best["vec"] / steps * 1e3)
 
 
 def bench_batch_sweep(kind: str, hidden: int, config: NpuConfig,
@@ -211,20 +193,20 @@ def bench_batch_sweep(kind: str, hidden: int, config: NpuConfig,
     xs = [rng.standard_normal(model.input_length).astype(np.float32)
           for _ in range(steps)]
 
-    sim_v = model.new_simulator(naive=False)
+    sim_v = model.new_simulator()
     model.run_sequence(xs, sim=sim_v)  # warm
 
     results = []
     for batch in batches:
         xb = [[(x * 2.0 ** (-(b % 5))).astype(np.float32) for x in xs]
               for b in range(batch)]
-        sim_b = model.new_simulator(naive=False)
+        sim_b = model.new_simulator()
         outs_b = model.run_sequence_batched(xb, sim=sim_b)  # warm+compile
         # Batched runs never mutate the base simulator, so every call
         # starts from fresh recurrent state — compare each request
         # against a fresh sequential compiled run.
         for b in range(batch):
-            sim_s = model.new_simulator(naive=False)
+            sim_s = model.new_simulator()
             seq = model.run_sequence(xb[b], sim=sim_s, compiled=True)
             if any(not np.array_equal(p, q)
                    for p, q in zip(outs_b[b], seq)):
@@ -244,7 +226,7 @@ def bench_batch_sweep(kind: str, hidden: int, config: NpuConfig,
             name=f"batched_{kind}_h{hidden}_b{batch}", config=config.name,
             unit_ms=t_b / (steps * batch) * 1e3, units=steps * batch,
             repeats=repeats, ops_per_unit=float(model.ops_per_step),
-            naive_unit_ms=t_vec / steps * 1e3))
+            baseline_unit_ms=t_vec / steps * 1e3))
     return results
 
 
@@ -282,7 +264,7 @@ def bench_batching_goodput(kind: str, hidden: int, config: NpuConfig,
         name=f"batching_goodput_{kind}_h{hidden}", config=config.name,
         unit_ms=1e3 / payload["peak_goodput_dynamic_rps"],
         units=requests * len(fracs), repeats=repeats,
-        naive_unit_ms=1e3 / payload["peak_goodput_batch1_rps"])
+        baseline_unit_ms=1e3 / payload["peak_goodput_batch1_rps"])
 
 
 def bench_timing_sim(kind: str, hidden: int, config: NpuConfig,
@@ -362,7 +344,6 @@ def run_suite(quick: bool = False) -> Dict:
         "quick": quick,
         "headline": {"kind": HEADLINE[0], "hidden": HEADLINE[1],
                      "config": HEADLINE[2],
-                     "speedup": headline_speedup(results),
                      "compiled_speedup": compiled_headline_speedup(results),
                      "batch16_speedup": batch16_headline_speedup(results),
                      "batching_goodput_ratio":
@@ -379,11 +360,6 @@ def _headline_row(results: List[BenchResult],
         if r.name == full and r.config == cfg:
             return r.speedup
     return None
-
-
-def headline_speedup(results: List[BenchResult]) -> Optional[float]:
-    """Vectorized-over-naive speedup on the headline LSTM workload."""
-    return _headline_row(results, "functional_{kind}_h{hidden}")
 
 
 def compiled_headline_speedup(results: List[BenchResult]
@@ -414,7 +390,6 @@ def headline_gates(results: List[BenchResult], quick: bool
     floor.
     """
     return [
-        ("vectorized over naive", headline_speedup(results), 1.0),
         ("compiled over vectorized", compiled_headline_speedup(results),
          COMPILED_GATE_QUICK if quick else COMPILED_GATE),
         ("batch=16 aggregate over vectorized",
@@ -429,14 +404,14 @@ def headline_gates(results: List[BenchResult], quick: bool
 def render_table(results: List[BenchResult]) -> str:
     """Fixed-width comparison table of a result list."""
     header = (f"{'workload':<28} {'config':<12} {'ms/unit':>10} "
-              f"{'naive':>10} {'speedup':>8} {'Gops/s':>8}")
+              f"{'baseline':>10} {'speedup':>8} {'Gops/s':>8}")
     lines = [header, "-" * len(header)]
     for r in results:
-        naive = f"{r.naive_unit_ms:.3f}" if r.naive_unit_ms else "-"
+        base = f"{r.baseline_unit_ms:.3f}" if r.baseline_unit_ms else "-"
         speed = f"{r.speedup:.2f}x" if r.speedup else "-"
         gops = f"{r.gops:.2f}" if r.gops else "-"
         lines.append(f"{r.name:<28} {r.config:<12} {r.unit_ms:>10.3f} "
-                     f"{naive:>10} {speed:>8} {gops:>8}")
+                     f"{base:>10} {speed:>8} {gops:>8}")
     return "\n".join(lines)
 
 

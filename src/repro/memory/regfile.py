@@ -136,8 +136,8 @@ class MatrixRegisterFile:
         (``mv_mul``'s row-major layout). The block matrix is built once
         with a reshape/transpose and cached; any tile write invalidates
         via :attr:`generation`. Every call still counts ``rows*cols``
-        tile reads — the hardware reads the SRAM each issue, and the
-        naive per-tile path must see identical statistics.
+        tile reads — the hardware reads the SRAM each issue, cache hit
+        or not.
 
         The returned array is shared with the cache: callers must not
         mutate it.

@@ -117,22 +117,6 @@ class ServiceTimeCurve:
         slope = (ts[-1] - ts[-2]) / (bs[-1] - bs[-2])
         return ts[-1] + slope * (batch - bs[-1])
 
-    def relative(self, batch: int) -> float:
-        """Service-time multiple over batch-1 (``relative(1) == 1``);
-        the form :meth:`FpgaNode.set_batch_curve
-        <repro.system.microservice.FpgaNode.set_batch_curve>` takes."""
-        return self(batch) / self.times_s[0]
-
-    def scaled(self, base_s: float) -> "ServiceTimeCurve":
-        """The same relative shape re-anchored so the batch-1 service
-        time is ``base_s`` — e.g. a wall-clock-measured shape applied
-        to a timing-simulator latency."""
-        if base_s <= 0:
-            raise BatchingError(f"base_s must be positive, got {base_s}")
-        k = base_s / self.times_s[0]
-        return ServiceTimeCurve(self.batches,
-                                tuple(t * k for t in self.times_s))
-
     def throughput_rps(self, batch: int) -> float:
         """Steady-state throughput at a fixed dispatch size."""
         return batch / self(batch)
@@ -191,7 +175,7 @@ def calibrate_batch_curve(compiled, batches: Sequence[int] = (1, 2, 4,
         # batch from being degenerate identical work.
         inputs[batch] = [[(x * 2.0 ** (-(b % 5))).astype(np.float32)
                           for x in xs] for b in range(batch)]
-        sims[batch] = compiled.new_simulator(naive=False)
+        sims[batch] = compiled.new_simulator()
         compiled.run_sequence_batched(inputs[batch], sim=sims[batch])
     best = {batch: float("inf") for batch in batches}
     for _ in range(repeats):

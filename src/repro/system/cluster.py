@@ -176,10 +176,8 @@ class NodeBatching:
     curve.
 
     ``curve`` maps a dispatch size to its aggregate service time in
-    seconds — a :class:`~repro.system.batching.ServiceTimeCurve` from
-    :func:`~repro.system.batching.calibrate_batch_curve` (scaled to
-    the node's batch-1 service time via
-    :meth:`~repro.system.batching.ServiceTimeCurve.scaled`), replacing
+    seconds — e.g. a :class:`~repro.system.batching.ServiceTimeCurve`
+    from :func:`~repro.system.batching.calibrate_batch_curve`, replacing
     both ``ClusterSpec.service_time_s`` and the hand-written
     ``batch_service_time`` functions of
     :class:`~repro.system.loadgen.BatchingServer`.  Each node queues
@@ -335,6 +333,8 @@ class PhiAccrualDetector:
 
 _EVENT_ACTIONS = ("crash", "repair", "rack_down", "rack_up",
                   "partition", "heal", "slow", "unslow")
+#: Actions whose target is a node index; the rest target a rack.
+_NODE_ACTIONS = ("crash", "repair", "slow", "unslow")
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -716,6 +716,16 @@ class ClusterSimulator:
         arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
         if arrivals.size and np.any(np.diff(arrivals) < 0):
             raise ClusterError("arrivals must be sorted")
+        for ev in events:
+            # Range-check every target up front: a bad index must not
+            # fail mid-run, or wrap silently (crash(-1) is node N-1).
+            try:
+                if ev.action in _NODE_ACTIONS:
+                    spec.rack_of(ev.target)
+                else:
+                    spec.nodes_in_rack(ev.target)
+            except ClusterError as exc:
+                raise ClusterError(f"{ev}: {exc}") from None
         n = int(arrivals.size)
 
         # Pre-vectorized load generation: every per-request random draw

@@ -52,7 +52,6 @@ class FpgaNode:
         self.ip_address = f"10.0.{n // 256}.{n % 256}"
         self._timing = TimingSimulator(self.compiled.config)
         self._latency_cache: Dict[int, float] = {}
-        self._batch_relative = None
 
     def compute_latency_s(self, steps: int) -> float:
         """NPU compute latency for a ``steps``-step invocation.
@@ -69,50 +68,18 @@ class FpgaNode:
             self._latency_cache[steps] = report.latency_s
         return self._latency_cache[steps]
 
-    def set_batch_curve(self, relative) -> None:
-        """Install a relative batch service-time curve ``r(b)``.
-
-        ``relative`` maps a batch size to the aggregate service-time
-        multiple of a batch-1 invocation (``r(1) == 1``); pass the
-        :meth:`~repro.system.batching.ServiceTimeCurve.relative` of a
-        measured curve from
-        :func:`~repro.system.batching.calibrate_batch_curve`, or
-        ``None`` to revert to the uncalibrated serial model.
-        """
-        if relative is not None:
-            r1 = float(relative(1))
-            if not math.isclose(r1, 1.0, rel_tol=1e-6):
-                raise ServiceError(
-                    f"{self.name}: batch curve must be relative "
-                    f"(r(1) == 1), got r(1) = {r1:g}")
-        self._batch_relative = relative
-
-    @property
-    def batch_calibrated(self) -> bool:
-        """A measured batch curve is installed (see
-        :meth:`set_batch_curve`)."""
-        return self._batch_relative is not None
-
     def batch_compute_latency_s(self, steps: int, batch: int) -> float:
         """Compute latency of one batched invocation of ``batch``
         requests of ``steps`` timesteps each.
 
-        Uncalibrated nodes process requests serially (``batch`` times
-        the batch-1 latency — a batch-1 NPU gains nothing from
-        coalescing); calibrated nodes scale by the measured relative
-        curve, which is sublinear when batched replay amortizes
-        per-step overheads across requests.  Batch 1 is exactly
-        :meth:`compute_latency_s` either way.
+        The node processes requests serially: ``batch`` times the
+        batch-1 latency (a batch-1 NPU gains nothing from coalescing),
+        so batch 1 is exactly :meth:`compute_latency_s`.
         """
         if batch < 1:
             raise ServiceError(f"{self.name}: batch must be >= 1, "
                                f"got {batch}")
-        base = self.compute_latency_s(steps)
-        if batch == 1:
-            return base
-        if self._batch_relative is None:
-            return base * batch
-        return base * float(self._batch_relative(batch))
+        return self.compute_latency_s(steps) * batch
 
     def simulator(self) -> FunctionalSimulator:
         """The node's resident functional simulator, built on first use:

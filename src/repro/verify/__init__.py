@@ -7,8 +7,9 @@ The pipeline (ROADMAP item "differential conformance fuzzer"):
 2. :mod:`~repro.verify.reference` defines ground-truth ISA semantics in
    deliberately simple python, independent of the executor fast paths.
 3. :mod:`~repro.verify.differential` runs each case on the reference,
-   the naive simulator, and the vectorized simulator, demanding
-   bit-identical state/stats/counters and scheduler timing invariants.
+   the vectorized simulator, and compiled replay (plus batched replay
+   against sequential runs), demanding bit-identical
+   state/stats/counters and scheduler timing invariants.
 4. :mod:`~repro.verify.shrink` greedily minimizes failing cases, and
    :mod:`~repro.verify.corpus` archives them as replayable JSON files.
 5. :mod:`~repro.verify.fuzz` is the campaign driver behind the

@@ -1,13 +1,14 @@
 """Differential execution of one fuzz case across every engine.
 
-Runs a :class:`~repro.verify.generator.ProgramCase` on four functional
-engines — the pure-python :class:`~repro.verify.reference.ReferenceInterpreter`,
-the naive-loop :class:`~repro.functional.executor.FunctionalSimulator`,
-its vectorized fast path, and the compiled replay path
-(``run(compiled=True)``, :mod:`repro.functional.replay`) — from
-identical initial state, and demands bit-identical architectural
-snapshots, dynamic statistics, and per-opcode metrics counters. When
-the compiled plan is batchable, the case is additionally stepped
+Runs a :class:`~repro.verify.generator.ProgramCase` on three functional
+engines — the pure-python
+:class:`~repro.verify.reference.ReferenceInterpreter` (the oracle), the
+vectorized :class:`~repro.functional.executor.FunctionalSimulator`
+interpreter, and the compiled replay path (``run(compiled=True)``,
+:mod:`repro.functional.replay`) — from identical initial state, and
+demands bit-identical architectural snapshots, dynamic statistics, and
+per-opcode metrics counters. When the compiled plan is batchable, the
+case is additionally stepped
 through a :class:`~repro.functional.replay.BatchedReplay` with three
 input-scaled requests and every request's final state is compared
 against a sequential compiled run. The same program is then run
@@ -88,10 +89,10 @@ def load_reference(case: ProgramCase) -> ReferenceInterpreter:
     return ref
 
 
-def load_simulator(case: ProgramCase, naive: bool,
+def load_simulator(case: ProgramCase,
                    metrics: Optional[Metrics] = None) -> FunctionalSimulator:
     """Fresh functional simulator holding the case's initial state."""
-    sim = FunctionalSimulator(case.config, metrics=metrics, naive=naive)
+    sim = FunctionalSimulator(case.config, metrics=metrics)
     for mem, data in case.vrf_init.items():
         sim.vrfs[mem].write(0, data)
     if case.mrf_tiles is not None:
@@ -173,19 +174,16 @@ def run_differential(case: ProgramCase,
 
     Returns a :class:`DiffResult` whose ``mismatches`` list is empty iff
     all engines agree and every timing invariant holds. Raises
-    :class:`CaseInvalid` when all four functional engines reject the
+    :class:`CaseInvalid` when all three functional engines reject the
     program with the same error type (an ill-formed case, not a bug).
     """
     ref = load_reference(case)
-    naive_metrics, vec_metrics, comp_metrics = (Metrics(), Metrics(),
-                                                Metrics())
-    naive = load_simulator(case, naive=True, metrics=naive_metrics)
-    vec = load_simulator(case, naive=False, metrics=vec_metrics)
-    comp = load_simulator(case, naive=False, metrics=comp_metrics)
+    vec_metrics, comp_metrics = Metrics(), Metrics()
+    vec = load_simulator(case, metrics=vec_metrics)
+    comp = load_simulator(case, metrics=comp_metrics)
 
     errors = {
         "reference": _guarded(lambda: ref.run(case.program)),
-        "naive": _guarded(lambda: naive.run(case.program)),
         "vectorized": _guarded(lambda: vec.run(case.program)),
         "compiled": _guarded(
             lambda: comp.run(case.program, compiled=True)),
@@ -202,17 +200,14 @@ def run_differential(case: ProgramCase,
             f"only {sorted(raised)} raised: {raised}"])
 
     mismatches: List[str] = []
-    ref_snap = ref.snapshot()
-    _compare_snapshots("reference vs naive", ref_snap, naive.snapshot(),
+    vec_snap = vec.snapshot()
+    _compare_snapshots("reference vs vectorized", ref.snapshot(), vec_snap,
                        mismatches)
-    _compare_snapshots("naive vs vectorized", naive.snapshot(),
-                       vec.snapshot(), mismatches)
-    _compare_snapshots("vectorized vs compiled", vec.snapshot(),
-                       comp.snapshot(), mismatches)
+    _compare_snapshots("vectorized vs compiled", vec_snap, comp.snapshot(),
+                       mismatches)
 
     ref_stats = ref.stats_dict()
-    for sim, tag in ((naive, "naive"), (vec, "vectorized"),
-                     (comp, "compiled")):
+    for sim, tag in ((vec, "vectorized"), (comp, "compiled")):
         got = {"chains_executed": sim.stats.chains_executed,
                "instructions_executed": sim.stats.instructions_executed,
                "mv_mul_count": sim.stats.mv_mul_count,
@@ -222,20 +217,15 @@ def run_differential(case: ProgramCase,
             mismatches.append(
                 f"stats reference vs {tag}: {ref_stats} != {got}")
 
-    for metrics, tag in ((naive_metrics, "naive"),
-                         (vec_metrics, "vectorized"),
+    for metrics, tag in ((vec_metrics, "vectorized"),
                          (comp_metrics, "compiled")):
         ops = _op_counters(metrics)
         want = {k: v for k, v in ref.op_counts.items() if v}
         if ops != want:
             mismatches.append(
                 f"op counters reference vs {tag}: {want} != {ops}")
-    naive_counts = {n: c.value for n, c in naive_metrics.counters.items()}
     vec_counts = {n: c.value for n, c in vec_metrics.counters.items()}
     comp_counts = {n: c.value for n, c in comp_metrics.counters.items()}
-    if naive_counts != vec_counts:
-        mismatches.append(f"metrics counters naive vs vectorized: "
-                          f"{naive_counts} != {vec_counts}")
     if vec_counts != comp_counts:
         mismatches.append(f"metrics counters vectorized vs compiled: "
                           f"{vec_counts} != {comp_counts}")
@@ -256,25 +246,19 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
     network-input vectors scaled by :data:`_BATCH_SCALES` (all other
     initial state is shared), runs it, and demands every request's
     :meth:`~BatchedReplay.snapshot` be bit-identical to a sequential
-    ``run(compiled=True)`` of the correspondingly scaled case. Batchable
-    plans are additionally re-run with a deterministic subset of chain
-    events *forced* into loopable interpreted fallback steps
-    (``force_fallback``) — the widened batchable subset must stay bit
-    identical to the fully compiled path. The plain arm runs any
-    hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); the forced arm
-    never hoists (its plan has fallback steps), so the hoisted and
-    per-step paths meet the same ground truth. Unbatchable plans (a
-    broken fallback tail) must be rejected with
+    ``run(compiled=True)`` of the correspondingly scaled case. The run
+    takes any hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); plans
+    that write the MRF never hoist, so they check the per-step path.
+    Unbatchable plans (a fallback tail) must be rejected with
     :class:`~repro.errors.UnbatchablePlanError` naming the offending
     step kinds.
     """
     batch = len(_BATCH_SCALES)
-    empty_netq = case.netq_vectors[:0]
     base = load_simulator(
-        dataclasses.replace(case, netq_vectors=empty_netq), naive=False)
+        dataclasses.replace(case, netq_vectors=case.netq_vectors[:0]))
     plan = base.plan_for(case.program)
+    out: List[str] = []
     if not plan.batchable:
-        out: List[str] = []
         try:
             BatchedReplay(base, case.program, batch)
         except UnbatchablePlanError as exc:
@@ -291,31 +275,11 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
             out.append("unbatchable plan accepted by BatchedReplay")
         return out, 0
 
-    out = _check_batched_against_sequential(case, base, None, "batched")
-    # Forced-fallback arm: demote every third chain event to a loopable
-    # interpreted step. Forcing is semantically the identity, so the
-    # same sequential runs remain the ground truth.
-    forced_base = load_simulator(
-        dataclasses.replace(case, netq_vectors=empty_netq), naive=False)
-    out.extend(_check_batched_against_sequential(
-        case, forced_base, lambda pos, event: pos % 3 == 1,
-        "batched+fallback"))
-    return out, plan.hoisted_groups
-
-
-def _check_batched_against_sequential(case: ProgramCase, base,
-                                      force_fallback,
-                                      tag: str) -> List[str]:
-    """One batched replay (optionally with forced fallback steps) vs
-    per-request sequential compiled runs of the scaled cases."""
-    batch = len(_BATCH_SCALES)
-    out: List[str] = []
     try:
-        replay = BatchedReplay(base, case.program, batch,
-                               force_fallback=force_fallback)
+        replay = BatchedReplay(base, case.program, batch)
     except ReproError as exc:
-        return [f"{tag}: BatchedReplay rejected a batchable plan: "
-                f"{type(exc).__name__}: {exc}"]
+        return [f"batched: BatchedReplay rejected a batchable plan: "
+                f"{type(exc).__name__}: {exc}"], 0
     for vec in case.netq_vectors:
         replay.push_input(np.stack([vec * s for s in _BATCH_SCALES]))
     batched_err = _guarded(replay.run)
@@ -323,21 +287,21 @@ def _check_batched_against_sequential(case: ProgramCase, base,
     for b, scale in enumerate(_BATCH_SCALES):
         scaled = dataclasses.replace(
             case, netq_vectors=case.netq_vectors * scale)
-        sim = load_simulator(scaled, naive=False)
+        sim = load_simulator(scaled)
         seq_err = _guarded(lambda: sim.run(case.program, compiled=True))
         if (batched_err is None) != (seq_err is None):
-            out.append(f"{tag}[{b}]: batched raised {batched_err!r}, "
+            out.append(f"batched[{b}]: batched raised {batched_err!r}, "
                        f"sequential raised {seq_err!r}")
             continue
         if batched_err is not None:
             kind = batched_err.split(":", 1)[0]
             if seq_err.split(":", 1)[0] != kind:
-                out.append(f"{tag}[{b}]: error {batched_err!r} != "
+                out.append(f"batched[{b}]: error {batched_err!r} != "
                            f"sequential {seq_err!r}")
             continue
-        _compare_snapshots(f"{tag}[{b}] vs sequential compiled",
+        _compare_snapshots(f"batched[{b}] vs sequential compiled",
                            replay.snapshot(b), sim.snapshot(), out)
-    return out
+    return out, plan.hoisted_groups
 
 
 def check_timing_invariants(case: ProgramCase,

@@ -17,8 +17,8 @@ Bit-exactness notes (why a python loop can match the vectorized engine):
   lexicographic over column tiles ``c`` and sub-row scale blocks ``k``
   — so those (inexact) float64 additions match too.
 * Exact-mode MVM (``mantissa_bits == 0``) — each tile contribution is
-  computed with the same per-tile float64 matvec expression as the
-  executor's naive loop, keeping BLAS summation order identical.
+  a float64 matvec accumulated over column tiles in order, the same
+  per-row dot and add sequence as the executor's stacked float64 GEMV.
 * Point-wise ops are IEEE float32 element-wise operations (order-free);
   transcendental activations delegate to the same numpy ufunc applied to
   the same-shaped array, because *numpy's* tanh/exp are the definition of
@@ -306,8 +306,8 @@ class ReferenceInterpreter:
             for r in range(rows):
                 for c in range(cols):
                     tile = self.mrf[base + r * cols + c]
-                    # Same per-tile float64 matvec as the executor's
-                    # naive loop — unquantized sums are order-sensitive.
+                    # Per-tile float64 matvec, column tiles in order:
+                    # unquantized sums are order-sensitive.
                     out[r] += tile.astype(np.float64) @ inputs[c]
             return out.astype(np.float32)
         quantized = quantize_reference(value, self._fmt)

@@ -1,9 +1,19 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite.
 
-import numpy as np
-import pytest
+Pins one BLAS thread before numpy is first imported: several tests gate
+on wall-clock ratios, and a multi-threaded BLAS makes small GEMVs slow
+and noisy on small hosts. An explicit setting in the environment wins.
+"""
 
-from repro.config import NpuConfig
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.config import NpuConfig  # noqa: E402
 
 
 @pytest.fixture

@@ -74,17 +74,6 @@ class TestServiceTimeCurve:
         c = ServiceTimeCurve((1,), (2e-3,))
         assert c(4) == pytest.approx(8e-3)
 
-    def test_relative_anchors_at_one(self):
-        assert CURVE.relative(1) == pytest.approx(1.0)
-        assert CURVE.relative(16) == pytest.approx(2.5)
-
-    def test_scaled_preserves_shape(self):
-        scaled = CURVE.scaled(4e-3)
-        assert scaled(1) == pytest.approx(4e-3)
-        assert scaled.relative(8) == pytest.approx(CURVE.relative(8))
-        with pytest.raises(BatchingError):
-            CURVE.scaled(0.0)
-
     def test_best_batch_maximizes_throughput(self):
         assert CURVE.best_batch() == 16
         assert CURVE.best_batch(max_batch=5) == 4
@@ -293,13 +282,10 @@ class TestBatchedInvocation:
                                                 abs=1e-12)
 
     @pytest.mark.tier1
-    def test_batch_one_latency_is_exact_on_calibrated_node(self, service):
-        # r(1) passes set_batch_curve's tolerance but is not exactly 1;
-        # a batch-1 invoke must still cost exactly the uncalibrated
-        # single-request formula, bit for bit.
+    def test_batch_one_latency_is_exact(self, service):
+        # A batch-1 invoke costs exactly the single-request formula,
+        # bit for bit.
         node, net = service.node, service.network
-        node.set_batch_curve(
-            lambda b: 1.0 + 5e-7 if b == 1 else CURVE.relative(b))
         steps = 4
         compiled = node.compiled
         bytes_per_vec = compiled.config.native_dim * 2
@@ -317,23 +303,8 @@ class TestBatchedInvocation:
     def test_uncalibrated_node_is_serial(self, service):
         node = service.node
         base = node.compute_latency_s(4)
-        assert not node.batch_calibrated
         assert node.batch_compute_latency_s(4, 8) == pytest.approx(
             8 * base)
-
-    def test_calibrated_node_follows_curve(self, service):
-        node = service.node
-        node.set_batch_curve(CURVE.relative)
-        assert node.batch_calibrated
-        base = node.compute_latency_s(4)
-        assert node.batch_compute_latency_s(4, 16) == pytest.approx(
-            2.5 * base)
-        node.set_batch_curve(None)
-        assert not node.batch_calibrated
-
-    def test_rejects_non_relative_curve(self, service):
-        with pytest.raises(ServiceError):
-            service.node.set_batch_curve(CURVE)  # r(1) != 1
 
     def test_batch_validation(self, service):
         with pytest.raises(ServiceError):

@@ -5,8 +5,8 @@ batch of vectors in one call is element-wise identical to quantizing
 each vector alone (blocks are independent), and :func:`decompose`
 produces exactly the mantissas/exponents of :func:`quantize_with_info`
 without materializing values. A final property drives the whole stack:
-naive and vectorized ``mv_mul`` agree bit for bit on random windows in
-both Table IV formats.
+the vectorized ``mv_mul`` matches the reference interpreter bit for bit
+on random windows in both Table IV formats.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.numerics.bfp import (
     quantize,
     quantize_with_info,
 )
+from repro.verify import ReferenceInterpreter
 
 formats = st.sampled_from([
     MSFP_RNN, MSFP_CNN, MX_INT8, MX_INT4,
@@ -115,7 +116,7 @@ def test_exponent_clamp_edges_batched_equals_scalar():
     assert exps[2] == fmt.max_exponent
 
 
-# -- naive vs. vectorized mv_mul ------------------------------------------
+# -- vectorized mv_mul vs. the reference interpreter ----------------------
 
 _CFGS = {
     2: NpuConfig(name="prop_rnn", tile_engines=2, lanes=4, native_dim=128,
@@ -125,34 +126,41 @@ _CFGS = {
 }
 
 
-def _mvm(sim, W, x, rows, cols):
-    sim.load_matrix(0, W)
-    sim.load_vector(MemId.InitialVrf, 0, x)
+def _mvm_program(rows, cols):
     b = ProgramBuilder("p")
     b.set_rows(rows)
     b.set_columns(cols)
     b.v_rd(MemId.InitialVrf, 0)
     b.mv_mul(0)
     b.v_wr(MemId.InitialVrf, cols)
-    sim.run(b.build())
-    return sim.read_vector(MemId.InitialVrf, cols,
-                           rows * sim.config.native_dim)
+    return b.build()
 
 
 @given(mantissa_bits=st.sampled_from([2, 5]),
        rows=st.integers(1, 4), cols=st.integers(1, 4),
        seed=st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
-def test_mv_mul_naive_vs_vectorized_bit_exact(mantissa_bits, rows, cols,
-                                              seed):
+def test_mv_mul_vectorized_matches_reference(mantissa_bits, rows, cols,
+                                             seed):
     """Random windows in both published formats: the vectorized path
     (packed GEMV for mb=2, mantissa-GEMV for mb=5 at n=128) returns the
-    naive reference bit for bit."""
+    reference interpreter's result bit for bit."""
     cfg = _CFGS[mantissa_bits]
     n = cfg.native_dim
     rng = np.random.default_rng(seed)
     W = rng.uniform(-4, 4, (rows * n, cols * n)).astype(np.float32)
     x = rng.uniform(-4, 4, cols * n).astype(np.float32)
-    fast = _mvm(FunctionalSimulator(cfg), W, x, rows, cols)
-    ref = _mvm(FunctionalSimulator(cfg, naive=True), W, x, rows, cols)
-    assert np.array_equal(fast, ref)
+    program = _mvm_program(rows, cols)
+
+    sim = FunctionalSimulator(cfg)
+    sim.load_matrix(0, W)
+    sim.load_vector(MemId.InitialVrf, 0, x)
+    sim.run(program)
+    ref = ReferenceInterpreter(cfg)
+    ref.load_mrf_tiles(0, W.reshape(rows, n, cols, n).transpose(0, 2, 1, 3)
+                       .reshape(rows * cols, n, n))
+    ref.load_vrf(MemId.InitialVrf, x.reshape(cols, n))
+    ref.run(program)
+    assert np.array_equal(sim.read_vector(MemId.InitialVrf, cols, rows * n),
+                          ref.vrfs[MemId.InitialVrf][cols:cols + rows]
+                          .reshape(-1))

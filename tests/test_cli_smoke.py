@@ -93,26 +93,24 @@ def _stub_bench_payload(compiled_ms=1.0, batch16_ms=0.5,
     from repro.harness.perf import (BenchResult, HEADLINE,
                                     batch16_headline_speedup,
                                     batching_goodput_ratio,
-                                    compiled_headline_speedup,
-                                    headline_speedup)
+                                    compiled_headline_speedup)
     kind, hidden, cfg = HEADLINE
     rows = [
         BenchResult(name=f"functional_{kind}_h{hidden}", config=cfg,
-                    unit_ms=1.0, units=4, repeats=2, naive_unit_ms=5.0),
+                    unit_ms=1.0, units=4, repeats=2),
         BenchResult(name=f"compiled_{kind}_h{hidden}", config=cfg,
                     unit_ms=compiled_ms, units=4, repeats=3,
-                    naive_unit_ms=2.0),
+                    baseline_unit_ms=2.0),
         BenchResult(name=f"batched_{kind}_h{hidden}_b16", config=cfg,
                     unit_ms=batch16_ms, units=64, repeats=3,
-                    naive_unit_ms=2.0),
+                    baseline_unit_ms=2.0),
         BenchResult(name=f"batching_goodput_{kind}_h{hidden}",
                     config=cfg, unit_ms=goodput_ms, units=600,
-                    repeats=1, naive_unit_ms=1.0),
+                    repeats=1, baseline_unit_ms=1.0),
     ]
     return {
         "benchmark": "perf", "quick": True,
         "headline": {"kind": kind, "hidden": hidden, "config": cfg,
-                     "speedup": headline_speedup(rows),
                      "compiled_speedup": compiled_headline_speedup(rows),
                      "batch16_speedup": batch16_headline_speedup(rows),
                      "batching_goodput_ratio":

@@ -188,6 +188,37 @@ _LOOPS = pytest.mark.parametrize("make_sim", [_unbatched_sim,
                                  ids=["unbatched", "batched"])
 
 
+def _default_unbatched():
+    return ClusterSimulator(ClusterSpec(), seed=0)
+
+
+def _default_batched():
+    return ClusterSimulator(ClusterSpec(), batching=_batching(), seed=0)
+
+
+class TestEventTargets:
+    """Every event target is range-checked during run setup, on both
+    loops, with an error naming the event: out-of-range and negative
+    node indices used to raise a bare IndexError mid-run or wrap around
+    silently, and a rack event was checked only when it fired."""
+
+    @pytest.mark.parametrize("make_sim", [_default_unbatched,
+                                          _default_batched],
+                             ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("event", [
+        ClusterEvent(0.1, "crash", 24),
+        ClusterEvent(0.1, "crash", -1),
+        ClusterEvent(0.1, "slow", -24, 2.0),
+        ClusterEvent(5.0, "rack_down", 4),
+    ], ids=["crash_24", "crash_-1", "slow_-24", "rack_down_4_late"])
+    def test_bad_target_rejected_before_the_loop(self, make_sim, event):
+        with pytest.raises(ClusterError) as info:
+            make_sim().run(_sparse_arrivals(),
+                           [ClusterEvent(0.0, "crash", 0), event])
+        assert str(event) in str(info.value)
+        assert "outside" in str(info.value)
+
+
 class TestEmptyRun:
     def test_nan_with_flag_semantics(self):
         res = ClusterSimulator(_spec()).run([])

@@ -3,10 +3,16 @@
 The vectorized ``mv_mul`` paths (row-packed float64 GEMV, mantissa-GEMV,
 and the stacked float64 fallback), the MRF window cache, and the
 ``copy=False`` register-file reads must be indistinguishable from the
-``naive=True`` reference — same outputs, same statistics, same trace,
-same metric counters. These tests pin that contract (the perf harness
-depends on it: a speedup number from a divergent fast path is invalid).
+reference interpreter (:mod:`repro.verify.reference`) — same
+architectural state, same statistics — and the simulator's own
+accounting (MRF tile reads, ``executor.*`` counters, the instruction
+trace) must report the architectural values. These tests pin that
+contract (the perf harness depends on it: a speedup number from a
+divergent fast path is invalid).
 """
+
+import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from repro.models.gru import GruReference
 from repro.models.lstm import LstmReference
 from repro.obs import Metrics, Tracer
 from repro.timing.scheduler import ReadyTracker
+from repro.verify import ReferenceInterpreter
 
 # The two published BFP formats (Table IV/VI) on a lab-sized instance:
 # mb=2 activates the row-packed GEMV (k >= 3 slots fit in a float64
@@ -31,40 +38,61 @@ CNN_CFG = NpuConfig(name="eq_cnn", tile_engines=2, lanes=4, native_dim=128,
                     mrf_size=64, mantissa_bits=5)
 
 
-def _span_key(span):
-    return (span.name, span.start, span.end, span.track, tuple(
-        sorted(span.attrs.items())))
+def _reference_of(sim):
+    """A reference interpreter holding ``sim``'s architectural state
+    (weights are already quantized in the simulator's MRF)."""
+    config = sim.config
+    if sim.exact:
+        config = dataclasses.replace(config, mantissa_bits=0)
+    ref = ReferenceInterpreter(config)
+    snap = sim.snapshot()
+    for name, data in snap["vrf"].items():
+        ref.load_vrf(MemId[name], data)
+    ref.mrf[:] = snap["mrf"]
+    for index, vec in snap["dram_vectors"].items():
+        ref.load_dram_vectors(index, vec)
+    return ref
 
 
-def _run_pair(config, rows, cols, *, exact, seed=0, calls=3):
-    """Run the same mv_mul program on naive and vectorized simulators."""
-    n = config.native_dim
-    rng = np.random.default_rng(seed)
-    W = rng.uniform(-1, 1, (rows * n, cols * n)).astype(np.float32)
-    xs = [rng.uniform(-2, 2, cols * n).astype(np.float32)
-          for _ in range(calls)]
-    outs = {}
-    sims = {}
-    for naive in (False, True):
-        tracer = Tracer(unit="instructions")
-        metrics = Metrics()
-        sim = FunctionalSimulator(config, exact=exact, tracer=tracer,
-                                  metrics=metrics, naive=naive)
-        sim.load_matrix(0, W)
-        results = []
-        for x in xs:
-            sim.load_vector(MemId.InitialVrf, 0, x)
-            b = ProgramBuilder("mvm")
-            b.set_rows(rows)
-            b.set_columns(cols)
-            b.v_rd(MemId.InitialVrf, 0)
-            b.mv_mul(0)
-            b.v_wr(MemId.InitialVrf, cols)
-            sim.run(b.build())
-            results.append(sim.read_vector(MemId.InitialVrf, cols, rows * n))
-        outs[naive] = (results, sim.stats, tracer, metrics)
-        sims[naive] = sim
-    return outs, sims
+def _assert_matches_reference(sim, ref, tracer, metrics):
+    """``sim``'s state and statistics equal the reference interpreter's,
+    and its counters and instruction trace report the same work."""
+    got, want = sim.snapshot(), ref.snapshot()
+    for name in want["vrf"]:
+        assert np.array_equal(got["vrf"][name], want["vrf"][name]), name
+    assert len(got["outputs"]) == len(want["outputs"])
+    for a, b in zip(got["outputs"], want["outputs"]):
+        assert np.array_equal(a, b)
+    assert got["scalar_regs"] == want["scalar_regs"]
+    assert dataclasses.asdict(sim.stats) == ref.stats_dict()
+
+    counters = {k: c.value for k, c in metrics.counters.items()}
+    prefix = "executor.ops."
+    ops = {k[len(prefix):]: v for k, v in counters.items()
+           if k.startswith(prefix)}
+    assert ops == {k: v for k, v in ref.op_counts.items() if v}
+    assert counters.get("executor.macs", 0) == ref.macs
+    assert counters.get("executor.pointwise_flops", 0) == \
+        ref.pointwise_flops
+    assert counters["executor.chains"] == ref.chains_executed
+
+    # One trace tick per retired instruction, in retirement order.
+    ticks = [s for s in tracer.spans if s.name not in ("run", "chain")]
+    assert collections.Counter(s.name for s in ticks) == ops
+    assert [s.start for s in ticks] == \
+        [float(t) for t in range(ref.instructions_executed)]
+    assert sum(s.name == "chain" for s in tracer.spans) == \
+        ref.chains_executed
+
+
+def _mvm_program(rows, cols):
+    b = ProgramBuilder("mvm")
+    b.set_rows(rows)
+    b.set_columns(cols)
+    b.v_rd(MemId.InitialVrf, 0)
+    b.mv_mul(0)
+    b.v_wr(MemId.InitialVrf, cols)
+    return b.build()
 
 
 @pytest.mark.parametrize("config", [RNN_CFG, CNN_CFG],
@@ -74,19 +102,28 @@ def _run_pair(config, rows, cols, *, exact, seed=0, calls=3):
 @pytest.mark.parametrize("exact", [False, True],
                          ids=["quantized", "exact"])
 def test_mv_mul_sweep_bit_identical(config, rows, cols, exact):
-    """Every (rows, cols) window shape matches the naive path exactly —
-    outputs, statistics, trace spans, and metric counters."""
-    outs, sims = _run_pair(config, rows, cols, exact=exact)
-    fast_results, fast_stats, fast_tracer, fast_metrics = outs[False]
-    ref_results, ref_stats, ref_tracer, ref_metrics = outs[True]
-    for got, want in zip(fast_results, ref_results):
-        assert np.array_equal(got, want)
-    assert fast_stats == ref_stats
-    assert sims[False].mrf.reads == sims[True].mrf.reads
-    assert ([_span_key(s) for s in fast_tracer.spans]
-            == [_span_key(s) for s in ref_tracer.spans])
-    assert ({k: c.value for k, c in fast_metrics.counters.items()}
-            == {k: c.value for k, c in ref_metrics.counters.items()})
+    """Every (rows, cols) window shape matches the reference interpreter
+    exactly over repeated calls (warm caches) — state, statistics,
+    counters and trace — and each call reads its rows*cols MRF tiles."""
+    n = config.native_dim
+    rng = np.random.default_rng(0)
+    W = rng.uniform(-1, 1, (rows * n, cols * n)).astype(np.float32)
+    xs = [rng.uniform(-2, 2, cols * n).astype(np.float32)
+          for _ in range(3)]
+    tracer, metrics = Tracer(unit="instructions"), Metrics()
+    sim = FunctionalSimulator(config, exact=exact, tracer=tracer,
+                              metrics=metrics)
+    sim.load_matrix(0, W)
+    ref = _reference_of(sim)
+    reads = sim.mrf.reads
+    program = _mvm_program(rows, cols)
+    for x in xs:
+        sim.load_vector(MemId.InitialVrf, 0, x)
+        ref.load_vrf(MemId.InitialVrf, x.reshape(cols, n))
+        sim.run(program)
+        ref.run(program)
+    assert sim.mrf.reads - reads == len(xs) * rows * cols
+    _assert_matches_reference(sim, ref, tracer, metrics)
 
 
 def test_packed_gemv_active_only_for_narrow_formats():
@@ -102,34 +139,30 @@ def test_packed_gemv_active_only_for_narrow_formats():
 
 
 def test_mrf_rewrite_invalidates_window_cache():
-    """Writing a tile between mv_muls must change the vectorized result
-    exactly as it changes the naive one (generation invalidation)."""
+    """Rewriting the weights between mv_muls bumps the MRF generation,
+    so the second call computes with the new weights (the reference
+    result), not the cached operands of the first."""
     n = RNN_CFG.native_dim
     rng = np.random.default_rng(5)
     W1 = rng.uniform(-1, 1, (2 * n, 2 * n)).astype(np.float32)
     W2 = rng.uniform(-1, 1, (2 * n, 2 * n)).astype(np.float32)
     x = rng.uniform(-1, 1, 2 * n).astype(np.float32)
-
-    def run(naive):
-        sim = FunctionalSimulator(RNN_CFG, naive=naive)
-        outs = []
-        for W in (W1, W2):
-            sim.load_matrix(0, W)
-            sim.load_vector(MemId.InitialVrf, 0, x)
-            b = ProgramBuilder("p")
-            b.set_rows(2)
-            b.set_columns(2)
-            b.v_rd(MemId.InitialVrf, 0)
-            b.mv_mul(0)
-            b.v_wr(MemId.InitialVrf, 2)
-            sim.run(b.build())
-            outs.append(sim.read_vector(MemId.InitialVrf, 2, 2 * n))
-        return outs
-
-    fast, ref = run(False), run(True)
-    assert np.array_equal(fast[0], ref[0])
-    assert np.array_equal(fast[1], ref[1])
-    assert not np.array_equal(ref[0], ref[1])
+    program = _mvm_program(2, 2)
+    sim = FunctionalSimulator(RNN_CFG)
+    outs = []
+    for W in (W1, W2):
+        generation = sim.mrf.generation
+        sim.load_matrix(0, W)
+        assert sim.mrf.generation > generation
+        sim.load_vector(MemId.InitialVrf, 0, x)
+        ref = _reference_of(sim)
+        sim.run(program)
+        ref.run(program)
+        got = sim.read_vector(MemId.InitialVrf, 2, 2 * n)
+        assert np.array_equal(got, ref.vrfs[MemId.InitialVrf][2:4]
+                              .reshape(-1))
+        outs.append(got)
+    assert not np.array_equal(outs[0], outs[1])
 
 
 @pytest.mark.parametrize("kind,hidden,config", [
@@ -139,8 +172,9 @@ def test_mrf_rewrite_invalidates_window_cache():
 @pytest.mark.parametrize("exact", [False, True],
                          ids=["quantized", "exact"])
 def test_compiled_rnn_bit_identical(kind, hidden, config, exact):
-    """End-to-end compiled LSTM/GRU sequences are bit-identical between
-    the naive and vectorized executors, including observability output."""
+    """End-to-end compiled LSTM/GRU sequences on the vectorized executor
+    are bit-identical to the reference interpreter, and its
+    observability output reports the same work."""
     if kind == "lstm":
         model = compile_lstm(LstmReference(hidden_dim=hidden, seed=3), config)
     else:
@@ -148,25 +182,22 @@ def test_compiled_rnn_bit_identical(kind, hidden, config, exact):
     rng = np.random.default_rng(9)
     xs = [rng.standard_normal(model.input_length).astype(np.float32)
           for _ in range(3)]
-
-    runs = {}
-    for naive in (False, True):
-        tracer = Tracer(unit="instructions")
-        metrics = Metrics()
-        sim = model.new_simulator(exact=exact, tracer=tracer,
-                                  metrics=metrics, naive=naive)
-        outs = model.run_sequence(xs, sim=sim)
-        runs[naive] = (outs, sim.stats, sim.mrf.reads, tracer, metrics)
-
-    fast, ref = runs[False], runs[True]
-    for got, want in zip(fast[0], ref[0]):
-        assert np.array_equal(got, want)
-    assert fast[1] == ref[1]
-    assert fast[2] == ref[2]
-    assert ([_span_key(s) for s in fast[3].spans]
-            == [_span_key(s) for s in ref[3].spans])
-    assert ({k: c.value for k, c in fast[4].counters.items()}
-            == {k: c.value for k, c in ref[4].counters.items()})
+    tracer, metrics = Tracer(unit="instructions"), Metrics()
+    n = config.native_dim
+    inputs = np.zeros((len(xs), model.input_vectors_per_step * n),
+                      dtype=np.float32)
+    inputs[:, :model.input_length] = xs
+    sim = model.new_simulator(exact=exact, tracer=tracer, metrics=metrics)
+    ref = _reference_of(sim)
+    reads = sim.mrf.reads
+    for vec in inputs.reshape(-1, n):
+        sim.netq.push_input(vec)
+    ref.push_inputs(inputs.reshape(-1, n))
+    bindings = {model.steps_binding: len(xs)}
+    sim.run(model.program, bindings)
+    ref.run(model.program, bindings)
+    assert sim.mrf.reads - reads == ref.macs // (n * n)
+    _assert_matches_reference(sim, ref, tracer, metrics)
 
 
 # -- MRF window cache ------------------------------------------------------

@@ -167,78 +167,7 @@ def test_batched_exact_mode_matches_sequential():
             assert np.array_equal(a, c), f"request {b}"
 
 
-# -- forced loopable fallbacks ---------------------------------------------
-
-def _run_batched(compiled, xb, force_fallback=None):
-    """Mirror CompiledModel.run_sequence_batched but thread an explicit
-    ``force_fallback`` predicate into the BatchedReplay."""
-    batch, steps = len(xb), len(xb[0])
-    sim = compiled.new_simulator()
-    replay = BatchedReplay(sim, compiled.program, batch,
-                           bindings={compiled.steps_binding: steps},
-                           force_fallback=force_fallback)
-    n = compiled.config.native_dim
-    entries = compiled.input_vectors_per_step
-    for t in range(steps):
-        padded = np.zeros((batch, entries * n), dtype=np.float32)
-        for r, xs in enumerate(xb):
-            x = np.asarray(xs[t], dtype=np.float32).reshape(-1)
-            padded[r, :x.shape[0]] = x
-        for i in range(entries):
-            replay.push_input(padded[:, i * n:(i + 1) * n])
-    replay.run()
-    per = compiled.output_vectors_per_step
-    outputs = [[np.concatenate(vecs[t * per:(t + 1) * per]
-                               )[:compiled.output_length]
-                for t in range(steps)]
-               for vecs in replay.pop_outputs()]
-    return replay, outputs
-
-
-@pytest.mark.tier1
-def test_forced_fallback_plan_stays_batchable():
-    """Demoting valid chains to loopable interpreted steps keeps the
-    plan batchable and records the offending kinds as diagnostics; the
-    forced plan bypasses the per-simulator plan cache."""
-    compiled = _compiled_model("lstm", 200, MB2)
-    sim = compiled.new_simulator()
-    bindings = {compiled.steps_binding: 2}
-    forced = sim.plan_for(compiled.program, bindings,
-                          force_fallback=lambda pos, e: pos % 3 == 1)
-    assert forced.batchable
-    assert forced.loopable_fallbacks > 0
-    assert forced.fallback_steps == forced.loopable_fallbacks
-    assert len(forced.fallback_step_kinds) == forced.fallback_steps
-    assert all(isinstance(k, str) and k for k in forced.fallback_step_kinds)
-    # The cache only ever holds fully compiled plans.
-    plain = sim.plan_for(compiled.program, bindings)
-    assert plain is not forced
-    assert plain.fallback_steps == 0
-    assert plain.fallback_step_kinds == ()
-
-
-@pytest.mark.tier1
-def test_forced_fallback_batched_matches_sequential_compiled():
-    """Forcing is semantically the identity: a batched replay with every
-    third event interpreted must still reproduce per-request sequential
-    fully-compiled runs bit for bit."""
-    compiled = _compiled_model("gru", 200, MB2)
-    xs = _inputs(200, 3)
-    scales = (1.0, -0.5, 4.0)
-    xb = [[(x * s).astype(np.float32) for x in xs] for s in scales]
-
-    replay, outs = _run_batched(compiled, xb,
-                                force_fallback=lambda pos, e: pos % 3 == 1)
-    assert replay.plan.loopable_fallbacks > 0
-    for b in range(len(scales)):
-        sim = compiled.new_simulator()
-        seq = compiled.run_sequence(xb[b], sim=sim, compiled=True)
-        assert len(outs[b]) == len(seq)
-        for got, want in zip(outs[b], seq):
-            assert np.array_equal(got, want), f"request {b}"
-        _assert_state_equal(replay.snapshot(b), sim.snapshot(),
-                            f"snapshot[{b}]")
-
+# -- unbatchable plans -----------------------------------------------------
 
 @pytest.mark.tier1
 def test_unbatchable_plan_rejected_with_step_kinds():
@@ -253,7 +182,7 @@ def test_unbatchable_plan_rejected_with_step_kinds():
     sim = compiled.new_simulator()
     plan = sim.plan_for(program)
     assert not plan.batchable
-    assert plan.fallback_steps > plan.loopable_fallbacks
+    assert plan.fallback_steps == len(plan.fallback_step_kinds) > 0
     with pytest.raises(UnbatchablePlanError) as exc_info:
         BatchedReplay(sim, program, 2)
     exc = exc_info.value

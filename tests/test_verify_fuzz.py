@@ -175,9 +175,9 @@ def test_injected_bug_archived_to_corpus(monkeypatch, tmp_path):
 
 @pytest.mark.tier1
 def test_injected_compiled_path_bug_is_caught_and_shrunk(monkeypatch):
-    """A bug confined to the compiled replay path — the interpreter and
-    both sequential simulator paths are untouched — is detected by the
-    four-way differential and shrunk to a small reproducer."""
+    """A bug confined to the compiled replay path — the reference and
+    the vectorized interpreter are untouched — is detected by the
+    three-way differential and shrunk to a small reproducer."""
     import repro.functional.replay as replay
     orig = replay.to_float16
 

@@ -39,7 +39,7 @@ def test_quantize_reference_zero_block():
 def _both(config):
     """A reference interpreter and an executor with identical state."""
     case = generate_case(0, config=config)
-    return case, load_reference(case), load_simulator(case, naive=False)
+    return case, load_reference(case), load_simulator(case)
 
 
 @pytest.mark.parametrize("config_name", sorted(FUZZ_CONFIGS))
@@ -156,7 +156,7 @@ def test_reference_enforces_mfu_capacity():
 def test_snapshot_schemas_agree():
     case = generate_case(3)
     ref = load_reference(case)
-    sim = load_simulator(case, naive=True)
+    sim = load_simulator(case)
     ref_snap, sim_snap = ref.snapshot(), sim.snapshot()
     assert set(ref_snap) == set(sim_snap)
     assert set(ref_snap["vrf"]) == set(sim_snap["vrf"])
