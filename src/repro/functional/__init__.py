@@ -1,10 +1,10 @@
 """Functional (architectural) simulation of the BW NPU."""
 
 from .executor import ExecutionStats, FunctionalSimulator
-from .replay import BatchedReplay, ReplayExecutor, ReplayPlan, compile_plan
+from .replay import BatchedReplay, ReplayPlan, compile_plan
 from . import ops
 
 __all__ = [
     "ExecutionStats", "FunctionalSimulator", "ops",
-    "BatchedReplay", "ReplayExecutor", "ReplayPlan", "compile_plan",
+    "BatchedReplay", "ReplayPlan", "compile_plan",
 ]

@@ -274,18 +274,23 @@ class FunctionalSimulator:
         """Execute ``program`` to completion; returns dynamic stats.
 
         With ``compiled=True`` the program is first compiled (and cached,
-        see :meth:`plan_for`) into a flat replay plan — same architectural
-        results, statistics, spans, and counters, executed without
-        per-event dispatch (:mod:`repro.functional.replay`). One timing
-        divergence: a run that *raises* may leave stats/clock/scalar
-        registers behind the interpreter's (totals apply on success), and
-        a missing loop binding raises before any event executes.
+        see :meth:`plan_for`) into a flat replay plan and runs as one
+        :class:`~repro.functional.replay.BatchedReplay` at B=1, whose
+        :meth:`~repro.functional.replay.BatchedReplay.commit` writes the
+        request's state back into this simulator. Architectural results,
+        statistics, register-file counters, spans, and metric counters
+        equal the interpreter's. A plan that is not batchable raises on
+        every run; it is interpreted whole, so the error and its partial
+        side effects are the interpreter's. Two divergences otherwise: a
+        compiled run that raises commits nothing (state, statistics,
+        counters, and the trace clock stay as they were before the run),
+        and a missing loop binding raises before any event executes.
         """
         span = self.tracer.begin("run", float(self._trace_clock),
                                  track="executor")
-        if compiled:
-            from .replay import ReplayExecutor
-            ReplayExecutor(self, self.plan_for(program, bindings)).run()
+        if compiled and self.plan_for(program, bindings).batchable:
+            from .replay import BatchedReplay
+            BatchedReplay(self, program, 1, bindings).run().commit()
         else:
             for event in program.events(bindings):
                 if isinstance(event, SetScalar):

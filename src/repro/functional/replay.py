@@ -11,9 +11,8 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
 
 * loops unrolled into a linear step list, scalar control flow folded to
   compile-time constants (``s_wr`` becomes a static plan entry);
-* operand addresses resolved to pre-bound numpy views of the register
-  files (valid forever: VRF/MRF storage is allocated once and written
-  in place);
+* operand addresses resolved and bounds-checked at compile time, so a
+  step indexes register-file slices with no decode or validation;
 * ``mv_mul`` weight windows pre-decomposed into the executor's BFP
   operand layout, revalidated cheaply against the MRF ``generation``
   counter so ``m_wr``/``load_matrix`` between (or during) runs recompile
@@ -22,37 +21,44 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
   one stacked GEMV (:class:`_MvGroup`) — the LSTM's four gate matrices
   against one input vector become one matmul — legal only on the
   exact-integer mantissa paths, where the stacked dot products are
-  bit-identical to the per-chain ones.
+  bit-identical to the per-chain ones;
+* ``mv_mul`` groups whose input never depends on the recurrence — every
+  occurrence reads a known slot of the network input queue, like an
+  RNN's ``x_t * W`` — marked for *hoisting* (``ReplayPlan.hoists``,
+  :func:`_plan_hoists`): they run for all timesteps in one GEMM per
+  segment before the first step.
 
-:class:`ReplayExecutor` then runs the plan as a tight loop with no
-decode, no validation, and no cache hashing; per-run statistics and the
-trace clock are applied as precomputed totals (or emitted live when a
-tracer/metrics sink is attached — the observed replay produces the
-*same* spans and counters as the interpreter). :class:`BatchedReplay`
-runs B independent requests through one plan by stacking every piece of
-architectural state along a new leading batch axis; the quantize,
-GEMV, and pointwise kernels all vectorize batch-wise, and on the
-exact-integer paths the batched results are bit-identical to B
-sequential runs. ``mv_mul`` groups whose input never depends on the
-recurrence — every occurrence reads a known slot of the network input
-queue, like an RNN's ``x_t * W`` — are *hoisted*: batched replay
-computes them for all timesteps in one GEMM per segment before the
-first step (``ReplayPlan.hoists``, :func:`_plan_hoists`).
+:class:`BatchedReplay` is the one executor. It runs B independent
+requests through a plan by stacking every piece of architectural state
+along a new leading batch axis; the quantize, GEMM, and pointwise
+kernels all vectorize batch-wise, and on the exact-integer paths the
+batched results are bit-identical to B sequential runs. A sequential
+``FunctionalSimulator.run(compiled=True)`` is a :class:`BatchedReplay`
+at B=1 followed by :meth:`BatchedReplay.commit`, which writes the
+request's state back into the simulator and applies the plan's static
+totals (statistics, register-file counters, the trace clock). With a
+tracer or metrics sink attached, the commit retires each step's static
+``ticks`` through the simulator, emitting the interpreter's spans and
+counters in the interpreter's order.
 
 Bit-exactness contract (checked by the three-way differential fuzzer
 in :mod:`repro.verify` and by ``tests/test_replay_equivalence.py``):
 compiled output state, outputs, ``ExecutionStats``, op counters, and
-trace spans equal the vectorized interpreter's exactly. Statically
-invalid constructs (out-of-bounds operands, over-capacity chains)
-compile into *fallback steps* that delegate to the interpreter so error
-types, positions, and partial side effects match. A plan is batchable
-iff it has no fallback steps; :class:`BatchedReplay` rejects any other
-plan with :class:`~repro.errors.UnbatchablePlanError` naming the
-offending step kinds (``ReplayPlan.fallback_step_kinds``). One
-intentional divergence: on a run that raises, the compiled path's
-stats/clock/scalar registers may lag the interpreter's (totals are
-applied at successful completion) — differential comparisons only
-inspect state when no engine raised.
+trace spans equal the vectorized interpreter's exactly. A statically
+invalid construct (an out-of-bounds operand, an over-capacity chain,
+``rows``/``columns`` below 1) makes the plan unbatchable: it and every
+event after it are unreachable on a successful run, and
+``ReplayPlan.fallback_step_kinds`` names them. ``run(compiled=True)``
+interprets such a plan whole, so error types, positions, and partial
+side effects match the interpreter by construction;
+:class:`BatchedReplay` rejects it with
+:class:`~repro.errors.UnbatchablePlanError`. One intentional
+divergence: a batchable compiled run that raises (a short input queue,
+a DRAM entry never written) commits nothing, so the simulator's state,
+statistics, counters, and trace clock stay as they were before the
+run, where the interpreter keeps the effects of the events before the
+error. Differential comparisons only inspect state when no engine
+raised.
 """
 
 from __future__ import annotations
@@ -88,22 +94,6 @@ _MODE_PACKED, _MODE_MANTISSA, _MODE_F64 = range(3)
 _EPILOGUE_ROWS = 8
 
 
-def _unpack_slots(packed_dots: np.ndarray, k: int, w: int) -> np.ndarray:
-    """Batch-shaped twin of ``FunctionalSimulator._unpack``.
-
-    ``packed_dots`` is (..., G); returns (..., G*k) — the same prefix
-    isolation and adjacent-prefix differencing as the executor, with
-    arbitrary leading axes and no tail trim (callers slice per member).
-    Every element-wise operation matches the executor's bit for bit.
-    """
-    inv = np.exp2(-w * (k - 1 - np.arange(k, dtype=np.float64)))
-    prefixes = np.rint(packed_dots[..., np.newaxis, :] * inv[:, np.newaxis])
-    dots = prefixes.copy()
-    dots[..., 1:, :] -= prefixes[..., :-1, :] * float(np.exp2(w))
-    lead = dots.shape[:-2]
-    return np.swapaxes(dots, -1, -2).reshape(*lead, -1)
-
-
 class _MvGroup:
     """One stacked mega-SIMD MVM shared by one or more fused chains.
 
@@ -123,7 +113,7 @@ class _MvGroup:
     """
 
     __slots__ = ("mode", "members", "cols", "segs", "seg_width", "nb", "n",
-                 "tiles", "offsets", "padded_offsets", "groups_total",
+                 "offsets", "padded_offsets", "groups_total",
                  "total_rows", "_generation", "_operands",
                  "_scratch_generation", "_scratch", "outputs")
 
@@ -144,7 +134,6 @@ class _MvGroup:
             self.mode = _MODE_MANTISSA
         else:
             self.mode = _MODE_F64
-        self.tiles = sum(rows * cols for _, rows in self.members)
         n = self.n
         offsets, off = [], 0
         padded_offsets, poff = [], 0
@@ -166,13 +155,15 @@ class _MvGroup:
 
     # -- operand binding ---------------------------------------------------
 
-    def _refresh(self, sim) -> tuple:
-        """(Re)stack the members' decomposed weight windows.
-
-        Uses the executor's own ``_window_operands`` per member, so
-        per-window derivations, LRU accounting, and ``mrf.reads``
-        attribution match the interpreter exactly.
-        """
+    def _refresh(self, sim):
+        """(Re)stack the members' decomposed weight windows: the
+        ``(w_stack, scales)`` of the executor's own ``_window_operands``
+        per member, or in float64/exact mode the one member's
+        ``_window_blocks_f64`` array, so the derivations match the
+        interpreter exactly."""
+        if self.mode == _MODE_F64:
+            base, rows = self.members[0]
+            return sim._window_blocks_f64(base, rows, self.cols)
         parts = [sim._window_operands(base, rows, self.cols)
                  for base, rows in self.members]
         if self.mode == _MODE_PACKED:
@@ -196,25 +187,19 @@ class _MvGroup:
                 scales = np.concatenate([p[1] for p in parts], axis=1)
         return w_stack, scales
 
-    def _bound_operands(self, sim, count: bool = True) -> tuple:
+    def _bound_operands(self, sim):
         """Stacked operands for the current MRF generation.
 
-        Sequential runs (``count``) account the architectural tile reads
-        of every ``mv_mul`` on ``sim.mrf``, like the interpreter; batched
-        runs keep no counters, so they leave ``mrf.reads`` untouched even
-        when the operands are re-derived.
+        Re-deriving them leaves ``sim.mrf.reads`` untouched: the
+        architectural tile reads of every ``mv_mul`` are part of the
+        plan's static totals, applied by :meth:`BatchedReplay.commit`.
         """
         mrf = sim.mrf
         if self._generation != mrf.generation:
             reads = mrf.reads
             self._operands = self._refresh(sim)
             self._generation = mrf.generation
-            if not count:
-                mrf.reads = reads
-        elif count:
-            # Architectural tile reads still occur on every mv_mul; the
-            # interpreter accounts them on window-cache hits too.
-            mrf.reads += self.tiles
+            mrf.reads = reads
         return self._operands
 
     def _packed_scratch(self, w_scales: np.ndarray, k: int,
@@ -248,41 +233,6 @@ class _MvGroup:
             )
             self._scratch_generation = self._generation
         return self._scratch
-
-    # -- single-request compute --------------------------------------------
-
-    def compute(self, sim, value: np.ndarray) -> None:
-        if self.mode == _MODE_F64:
-            base, rows = self.members[0]
-            blocks = sim._window_blocks_f64(base, rows, self.cols)
-            self.outputs = (self._f64_member(sim, value, blocks, rows),)
-            return
-        w_stack, w_scales = self._bound_operands(sim)
-        mant, exps = decompose(value, sim._bfp)
-        mant = mant.reshape(self.segs, self.seg_width)
-        x_scales = scales_of(exps, sim._bfp).reshape(self.segs, 1)
-        if self.mode == _MODE_PACKED:
-            x_mant = mant.astype(np.float64)
-            packed = np.matmul(w_stack, x_mant[:, :, np.newaxis])[:, :, 0]
-            dots = _unpack_slots(packed, sim._pack_slots, sim._pack_width)
-            terms = dots * (w_scales * x_scales)
-            acc = terms[0]
-            for s in range(1, self.segs):
-                acc = acc + terms[s]
-            starts = self.padded_offsets
-        else:
-            acc = ((w_stack[0] @ mant[0]).astype(np.float64)
-                   * (w_scales[0] * x_scales[0]))
-            for s in range(1, self.segs):
-                acc += ((w_stack[s] @ mant[s]).astype(np.float64)
-                        * (w_scales[s] * x_scales[s]))
-            starts = self.offsets
-        out = acc.astype(np.float32)
-        out = to_float16(out)
-        n = self.n
-        self.outputs = tuple(
-            out[start:start + rows * n].reshape(rows, n)
-            for (_, rows), start in zip(self.members, starts))
 
     def _f64_member(self, sim, value: np.ndarray, blocks: np.ndarray,
                     rows: int) -> np.ndarray:
@@ -332,8 +282,8 @@ class _MvGroup:
             self.outputs = tuple(np.stack(outs) for outs in per_member)
             return
         if self.mode == _MODE_F64:
-            base, rows = self.members[0]
-            blocks = sim._window_blocks_f64(base, rows, self.cols)
+            blocks = self._bound_operands(sim)
+            rows = self.members[0][1]
             self.outputs = (np.stack([
                 self._f64_member(sim, value[b], blocks, rows)
                 for b in range(batch)]),)
@@ -354,7 +304,7 @@ class _MvGroup:
         bit for bit; scale products and the segment summation keep the
         reference operation order. Packed/mantissa modes only.
         """
-        w_stack, w_scales = self._bound_operands(sim, count=False)
+        w_stack, w_scales = self._bound_operands(sim)
         mant, exps = decompose(value, sim._bfp)
         total = value.shape[0]
         segs = self.segs
@@ -496,19 +446,15 @@ class _ScalarStep:
     """A folded ``s_wr``: no run-time work — the final register state
     and the instruction/tick tallies are precomputed on the plan."""
 
-    __slots__ = ("reg", "value")
+    __slots__ = ("ticks",)
+    #: Not a chain (no chain span around its tick); see :func:`_retire`.
+    matrix = None
 
     def __init__(self, reg: ScalarReg, value: int):
-        self.reg = reg
-        self.value = value
+        self.ticks = (("set_scalar", {"reg": reg.name, "value": value},
+                       None, 0),)
 
-    def run(self, sim) -> None:
-        pass
-
-    def run_observed(self, sim) -> None:
-        sim._tick("set_scalar", reg=self.reg.name, value=self.value)
-
-    def run_batched(self, bstate) -> None:
+    def run(self, bstate) -> None:
         pass
 
 
@@ -516,58 +462,19 @@ class _MatrixStep:
     """A compiled ``m_rd`` → ``m_wr`` tile move."""
 
     __slots__ = ("src_netq", "src_index", "dst_mrf", "dst_index", "count",
-                 "rd_tick", "wr_tick", "length")
+                 "ticks")
+    matrix = True
 
     def __init__(self, src_netq, src_index, dst_mrf, dst_index, count,
-                 rd_tick, wr_tick):
+                 ticks):
         self.src_netq = src_netq
         self.src_index = src_index
         self.dst_mrf = dst_mrf
         self.dst_index = dst_index
         self.count = count
-        self.rd_tick = rd_tick
-        self.wr_tick = wr_tick
-        self.length = 2
+        self.ticks = ticks
 
-    def _move(self, sim) -> None:
-        if self.src_netq:
-            tiles = sim.netq.pop_input_tiles(self.count)
-        else:
-            tiles = sim.dram.read_tiles(self.src_index, self.count)
-        if self.dst_mrf:
-            if not sim.exact:
-                tiles = quantize(tiles, sim._bfp)
-            sim.mrf.write_tiles(self.dst_index, tiles)
-        else:
-            sim.dram.write_tiles(self.dst_index, tiles)
-
-    def run(self, sim) -> None:
-        self._move(sim)
-
-    def run_observed(self, sim) -> None:
-        span = sim.tracer.begin("chain", float(sim._trace_clock),
-                                track="executor", matrix=True,
-                                instructions=3)
-        if self.src_netq:
-            tiles = sim.netq.pop_input_tiles(self.count)
-        else:
-            tiles = sim.dram.read_tiles(self.src_index, self.count)
-        name, attrs = self.rd_tick
-        sim._tick(name, **attrs)
-        if self.dst_mrf:
-            if not sim.exact:
-                tiles = quantize(tiles, sim._bfp)
-            sim.mrf.write_tiles(self.dst_index, tiles)
-        else:
-            sim.dram.write_tiles(self.dst_index, tiles)
-        name, attrs = self.wr_tick
-        sim._tick(name, **attrs)
-        sim.metrics.counter("executor.tiles_moved").inc(self.count)
-        sim._tick("end_chain")
-        sim.tracer.end(span, float(sim._trace_clock))
-        sim.metrics.counter("executor.chains").inc()
-
-    def run_batched(self, bstate) -> None:
+    def run(self, bstate) -> None:
         sim = bstate.sim
         if self.src_netq:
             tiles = bstate._pop_input_tiles(self.count)  # (B, count, N, N)
@@ -587,90 +494,22 @@ class _MatrixStep:
 
 
 class _VectorStep:
-    """A compiled vector chain: pre-bound head, flat piece list."""
+    """A compiled vector chain: resolved head, flat piece list."""
 
-    __slots__ = ("head_kind", "head_view", "head_mem", "head_index",
-                 "width_in", "pieces", "head_tick", "piece_ticks", "length")
+    __slots__ = ("head_kind", "head_mem", "head_index", "width_in",
+                 "pieces", "ticks")
+    matrix = False
 
-    def __init__(self, head_kind, head_view, head_mem, head_index, width_in,
-                 pieces, head_tick, piece_ticks, length):
+    def __init__(self, head_kind, head_mem, head_index, width_in, pieces,
+                 ticks):
         self.head_kind = head_kind
-        self.head_view = head_view
         self.head_mem = head_mem
         self.head_index = head_index
         self.width_in = width_in
         self.pieces = pieces
-        self.head_tick = head_tick
-        self.piece_ticks = piece_ticks
-        self.length = length
+        self.ticks = ticks
 
-    def _head(self, sim) -> np.ndarray:
-        kind = self.head_kind
-        if kind == _H_VRF:
-            return self.head_view
-        if kind == _H_NETQ:
-            return sim.netq.pop_input(self.width_in)
-        return sim.dram.read_vectors(self.head_index, self.width_in)
-
-    def run(self, sim) -> None:
-        value = self._head(sim)
-        exact = sim.exact
-        for p in self.pieces:
-            kind = p[0]
-            if kind == _MV:
-                group = p[1]
-                if p[2] == 0:
-                    group.compute(sim, value)
-                value = group.outputs[p[2]]
-            elif kind == _BIN:
-                value = p[1](value, p[2], exact=exact)
-            elif kind == _UN:
-                value = p[1](value, exact=exact)
-            elif kind == _WR_VRF:
-                if p[5]:
-                    value = value.copy()
-                p[1][...] = value
-            elif kind == _WR_NETQ:
-                sim.netq.push_output(value)
-            else:
-                sim.dram.write_vectors(p[1], value)
-
-    def run_observed(self, sim) -> None:
-        span = sim.tracer.begin("chain", float(sim._trace_clock),
-                                track="executor", matrix=False,
-                                instructions=self.length + 1)
-        value = self._head(sim)
-        name, attrs = self.head_tick
-        sim._tick(name, **attrs)
-        exact = sim.exact
-        for p, (name, attrs, counter, amount) in zip(self.pieces,
-                                                     self.piece_ticks):
-            kind = p[0]
-            if kind == _MV:
-                group = p[1]
-                if p[2] == 0:
-                    group.compute(sim, value)
-                value = group.outputs[p[2]]
-            elif kind == _BIN:
-                value = p[1](value, p[2], exact=exact)
-            elif kind == _UN:
-                value = p[1](value, exact=exact)
-            elif kind == _WR_VRF:
-                if p[5]:
-                    value = value.copy()
-                p[1][...] = value
-            elif kind == _WR_NETQ:
-                sim.netq.push_output(value)
-            else:
-                sim.dram.write_vectors(p[1], value)
-            if counter is not None:
-                sim.metrics.counter(counter).inc(amount)
-            sim._tick(name, **attrs)
-        sim._tick("end_chain")
-        sim.tracer.end(span, float(sim._trace_clock))
-        sim.metrics.counter("executor.chains").inc()
-
-    def run_batched(self, bstate) -> None:
+    def run(self, bstate) -> None:
         sim = bstate.sim
         kind = self.head_kind
         if kind == _H_VRF:
@@ -690,57 +529,55 @@ class _VectorStep:
                     group.compute_batched(bstate, value)
                 value = group.outputs[p[2]]
             elif kind == _BIN:
-                operand = bstate._vrf[p[3]][:, p[4]:p[4] + p[5]]
+                operand = bstate._vrf[p[2]][:, p[3]:p[3] + p[4]]
                 value = p[1](value, operand, exact=exact)
             elif kind == _UN:
                 value = p[1](value, exact=exact)
             elif kind == _WR_VRF:
-                if p[5]:
+                if p[4]:
                     value = value.copy()
-                bstate._vrf[p[2]][:, p[3]:p[3] + p[4]] = value
+                bstate._vrf[p[1]][:, p[2]:p[2] + p[3]] = value
             elif kind == _WR_NETQ:
                 bstate._push_outputs(value)
             else:
+                # A copy, never a view: at B=1 a slice of a VRF head
+                # is contiguous and would alias the register file.
                 for i in range(value.shape[1]):
-                    bstate._dram_vectors[p[1] + i] = \
-                        np.ascontiguousarray(value[:, i])
+                    bstate._dram_vectors[p[1] + i] = value[:, i].copy()
 
 
 def _event_kind(event) -> str:
-    """Human-readable kind tag for a fallback event (diagnostics)."""
+    """Human-readable kind tag for an event the plan cannot compile
+    (``ReplayPlan.fallback_step_kinds``)."""
     if isinstance(event, SetScalar):
         return f"s_wr:{event.reg.name}"
     return ">".join(i.opcode.name.lower() for i in event.instructions)
 
 
-class _FallbackStep:
-    """Interpreted escape hatch for uncompiled events.
+def _retire(sim, steps) -> None:
+    """Retire a committed plan's instructions on an observed simulator.
 
-    Compilation marks everything from the first definitely-raising
-    event onward as fallback (it is unreachable on a successful run).
-    Each step restores the compile-time scalar registers and delegates
-    to the interpreter, so the raised error type, its position in the
-    event stream, and any partial side effects match interpretation
-    exactly. Plans with fallback steps are not batchable.
+    Walks each step's static ``ticks`` — (name, attrs, counter, amount)
+    per instruction — through ``sim._tick``, with the interpreter's
+    chain span, ``end_chain`` tick, and ``executor.chains`` count around
+    every chain, so the spans, the counters, and the trace clock come
+    out as an interpreted run's.
     """
-
-    __slots__ = ("event", "rows", "cols", "kind")
-
-    def __init__(self, event, rows: int, cols: int):
-        self.event = event
-        self.rows = rows
-        self.cols = cols
-        self.kind = _event_kind(event)
-
-    def run(self, sim) -> None:
-        sim.scalar_regs[ScalarReg.Rows] = self.rows
-        sim.scalar_regs[ScalarReg.Columns] = self.cols
-        if isinstance(self.event, SetScalar):
-            sim._set_scalar(self.event)
-        else:
-            sim.execute_chain(self.event)
-
-    run_observed = run
+    tracer, metrics = sim.tracer, sim.metrics
+    for step in steps:
+        chain = step.matrix is not None
+        if chain:
+            span = tracer.begin("chain", float(sim._trace_clock),
+                                track="executor", matrix=step.matrix,
+                                instructions=len(step.ticks) + 1)
+        for name, attrs, counter, amount in step.ticks:
+            if counter is not None:
+                metrics.counter(counter).inc(amount)
+            sim._tick(name, **attrs)
+        if chain:
+            sim._tick("end_chain")
+            tracer.end(span, float(sim._trace_clock))
+            metrics.counter("executor.chains").inc()
 
 
 # ---------------------------------------------------------------------------
@@ -752,23 +589,24 @@ class ReplayPlan:
 
     Immutable after compilation apart from the generation-checked
     operand caches inside its :class:`_MvGroup` objects. Bound to the
-    simulator it was compiled for (views point into that simulator's
-    register files); :meth:`FunctionalSimulator.plan_for` caches plans
+    simulator it was compiled for (its register files, counters, and
+    weight windows); :meth:`FunctionalSimulator.plan_for` caches plans
     per (program uid, bindings, entry scalar registers).
     """
 
     __slots__ = ("program", "bindings_key", "entry_scalars",
                  "final_scalars", "steps", "batchable", "chains",
                  "instructions", "mv_muls", "macs", "pointwise_flops",
-                 "ticks", "vrf_reads", "vrf_writes", "vrf_footprints",
-                 "compiled_chains", "fallback_steps", "fallback_step_kinds",
+                 "ticks", "vrf_reads", "vrf_writes", "mrf_reads",
+                 "mrf_writes", "dram_bytes", "vrf_footprints",
+                 "fallback_steps", "fallback_step_kinds",
                  "groups", "fused_groups", "hoists", "hoisted_groups",
                  "hoisted_inputs")
 
     def __init__(self, program, bindings_key, entry_scalars, final_scalars,
                  steps, batchable, chains, instructions, mv_muls, macs,
-                 pointwise_flops, ticks, vrf_reads, vrf_writes,
-                 vrf_footprints, compiled_chains, fallback_steps,
+                 pointwise_flops, ticks, vrf_reads, vrf_writes, mrf_reads,
+                 mrf_writes, dram_bytes, vrf_footprints, fallback_steps,
                  fallback_step_kinds, groups, fused_groups, hoists,
                  hoisted_inputs):
         self.program = program
@@ -785,14 +623,19 @@ class ReplayPlan:
         self.ticks = ticks
         self.vrf_reads = vrf_reads
         self.vrf_writes = vrf_writes
+        #: MRF tiles read by ``mv_mul`` and written by ``m_wr``.
+        self.mrf_reads = mrf_reads
+        self.mrf_writes = mrf_writes
+        #: DRAM traffic as (bytes read, bytes written).
+        self.dram_bytes = dram_bytes
         #: Per-VRF high-water mark of static accesses (MemId -> rows).
         #: Batched replay replicates only this prefix of each register
         #: file instead of the full (often mostly idle) depth.
         self.vrf_footprints = vrf_footprints
-        self.compiled_chains = compiled_chains
         self.fallback_steps = fallback_steps
-        #: Kind tags of every fallback step, in plan order — the
-        #: diagnostic payload of :class:`UnbatchablePlanError`.
+        #: Kind tags of every event from the first statically invalid
+        #: one onward, in plan order — the diagnostic payload of
+        #: :class:`UnbatchablePlanError`.
         self.fallback_step_kinds = fallback_step_kinds
         self.groups = groups
         self.fused_groups = fused_groups
@@ -813,15 +656,14 @@ class _ChainTemplate:
     is decided (the same template may appear in several loop
     iterations, always with the same group assignment pattern)."""
 
-    __slots__ = ("head_kind", "head_view", "head_mem", "head_index",
-                 "width_in", "rows", "cols", "raw_pieces", "head_tick",
-                 "piece_ticks", "length", "mv_base", "vrf_reads",
+    __slots__ = ("head_kind", "head_mem", "head_index", "width_in", "rows",
+                 "cols", "raw_pieces", "ticks", "mv_base", "vrf_reads",
                  "vrf_writes", "vrf_extents", "flops",
                  "writes_head_overlap")
 
     def __init__(self):
         self.raw_pieces = []
-        self.piece_ticks = []
+        self.ticks = []
         self.vrf_reads = []
         self.vrf_writes = []
         self.vrf_extents = []  # (MemId, index + extent) per static access
@@ -836,14 +678,12 @@ def _compile_vector_chain(sim, chain: InstructionChain, rows: int,
     n = sim.config.native_dim
     t = _ChainTemplate()
     t.rows, t.cols = rows, cols
-    t.length = len(chain)
     width_in = cols if chain.has_mv_mul else rows
     t.width_in = width_in
 
     head = chain.source
     t.head_mem = head.mem_id
     t.head_index = head.index
-    t.head_view = None
     if head.mem_id is MemId.NetQ:
         t.head_kind = _H_NETQ
     elif head.mem_id is MemId.Dram:
@@ -854,12 +694,12 @@ def _compile_vector_chain(sim, chain: InstructionChain, rows: int,
                 or head.index < 0 or head.index + width_in > vrf.depth:
             return None
         t.head_kind = _H_VRF
-        t.head_view = vrf._data[head.index:head.index + width_in]
         t.vrf_reads.append((vrf, width_in))
         t.vrf_extents.append((head.mem_id, head.index + width_in))
-    t.head_tick = (head.opcode.name.lower(),
-                   {"mem": head.mem_id.name if head.mem_id else None,
-                    "index": head.index, "vectors": width_in})
+    t.ticks.append((head.opcode.name.lower(),
+                    {"mem": head.mem_id.name if head.mem_id else None,
+                     "index": head.index, "vectors": width_in},
+                    None, 0))
 
     # Alias window of the zero-copy VRF head (mem, index, width), using
     # the interpreter's exact overlap test for the copy-on-write flag.
@@ -878,8 +718,7 @@ def _compile_vector_chain(sim, chain: InstructionChain, rows: int,
                 return None
             t.mv_base = base
             t.raw_pieces.append((_MV, None, None))
-            t.piece_ticks.append(tick + ("executor.macs",
-                                         rows * cols * n * n))
+            t.ticks.append(tick + ("executor.macs", rows * cols * n * n))
             alias = None
         elif op in ops.BINARY_KERNELS:
             op_mem = MemId.MultiplyVrf if op is Opcode.VV_MUL \
@@ -889,19 +728,16 @@ def _compile_vector_chain(sim, chain: InstructionChain, rows: int,
             if not isinstance(idx, int) or idx < 0 \
                     or idx + rows > vrf.depth:
                 return None
-            view = vrf._data[idx:idx + rows]
-            t.raw_pieces.append((_BIN, ops.BINARY_KERNELS[op], view,
-                                 op_mem, idx, rows))
-            t.piece_ticks.append(tick + ("executor.pointwise_flops",
-                                         rows * n))
+            t.raw_pieces.append((_BIN, ops.BINARY_KERNELS[op], op_mem, idx,
+                                 rows))
+            t.ticks.append(tick + ("executor.pointwise_flops", rows * n))
             t.vrf_reads.append((vrf, rows))
             t.vrf_extents.append((op_mem, idx + rows))
             t.flops += rows * n
             alias = None
         elif op in ops.UNARY_KERNELS:
             t.raw_pieces.append((_UN, ops.UNARY_KERNELS[op]))
-            t.piece_ticks.append(tick + ("executor.pointwise_flops",
-                                         rows * n))
+            t.ticks.append(tick + ("executor.pointwise_flops", rows * n))
             t.flops += rows * n
             alias = None
         elif op is Opcode.V_WR:
@@ -924,16 +760,14 @@ def _compile_vector_chain(sim, chain: InstructionChain, rows: int,
                         and alias[1] < idx + width_in):
                     copy_first = True
                     alias = None
-                view = vrf._data[idx:idx + rows]
-                t.raw_pieces.append((_WR_VRF, view, mem, idx, rows,
-                                     copy_first))
+                t.raw_pieces.append((_WR_VRF, mem, idx, rows, copy_first))
                 t.vrf_writes.append((vrf, rows))
                 t.vrf_extents.append((mem, idx + rows))
                 if (t.head_kind == _H_VRF and mem is t.head_mem
                         and idx < t.head_index + width_in
                         and t.head_index < idx + rows):
                     t.writes_head_overlap = True
-            t.piece_ticks.append(tick + (None, 0))
+            t.ticks.append(tick + (None, 0))
         else:  # pragma: no cover - chain validation prevents this
             return None
     return t
@@ -954,18 +788,19 @@ def compile_plan(sim, program: NpuProgram,
     entry_scalars = (rows, cols, iters)
 
     # Pass 1: unroll and compile chain templates (dedup per context).
-    # records: ("scalar", event) | ("chain", template) | ("fb", event)
+    # records: ("scalar", event) | ("chain", template) | ("fb", event),
+    # "fb" from the first statically invalid event onward.
     records = []
     template_cache: Dict[tuple, object] = {}
     broken = False
     for event in program.events(bindings):
         if broken:
-            records.append(("fb", event, rows, cols))
+            records.append(("fb", event))
             continue
         if isinstance(event, SetScalar):
             if event.reg in (ScalarReg.Rows, ScalarReg.Columns) \
                     and event.value < 1:
-                records.append(("fb", event, rows, cols))
+                records.append(("fb", event))
                 broken = True
                 continue
             if event.reg is ScalarReg.Rows:
@@ -974,7 +809,7 @@ def compile_plan(sim, program: NpuProgram,
                 cols = event.value
             else:
                 iters = event.value
-            records.append(("scalar", event, rows, cols))
+            records.append(("scalar", event))
             continue
         key = (id(event), rows, cols)
         if key in template_cache:
@@ -993,10 +828,10 @@ def compile_plan(sim, program: NpuProgram,
                     template = _compile_vector_chain(sim, event, rows, cols)
             template_cache[key] = template
         if template is None:
-            records.append(("fb", event, rows, cols))
+            records.append(("fb", event))
             broken = True
         else:
-            records.append(("chain", template, rows, cols))
+            records.append(("chain", template))
 
     # Pass 2: group consecutive same-head mv_mul chains, emit steps,
     # and accumulate the plan's static totals.
@@ -1006,12 +841,13 @@ def compile_plan(sim, program: NpuProgram,
     step_cache: Dict[tuple, object] = {}
     groups: List[_MvGroup] = []
     chains = instructions = mv_muls = macs = flops = ticks = 0
-    compiled_chains = fallback_steps = 0
+    mrf_reads = mrf_writes = dram_read = dram_written = 0
     fallback_kinds: List[str] = []
     reads: Dict[int, list] = {}
     writes: Dict[int, list] = {}
     footprints: Dict[MemId, int] = {}
 
+    vector_bytes = n * np.dtype(np.float32).itemsize
     single_member = sim._pack_slots == 0 and not sim._mantissa_gemv
     open_run: List[_ChainTemplate] = []
 
@@ -1033,25 +869,28 @@ def compile_plan(sim, program: NpuProgram,
                 pieces = tuple(
                     (_MV, group, member) if p[0] == _MV else p
                     for p in t.raw_pieces)
-                step = _VectorStep(t.head_kind, t.head_view, t.head_mem,
-                                   t.head_index, t.width_in, pieces,
-                                   t.head_tick, tuple(t.piece_ticks),
-                                   t.length)
+                step = _VectorStep(t.head_kind, t.head_mem, t.head_index,
+                                   t.width_in, pieces, tuple(t.ticks))
                 step_cache[skey] = step
             steps.append(step)
         open_run = []
 
     def add_tally(t: _ChainTemplate):
         nonlocal chains, instructions, mv_muls, macs, flops, ticks
-        nonlocal compiled_chains
+        nonlocal mrf_reads, dram_read, dram_written
         chains += 1
-        compiled_chains += 1
-        instructions += t.length + 1
-        ticks += t.length + 1
+        instructions += len(t.ticks) + 1
+        ticks += len(t.ticks) + 1
         flops += t.flops
         if t.mv_base is not None:
             mv_muls += 1
             macs += t.rows * t.cols * n * n
+            mrf_reads += t.rows * t.cols
+        if t.head_kind == _H_DRAM:
+            dram_read += t.width_in * vector_bytes
+        for p in t.raw_pieces:
+            if p[0] == _WR_DRAM:
+                dram_written += t.rows * vector_bytes
         for vrf, count in t.vrf_reads:
             reads.setdefault(id(vrf), [vrf, 0])[1] += count
         for vrf, count in t.vrf_writes:
@@ -1079,18 +918,24 @@ def compile_plan(sim, program: NpuProgram,
                 continue
             flush_run()
             if isinstance(t, _MatrixTemplate):
-                steps.append(t.step)
+                step = t.step
+                steps.append(step)
                 chains += 1
-                compiled_chains += 1
                 instructions += 3
                 ticks += 3
+                tile_bytes = step.count * n * vector_bytes
+                if not step.src_netq:
+                    dram_read += tile_bytes
+                if step.dst_mrf:
+                    mrf_writes += step.count
+                else:
+                    dram_written += tile_bytes
             else:
                 step = step_cache.get(id(t))
                 if step is None:
-                    step = _VectorStep(t.head_kind, t.head_view, t.head_mem,
-                                       t.head_index, t.width_in,
-                                       tuple(t.raw_pieces), t.head_tick,
-                                       tuple(t.piece_ticks), t.length)
+                    step = _VectorStep(t.head_kind, t.head_mem, t.head_index,
+                                       t.width_in, tuple(t.raw_pieces),
+                                       tuple(t.ticks))
                     step_cache[id(t)] = step
                 steps.append(step)
                 add_tally(t)
@@ -1101,23 +946,22 @@ def compile_plan(sim, program: NpuProgram,
             steps.append(_ScalarStep(event.reg, event.value))
             instructions += 1
             ticks += 1
-        else:  # broken-tail fallback
-            step = _FallbackStep(record[1], record[2], record[3])
-            steps.append(step)
-            fallback_steps += 1
-            fallback_kinds.append(step.kind)
+        else:
+            fallback_kinds.append(_event_kind(record[1]))
     flush_run()
 
     final_scalars = {ScalarReg.Rows: rows, ScalarReg.Columns: cols,
                      ScalarReg.Iterations: iters}
-    hoists, hoisted_inputs = _plan_hoists(steps)
+    # Hoisting needs static queue consumption and fixed weights.
+    hoists, hoisted_inputs = ((), 0) if fallback_kinds or mrf_writes \
+        else _plan_hoists(steps)
     return ReplayPlan(
         program=program,
         bindings_key=tuple(sorted((bindings or {}).items())),
         entry_scalars=entry_scalars,
         final_scalars=final_scalars,
         steps=tuple(steps),
-        batchable=fallback_steps == 0,
+        batchable=not fallback_kinds,
         chains=chains,
         instructions=instructions,
         mv_muls=mv_muls,
@@ -1126,9 +970,11 @@ def compile_plan(sim, program: NpuProgram,
         ticks=ticks,
         vrf_reads=tuple((v, c) for v, c in reads.values()),
         vrf_writes=tuple((v, c) for v, c in writes.values()),
+        mrf_reads=mrf_reads,
+        mrf_writes=mrf_writes,
+        dram_bytes=(dram_read, dram_written),
         vrf_footprints=footprints,
-        compiled_chains=compiled_chains,
-        fallback_steps=fallback_steps,
+        fallback_steps=len(fallback_kinds),
         fallback_step_kinds=tuple(fallback_kinds),
         groups=tuple(groups),
         fused_groups=sum(1 for g in groups if len(g.members) > 1),
@@ -1151,17 +997,13 @@ def _plan_hoists(steps) -> Tuple[tuple, int]:
       written into the VRF head window by a pure copy chain (a head
       followed only by ``v_wr``s) with nothing overwriting it before
       the read;
-    * the plan has no fallback steps and writes no MRF tiles, so the
-      queue consumption is static and the weights are fixed for the
-      whole run.
+    * the plan is batchable and writes no MRF tiles, so the queue
+      consumption is static and the weights are fixed for the whole
+      run (checked by the caller).
 
     Walks the steps once, tracking the queue cursor and, per VRF row,
     the queue slot its current contents came from (absent: unknown).
     """
-    for step in steps:
-        if isinstance(step, _FallbackStep) or (
-                isinstance(step, _MatrixStep) and step.dst_mrf):
-            return (), 0
     cursor = 0
     source: Dict[Tuple[MemId, int], int] = {}
     occurrences: Dict[_MvGroup, list] = {}
@@ -1188,7 +1030,7 @@ def _plan_hoists(steps) -> Tuple[tuple, int]:
             elif kind == _BIN or kind == _UN:
                 value = None
             elif kind == _WR_VRF:
-                mem, index, rows = p[2], p[3], p[4]
+                mem, index, rows = p[1], p[2], p[3]
                 known = value is not None and len(value) == rows
                 for i in range(rows):
                     if known:
@@ -1220,58 +1062,20 @@ def _compile_matrix_template(chain: InstructionChain, rows: int,
     rd, wr = chain.instructions
     count = rows * cols
     src_netq = rd.mem_id is MemId.NetQ
-    rd_tick = (rd.opcode.name.lower(),
-               {"mem": rd.mem_id.name, "index": rd.index, "tiles": count})
-    wr_tick = (wr.opcode.name.lower(),
-               {"mem": wr.mem_id.name, "index": wr.index, "tiles": count})
+    ticks = ((rd.opcode.name.lower(),
+              {"mem": rd.mem_id.name, "index": rd.index, "tiles": count},
+              None, 0),
+             (wr.opcode.name.lower(),
+              {"mem": wr.mem_id.name, "index": wr.index, "tiles": count},
+              "executor.tiles_moved", count))
     return _MatrixTemplate(_MatrixStep(
         src_netq, rd.index, wr.mem_id is MemId.MatrixRf, wr.index, count,
-        rd_tick, wr_tick))
+        ticks))
 
 
 # ---------------------------------------------------------------------------
-# Executors
+# The executor
 # ---------------------------------------------------------------------------
-
-class ReplayExecutor:
-    """Runs a compiled plan against its simulator.
-
-    The fast path is a bare loop over precompiled steps; totals
-    (statistics, register-file counters, the trace clock, final scalar
-    registers) are applied once at successful completion. With a live
-    tracer or metrics sink attached the observed path emits the same
-    spans and counters as the interpreter, instruction by instruction.
-    """
-
-    __slots__ = ("sim", "plan")
-
-    def __init__(self, sim, plan: ReplayPlan):
-        self.sim = sim
-        self.plan = plan
-
-    def run(self):
-        sim = self.sim
-        plan = self.plan
-        if sim._observing:
-            for step in plan.steps:
-                step.run_observed(sim)
-        else:
-            for step in plan.steps:
-                step.run(sim)
-            sim._trace_clock += plan.ticks
-        stats = sim.stats
-        stats.chains_executed += plan.chains
-        stats.instructions_executed += plan.instructions
-        stats.mv_mul_count += plan.mv_muls
-        stats.macs += plan.macs
-        stats.pointwise_flops += plan.pointwise_flops
-        for vrf, delta in plan.vrf_reads:
-            vrf.reads += delta
-        for vrf, delta in plan.vrf_writes:
-            vrf.writes += delta
-        sim.scalar_regs.update(plan.final_scalars)
-        return stats
-
 
 class BatchedReplay:
     """B independent requests stepped through one compiled plan.
@@ -1279,20 +1083,22 @@ class BatchedReplay:
     All architectural state gains a leading batch axis: VRFs become
     (B, footprint, N) arrays (only the statically reachable prefix of
     each register file is replicated), DRAM entries (B, ...) arrays,
-    the network input queue a stream of (B, N) stacks. The MRF stays *shared*
-    (weights are per-model, not per-request) until the plan itself
-    writes matrix registers, at which point it is transparently
+    the network input queue a stream of (B, N) stacks. The MRF stays
+    *shared* (weights are per-model, not per-request) until the plan
+    itself writes matrix registers, at which point it is transparently
     replicated per request. On the exact-integer mantissa paths every
-    batched kernel is bit-identical to B sequential compiled runs —
-    the invariant the three-way differential fuzzer asserts.
+    batched kernel is bit-identical to B sequential runs — the
+    invariant the three-way differential fuzzer asserts.
 
-    Plans with interpreted fallback steps (``plan.batchable`` is False)
-    are rejected with :class:`~repro.errors.UnbatchablePlanError` — run
-    those sequentially. Per-simulator statistics and metric counters are not
-    maintained for batched runs, and the base simulator's are never
-    touched; outputs and architectural state are the contract (via
-    :meth:`snapshot`). Hoisted ``mv_mul`` groups (``plan.hoists``) are
-    computed for every timestep at the start of :meth:`run`.
+    Unbatchable plans (``plan.batchable`` is False) are rejected with
+    :class:`~repro.errors.UnbatchablePlanError` — run those
+    sequentially. :meth:`run` keeps no statistics or metric counters
+    and never writes the base simulator; outputs and architectural
+    state are the contract (via :meth:`snapshot`). Hoisted ``mv_mul``
+    groups (``plan.hoists``) are computed for every timestep at the
+    start of :meth:`run`. At B=1, :meth:`commit` writes the request
+    back into the base simulator: that is how
+    ``FunctionalSimulator.run(compiled=True)`` executes.
     """
 
     def __init__(self, sim, program: NpuProgram, batch: int,
@@ -1373,7 +1179,7 @@ class BatchedReplay:
         try:
             self._hoist()
             for step in self.plan.steps:
-                step.run_batched(self)
+                step.run(self)
         finally:
             self._hoisted = {}
             for group, _ in self.plan.hoists:
@@ -1466,11 +1272,14 @@ class BatchedReplay:
                 self._mrfs.append(mrf)
         return self._mrfs
 
-    # -- inspection --------------------------------------------------------
+    # -- inspection and write-back -----------------------------------------
 
     def snapshot(self, b: int) -> Dict[str, object]:
         """Request ``b``'s architectural state, in the same schema as
         :meth:`FunctionalSimulator.snapshot` (outputs not drained)."""
+        if not 0 <= b < self.batch:
+            raise ExecutionError(
+                f"request {b} out of range for a batch of {self.batch}")
         if self._mrfs is not None:
             mrf_tiles = self._mrfs[b]._tiles.copy()
         else:
@@ -1492,3 +1301,59 @@ class BatchedReplay:
             "netq_pending_tiles": len(self._pending_tiles),
             "scalar_regs": dict(self._scalars),
         }
+
+    def commit(self) -> None:
+        """Write the request of a B=1 replay back into the base simulator.
+
+        The mirror of :meth:`snapshot`, and what makes
+        ``FunctionalSimulator.run(compiled=True)`` a sequential run: the
+        VRF footprints, DRAM, the MRF (when the plan split it), the
+        network queues, and the scalar registers take the request's
+        values, and the plan's static totals are applied —
+        ``ExecutionStats``, register-file, DRAM and queue counters, and
+        the trace clock. With a tracer or metrics sink attached the
+        clock advances through :func:`_retire` instead, which emits the
+        interpreter's spans and counters. Call once, after a successful
+        :meth:`run`; a run that raised leaves the simulator untouched.
+        """
+        if self.batch != 1:
+            raise ExecutionError(
+                f"commit needs a batch of 1, not {self.batch}")
+        sim, plan = self.sim, self.plan
+        for mem, data in self._vrf.items():
+            sim.vrfs[mem]._data[:data.shape[1]] = data[0]
+        mrf = sim.mrf
+        if self._mrfs is not None:
+            mrf._tiles[...] = self._mrfs[0]._tiles
+            mrf.generation += 1
+        mrf.reads += plan.mrf_reads
+        mrf.writes += plan.mrf_writes
+        dram = sim.dram
+        dram._vectors = {k: v[0] for k, v in self._dram_vectors.items()}
+        dram._tiles = {k: v[0] for k, v in self._dram_tiles.items()}
+        dram.bytes_read += plan.dram_bytes[0]
+        dram.bytes_written += plan.dram_bytes[1]
+        netq = sim.netq
+        netq.vectors_received += (len(netq._in_vectors)
+                                  - len(self._pending_vectors))
+        netq.vectors_sent += len(self._outputs) - len(netq._out_vectors)
+        netq._in_vectors = collections.deque(
+            v[0] for v in self._pending_vectors)
+        netq._in_tiles = collections.deque(
+            t[0] for t in self._pending_tiles)
+        netq._out_vectors = [v[0] for v in self._outputs]
+        sim.scalar_regs.update(self._scalars)
+        stats = sim.stats
+        stats.chains_executed += plan.chains
+        stats.instructions_executed += plan.instructions
+        stats.mv_mul_count += plan.mv_muls
+        stats.macs += plan.macs
+        stats.pointwise_flops += plan.pointwise_flops
+        for vrf, delta in plan.vrf_reads:
+            vrf.reads += delta
+        for vrf, delta in plan.vrf_writes:
+            vrf.writes += delta
+        if sim._observing:
+            _retire(sim, plan.steps)
+        else:
+            sim._trace_clock += plan.ticks

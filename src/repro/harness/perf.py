@@ -185,8 +185,8 @@ def bench_batch_sweep(kind: str, hidden: int, config: NpuConfig,
     throughput ratio is only meaningful between same-state
     measurements. Per-request inputs are scaled by distinct powers of
     two (lossless in float32); before timing, every request's batched
-    outputs are asserted bit-identical to a sequential
-    ``run(compiled=True)`` of the same request.
+    outputs are asserted bit-identical to a sequential run of the
+    vectorized interpreter on the same request.
     """
     model = _compile_rnn(kind, hidden, config)
     rng = np.random.default_rng(11)
@@ -204,16 +204,15 @@ def bench_batch_sweep(kind: str, hidden: int, config: NpuConfig,
         outs_b = model.run_sequence_batched(xb, sim=sim_b)  # warm+compile
         # Batched runs never mutate the base simulator, so every call
         # starts from fresh recurrent state — compare each request
-        # against a fresh sequential compiled run.
+        # against a fresh interpreted run.
         for b in range(batch):
-            sim_s = model.new_simulator()
-            seq = model.run_sequence(xb[b], sim=sim_s, compiled=True)
+            seq = model.run_sequence(xb[b], sim=model.new_simulator())
             if any(not np.array_equal(p, q)
                    for p, q in zip(outs_b[b], seq)):
                 raise AssertionError(
                     f"{kind} h={hidden} on {config.name}: batched "
-                    f"request {b}/{batch} diverged from sequential "
-                    f"compiled replay")
+                    f"request {b}/{batch} diverged from the vectorized "
+                    f"interpreter")
         t_vec = t_b = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()

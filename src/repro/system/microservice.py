@@ -197,8 +197,9 @@ class HardwareMicroservice:
 
         Each timestep streams every request's vectors.  Compute comes
         from the node's batched latency model
-        (:meth:`FpgaNode.batch_compute_latency_s`) — serial replay
-        until the node is calibrated with a measured curve.  Pass
+        (:meth:`FpgaNode.batch_compute_latency_s`): ``batch`` times the
+        batch-1 latency, since the node serves coalesced requests
+        serially.  Pass
         ``functional_inputs`` (one input list per request, lockstep
         lengths) for real outputs via one
         :class:`~repro.functional.replay.BatchedReplay` execution on the

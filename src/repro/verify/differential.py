@@ -8,10 +8,12 @@ interpreter, and the compiled replay path (``run(compiled=True)``,
 :mod:`repro.functional.replay`) — from identical initial state, and
 demands bit-identical architectural snapshots, dynamic statistics, and
 per-opcode metrics counters. When the compiled plan is batchable, the
-case is additionally stepped
-through a :class:`~repro.functional.replay.BatchedReplay` with three
-input-scaled requests and every request's final state is compared
-against a sequential compiled run. The same program is then run
+case is additionally stepped through a
+:class:`~repro.functional.replay.BatchedReplay` with three input-scaled
+requests and every request's final state is compared against a
+sequential run of the vectorized interpreter (a sequential compiled run
+is itself a ``BatchedReplay`` at B=1, so it cannot be the independent
+side of that check). The same program is then run
 through the :class:`~repro.timing.scheduler.TimingSimulator` and
 checked against program-shape-independent timing invariants (serial
 lower bound, occupancy range, trace/report agreement, loop-replay
@@ -239,14 +241,15 @@ def run_differential(case: ProgramCase,
 
 
 def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
-    """Batched replay vs per-request sequential compiled runs; returns
-    the mismatches and the plan's hoisted ``mv_mul`` group count.
+    """Batched replay vs per-request interpreted runs; returns the
+    mismatches and the plan's hoisted ``mv_mul`` group count.
 
     Builds a :class:`BatchedReplay` whose requests see the case's
     network-input vectors scaled by :data:`_BATCH_SCALES` (all other
     initial state is shared), runs it, and demands every request's
     :meth:`~BatchedReplay.snapshot` be bit-identical to a sequential
-    ``run(compiled=True)`` of the correspondingly scaled case. The run
+    vectorized-interpreter run of the correspondingly scaled case, and
+    a raising run to raise the interpreter's error type. The run
     takes any hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); plans
     that write the MRF never hoist, so they check the per-step path.
     Unbatchable plans (a fallback tail) must be rejected with
@@ -288,7 +291,7 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
         scaled = dataclasses.replace(
             case, netq_vectors=case.netq_vectors * scale)
         sim = load_simulator(scaled)
-        seq_err = _guarded(lambda: sim.run(case.program, compiled=True))
+        seq_err = _guarded(lambda: sim.run(case.program))
         if (batched_err is None) != (seq_err is None):
             out.append(f"batched[{b}]: batched raised {batched_err!r}, "
                        f"sequential raised {seq_err!r}")
@@ -299,7 +302,7 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
                 out.append(f"batched[{b}]: error {batched_err!r} != "
                            f"sequential {seq_err!r}")
             continue
-        _compare_snapshots(f"batched[{b}] vs sequential compiled",
+        _compare_snapshots(f"batched[{b}] vs sequential interpreted",
                            replay.snapshot(b), sim.snapshot(), out)
     return out, plan.hoisted_groups
 

@@ -4,9 +4,11 @@ The compiled path (``run(compiled=True)`` / :mod:`repro.functional.replay`)
 is a pure performance optimization: outputs, architectural snapshots,
 execution statistics, per-memory access counters, trace spans, and
 metrics counters must all be bit-identical to the vectorized
-interpreter. Batched replay must likewise match per-request sequential
-compiled runs exactly. These tests pin that contract for LSTM/GRU
-models on narrow-mantissa (mb=2) and wide-mantissa (mb=5) formats, in
+interpreter. It runs as one ``BatchedReplay`` at B=1 whose ``commit``
+writes the request back into the simulator; batched replay at B > 1
+must match per-request sequential runs exactly, and must never write
+the base simulator. These tests pin that contract for LSTM/GRU models
+on narrow-mantissa (mb=2) and wide-mantissa (mb=5) formats, in
 observed (traced) and unobserved modes, and across batch sizes.
 """
 
@@ -15,7 +17,9 @@ import pytest
 
 from repro.compiler import compile_gru, compile_lstm
 from repro.config import NpuConfig
-from repro.errors import UnbatchablePlanError
+from repro.errors import (ExecutionError, NetworkQueueEmptyError,
+                          ReproError, UnbatchablePlanError)
+from repro.functional import FunctionalSimulator
 from repro.functional.replay import BatchedReplay
 from repro.isa import MemId, ProgramBuilder, ScalarReg
 from repro.models import GruReference, LstmReference
@@ -69,13 +73,19 @@ def _assert_run_equivalent(compiled, xs, exact=False):
     assert len(out_i) == len(out_c)
     for a, b in zip(out_i, out_c):
         assert np.array_equal(a, b)
+    assert _counters(sim_i) == _counters(sim_c)
     _assert_state_equal(sim_i.snapshot(), sim_c.snapshot(), "snapshot")
-    assert sim_i.stats.__dict__ == sim_c.stats.__dict__
-    assert sim_i.mrf.reads == sim_c.mrf.reads
-    assert sim_i.mrf.writes == sim_c.mrf.writes
-    for mem in sim_i.vrfs:
-        assert sim_i.vrfs[mem].reads == sim_c.vrfs[mem].reads, mem
-        assert sim_i.vrfs[mem].writes == sim_c.vrfs[mem].writes, mem
+
+
+def _counters(sim):
+    """Every counter a run advances: stats, register files, DRAM bytes,
+    network-queue vectors, and the trace clock. (Read these before
+    ``snapshot()``, which counts its own register-file reads.)"""
+    return (dict(vars(sim.stats)), sim.mrf.reads, sim.mrf.writes,
+            {mem: (v.reads, v.writes) for mem, v in sim.vrfs.items()},
+            sim.dram.bytes_read, sim.dram.bytes_written,
+            sim.netq.vectors_received, sim.netq.vectors_sent,
+            sim._trace_clock)
 
 
 # -- sequential compiled vs interpreter ------------------------------------
@@ -188,6 +198,15 @@ def test_unbatchable_plan_rejected_with_step_kinds():
     exc = exc_info.value
     assert tuple(exc.step_kinds) == tuple(plan.fallback_step_kinds)
     assert "s_wr:Rows" in exc.step_kinds
+    # run(compiled=True) interprets such a plan whole: the interpreter's
+    # error, with the interpreter's partial effects.
+    after = []
+    for compiled_run in (False, True):
+        sim = compiled.new_simulator()
+        with pytest.raises(ExecutionError, match="Rows"):
+            sim.run(program, compiled=compiled_run)
+        after.append(_counters(sim))
+    assert after[0] == after[1]
 
 
 # -- plan-cache lifecycle --------------------------------------------------
@@ -245,3 +264,103 @@ def test_repeated_compiled_runs_reuse_plan():
     for a, b in zip(out_c, out_v):
         assert np.array_equal(a, b)
     _assert_state_equal(sim_v.snapshot(), sim_c.snapshot(), "snapshot")
+
+
+# -- the B=1 commit and the base simulator ---------------------------------
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("exact", [False, True], ids=["bfp", "exact"])
+def test_batched_run_leaves_base_simulator_untouched(exact):
+    """Regression: exact-mode batched replay derived its float64 weight
+    blocks through a counting read and advanced the base simulator's
+    ``mrf.reads``. A batched run keeps no counters and writes no state
+    on the base simulator, whatever the numerics mode."""
+    compiled = _compiled_model("lstm", 256, MB2)
+    xs = _inputs(256, 3)
+    sim = compiled.new_simulator(exact=exact)
+    snap = sim.snapshot()
+    counters = _counters(sim)
+    compiled.run_sequence_batched([xs, xs], sim=sim)
+    assert _counters(sim) == counters
+    _assert_state_equal(sim.snapshot(), snap, "snapshot")
+
+
+@pytest.mark.tier1
+def test_snapshot_and_commit_reject_bad_requests():
+    compiled = _compiled_model("gru", 200, MB2)
+    rep = BatchedReplay(compiled.new_simulator(), compiled.program, 2,
+                        bindings={compiled.steps_binding: 1})
+    for b in (-1, 2):
+        with pytest.raises(ExecutionError, match="batch of 2"):
+            rep.snapshot(b)
+    with pytest.raises(ExecutionError, match="batch of 1"):
+        rep.commit()
+
+
+@pytest.mark.tier1
+def test_raising_compiled_run_commits_nothing():
+    """Too few queued inputs: the compiled run raises the interpreter's
+    error type, and — the one documented divergence — leaves state,
+    statistics, counters, and the trace clock as they were before the
+    run, where the interpreter keeps its partial effects."""
+    compiled = _compiled_model("lstm", 200, MB2)
+    xs = _inputs(200, 2)
+
+    def attempt(compiled_run):
+        sim = compiled.new_simulator()
+        compiled.run_sequence(xs, sim=sim)  # non-trivial prior state
+        for x in xs:
+            sim.push_input(x)
+        before = (sim.snapshot(), _counters(sim))
+        with pytest.raises(ReproError) as err:
+            sim.run(compiled.program, {compiled.steps_binding: 3},
+                    compiled=compiled_run)
+        return sim, before, err.value
+
+    sim_i, before_i, err_i = attempt(False)
+    sim_c, before_c, err_c = attempt(True)
+    assert type(err_i) is NetworkQueueEmptyError
+    assert type(err_c) is type(err_i)
+    assert _counters(sim_c) == before_c[1]
+    _assert_state_equal(sim_c.snapshot(), before_c[0], "snapshot")
+    assert sim_i._trace_clock > before_i[1][-1]
+    assert len(sim_i.snapshot()["outputs"]) > 0
+
+
+@pytest.mark.tier1
+def test_compiled_memory_traffic_matches_interpreter():
+    """DRAM, MRF, and network-queue traffic through the commit: a VRF
+    window copied to DRAM and then overwritten (the DRAM entry must be
+    a copy, not a view of the VRF slice, which is contiguous at B=1),
+    tiles moved to the MRF and to DRAM, and an ``mv_mul`` before and
+    after the MRF rewrite (the commit must invalidate cached weights).
+    State, outputs, and every counter equal the interpreter's."""
+    b = ProgramBuilder("traffic")
+    b.v_rd(MemId.InitialVrf, 0).v_wr(MemId.Dram, 0)
+    b.v_rd(MemId.NetQ).v_wr(MemId.InitialVrf, 0)
+    b.v_rd(MemId.Dram, 0).v_wr(MemId.NetQ)
+    b.m_rd(MemId.Dram, 0).m_wr(MemId.MatrixRf, 0)
+    b.m_rd(MemId.NetQ).m_wr(MemId.Dram, 1)
+    traffic = b.build()
+    b = ProgramBuilder("mvm")
+    b.v_rd(MemId.InitialVrf, 0).mv_mul(0).v_wr(MemId.NetQ)
+    mvm = b.build()
+
+    def run(compiled_run):
+        rng = np.random.default_rng(4)
+        sim = FunctionalSimulator(MB2)
+        n = MB2.native_dim
+        sim.load_matrix(0, rng.uniform(-1, 1, (n, n)))
+        sim.vrfs[MemId.InitialVrf].write(0, rng.uniform(-1, 1, (1, n)))
+        sim.dram.write_tiles(0, rng.uniform(-1, 1, (1, n, n)))
+        sim.netq.push_input(rng.uniform(-1, 1, n))
+        sim.netq.push_input_tiles(rng.uniform(-1, 1, (1, n, n)))
+        for program in (mvm, traffic, mvm):
+            sim.run(program, compiled=compiled_run)
+        return sim
+
+    sim_i, sim_c = run(False), run(True)
+    _assert_state_equal(sim_i.snapshot(), sim_c.snapshot(), "snapshot")
+    assert _counters(sim_i) == _counters(sim_c)
+    outs = sim_c.snapshot()["outputs"]
+    assert len(outs) == 3 and not np.array_equal(outs[0], outs[2])

@@ -5,9 +5,11 @@ every occurrence is a known slot of the network input queue;
 ``BatchedReplay.run`` then computes it for all timesteps at once and
 each step reads its precomputed rows. Hoisting is a pure performance
 optimization: outputs and every request's architectural state must
-stay bit-identical to a fresh sequential ``run_sequence``, plans that
-break a legality rule must not hoist, and a short input queue must fail
-exactly as an unhoisted run does.
+stay bit-identical to a fresh sequential ``run_sequence`` on the
+vectorized interpreter, plans that break a legality rule must not
+hoist, and a short input queue must fail exactly as an unhoisted run
+does. (A sequential ``run(compiled=True)`` is itself a hoisting
+``BatchedReplay`` at B=1, so it is not the comparison here.)
 """
 
 import numpy as np
@@ -87,8 +89,8 @@ def _assert_state_equal(a, b, label):
 
 def _check_against_fresh(compiled, xb, snapshot_lanes):
     """Batched (hoisted) outputs for every request, and snapshots for
-    ``snapshot_lanes``, equal fresh sequential compiled runs (one per
-    distinct input sequence)."""
+    ``snapshot_lanes``, equal fresh interpreted runs (one per distinct
+    input sequence)."""
     rep, outs = _batched(compiled, xb)
     assert rep.plan.hoisted_groups > 0
     checked = []
@@ -97,7 +99,7 @@ def _check_against_fresh(compiled, xb, snapshot_lanes):
             continue
         checked.append(xs)
         sim = compiled.new_simulator()
-        want = compiled.run_sequence(xs, sim=sim, compiled=True)
+        want = compiled.run_sequence(xs, sim=sim)
         for lane in (b for b in range(len(xb)) if xb[b] is xs):
             assert len(outs[lane]) == len(want)
             for t, (got, ref) in enumerate(zip(outs[lane], want)):
@@ -143,6 +145,37 @@ def test_gru_hoisted_matches_fresh_run_sequence(cfg, batch):
     assert [g.mode for g, _ in plan.hoists] == [mode]
     xb = _sequences(compiled, batch, steps=3)
     _check_against_fresh(compiled, xb, snapshot_lanes=set(range(batch)))
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_sequential_compiled_run_hoists(monkeypatch, kind):
+    """``run(compiled=True)`` is a BatchedReplay at B=1, so a sequential
+    compiled run computes each hoisted group once per run through
+    ``apply_rows``, not once per step, and still equals the
+    interpreter bit for bit."""
+    model, comp = ((LstmReference, compile_lstm) if kind == "lstm"
+                   else (GruReference, compile_gru))
+    compiled = comp(model(200, 200, seed=2), MB2)
+    steps = 4
+    xs = _sequences(compiled, 1, steps)[0]
+    sim = compiled.new_simulator()
+    plan = sim.plan_for(compiled.program, {compiled.steps_binding: steps})
+    (hoisted, positions), = plan.hoists
+    assert positions.shape[0] == steps
+    calls = []
+    real = replay._MvGroup.apply_rows
+
+    def counting(group, sim, value):
+        calls.append(group)
+        return real(group, sim, value)
+
+    monkeypatch.setattr(replay._MvGroup, "apply_rows", counting)
+    got = compiled.run_sequence(xs, sim=sim, compiled=True)
+    assert calls.count(hoisted) == 1
+    want = compiled.run_sequence(xs, sim=compiled.new_simulator())
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), f"step {t}"
 
 
 @pytest.mark.tier1
@@ -220,7 +253,7 @@ def _projection_sim(exact=False):
 @pytest.mark.tier1
 def test_projection_program_hoists():
     """Control for the negative cases below: the bare pattern hoists
-    and stays bit-identical to sequential compiled runs."""
+    and stays bit-identical to sequential interpreted runs."""
     program = _projection_program()
     sim = _projection_sim()
     plan = sim.plan_for(program, {"steps": 3})
@@ -235,7 +268,7 @@ def test_projection_program_hoists():
         seq = _projection_sim()
         for x in xs:
             seq.netq.push_input(x[b])
-        seq.run(program, {"steps": 3}, compiled=True)
+        seq.run(program, {"steps": 3})
         _assert_state_equal(rep.snapshot(b), seq.snapshot(), f"[{b}]")
 
 
@@ -269,7 +302,7 @@ def test_models_do_not_hoist_in_exact_mode_or_at_t1(kind):
 def test_short_queue_fails_like_an_unhoisted_run():
     """Too few queued inputs: nothing is hoisted, and the batched run
     raises the queue-empty error at the same step as a sequential
-    compiled run, with the same outputs emitted before it."""
+    interpreted run, with the same outputs emitted before it."""
     compiled = compile_lstm(LstmReference(200, 200, seed=1), MB2)
     steps, fed = 4, 3
     xb = _sequences(compiled, 2, steps=fed)
@@ -297,8 +330,7 @@ def test_short_queue_fails_like_an_unhoisted_run():
             for vector in padded.reshape(-1, n):
                 seq.netq.push_input(vector)
         with pytest.raises(NetworkQueueEmptyError) as seq_err:
-            seq.run(compiled.program, {compiled.steps_binding: steps},
-                    compiled=True)
+            seq.run(compiled.program, {compiled.steps_binding: steps})
         assert type(seq_err.value) is type(batched_err.value)
         emitted = seq.netq.pop_outputs()
         assert len(emitted) == fed * compiled.output_vectors_per_step
