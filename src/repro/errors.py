@@ -87,12 +87,14 @@ class ConfigError(ReproError):
 class UnbatchablePlanError(ConfigError):
     """A compiled replay plan cannot be executed by the batched replayer.
 
-    Raised when a plan contains interpreted fallback steps stemming from
-    a statically invalid event (everything from the first
-    definitely-raising event onward is interpreted, so per-request
-    batched execution cannot preserve the interpreter's error
-    semantics). ``step_kinds`` names the offending fallback step kinds,
-    e.g. ``("s_wr:Rows",)`` or ``("v_rd>mv_mul>v_wr",)``.
+    Raised when a plan contains interpreted fallback steps, from the
+    first of two kinds of event onward. One is a statically invalid
+    event: it definitely raises, so per-request batched execution
+    cannot preserve the interpreter's error semantics. The other is an
+    ``m_wr`` to the MRF: batched requests share one MRF (pinned
+    weights), so a plan that rewrites it runs sequentially.
+    ``step_kinds`` names the fallback step kinds, e.g.
+    ``("s_wr:Rows",)``, ``("v_rd>mv_mul>v_wr",)`` or ``("m_rd>m_wr",)``.
     """
 
     def __init__(self, message: str, step_kinds: tuple = ()):

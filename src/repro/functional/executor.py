@@ -279,9 +279,10 @@ class FunctionalSimulator:
         :meth:`~repro.functional.replay.BatchedReplay.commit` writes the
         request's state back into this simulator. Architectural results,
         statistics, register-file counters, spans, and metric counters
-        equal the interpreter's. A plan that is not batchable raises on
-        every run; it is interpreted whole, so the error and its partial
-        side effects are the interpreter's. Two divergences otherwise: a
+        equal the interpreter's. A plan that is not batchable (a
+        statically invalid event, or an ``m_wr`` to the MRF) is
+        interpreted whole, so any error and its partial side effects are
+        the interpreter's. Two divergences otherwise: a
         compiled run that raises commits nothing (state, statistics,
         counters, and the trace clock stay as they were before the run),
         and a missing loop binding raises before any event executes.

@@ -15,8 +15,8 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
   step indexes register-file slices with no decode or validation;
 * ``mv_mul`` weight windows pre-decomposed into the executor's BFP
   operand layout, revalidated cheaply against the MRF ``generation``
-  counter so ``m_wr``/``load_matrix`` between (or during) runs recompile
-  nothing but rebind the weights;
+  counter so ``load_matrix`` (or an interpreted ``m_wr``) between runs
+  recompiles nothing but rebinds the weights;
 * consecutive ``mv_mul`` chains reading the *same* VRF head fused into
   one stacked GEMV (:class:`_MvGroup`) — the LSTM's four gate matrices
   against one input vector become one matmul — legal only on the
@@ -44,14 +44,17 @@ counters in the interpreter's order.
 Bit-exactness contract (checked by the three-way differential fuzzer
 in :mod:`repro.verify` and by ``tests/test_replay_equivalence.py``):
 compiled output state, outputs, ``ExecutionStats``, op counters, and
-trace spans equal the vectorized interpreter's exactly. A statically
-invalid construct (an out-of-bounds operand, an over-capacity chain,
-``rows``/``columns`` below 1) makes the plan unbatchable: it and every
-event after it are unreachable on a successful run, and
-``ReplayPlan.fallback_step_kinds`` names them. ``run(compiled=True)``
-interprets such a plan whole, so error types, positions, and partial
-side effects match the interpreter by construction;
-:class:`BatchedReplay` rejects it with
+trace spans equal the vectorized interpreter's exactly. Two kinds of
+event make the plan unbatchable, and ``ReplayPlan.fallback_step_kinds``
+names it and every event after it. One is a statically invalid
+construct (an out-of-bounds operand, an over-capacity chain,
+``rows``/``columns`` below 1): it and the events after it are
+unreachable on a successful run. The other is an ``m_wr`` to the MRF:
+every request of a batch shares one MRF, as a serving node pins its
+model's weights once (paper §IV), so only activations are per request.
+``run(compiled=True)`` interprets such a plan whole, so error types,
+positions, and partial side effects match the interpreter by
+construction; :class:`BatchedReplay` rejects it with
 :class:`~repro.errors.UnbatchablePlanError`. One intentional
 divergence: a batchable compiled run that raises (a short input queue,
 a DRAM entry never written) commits nothing, so the simulator's state,
@@ -75,8 +78,7 @@ from ..isa.chain import InstructionChain
 from ..isa.memspace import MemId, ScalarReg
 from ..isa.opcodes import Opcode
 from ..isa.program import NpuProgram, SetScalar
-from ..memory.regfile import MatrixRegisterFile
-from ..numerics.bfp import decompose, quantize, scales_of, to_float16
+from ..numerics.bfp import decompose, scales_of, to_float16
 from . import ops
 
 # Piece kinds inside a compiled vector step (dispatch tags).
@@ -106,9 +108,9 @@ class _MvGroup:
     float64/exact path keeps one member per group.
 
     Stacked operands are cached against the MRF ``generation`` counter:
-    an ``m_wr`` or :meth:`~repro.functional.FunctionalSimulator.load_matrix`
-    between (or during) compiled runs rebinds the weights on the next
-    compute — the plan-cache invalidation required when matrix
+    :meth:`~repro.functional.FunctionalSimulator.load_matrix` or an
+    interpreted ``m_wr`` between compiled runs rebinds the weights on
+    the next compute — the plan-cache invalidation required when matrix
     registers are rewritten.
     """
 
@@ -256,13 +258,10 @@ class _MvGroup:
 
         A group hoisted out of the time loop (``ReplayPlan.hoists``)
         only advances its cursor over the outputs :class:`BatchedReplay`
-        computed for every occurrence at the start of the run. With the
-        MRF still shared across requests the stacked operands go through
-        one batched GEMM (:meth:`apply_rows`); once the plan has
-        rewritten matrix registers (per-request MRFs), operands are
-        derived per request and applied one request at a time —
-        identical math, identical bits, just without the batch-axis
-        speedup.
+        computed for every occurrence at the start of the run. Otherwise
+        the shared stacked operands go through one batched GEMM
+        (:meth:`apply_rows`), or in float64/exact mode one MVM per
+        request.
         """
         hoisted = bstate._hoisted.get(self)
         if hoisted is not None:
@@ -271,22 +270,12 @@ class _MvGroup:
             self.outputs = tuple(out[occurrence] for out in hoisted[0])
             return
         sim = bstate.sim
-        batch = bstate.batch
-        if bstate._mrfs is not None:
-            per_member = [[] for _ in self.members]
-            for b in range(batch):
-                outs = self._compute_one_request(sim, bstate._mrfs[b],
-                                                 value[b])
-                for i, out in enumerate(outs):
-                    per_member[i].append(out)
-            self.outputs = tuple(np.stack(outs) for outs in per_member)
-            return
         if self.mode == _MODE_F64:
             blocks = self._bound_operands(sim)
             rows = self.members[0][1]
             self.outputs = (np.stack([
                 self._f64_member(sim, value[b], blocks, rows)
-                for b in range(batch)]),)
+                for b in range(bstate.batch)]),)
             return
         self.outputs = self.apply_rows(sim, value)
 
@@ -378,65 +367,6 @@ class _MvGroup:
         return to_float16(
             acc.transpose(0, 2, 1).astype(np.float32).reshape(c, -1))
 
-    def _compute_one_request(self, sim, mrf: MatrixRegisterFile,
-                             value: np.ndarray) -> list:
-        """All member outputs for one request against a private MRF.
-
-        Re-derives operands with the same formulas as the executor's
-        ``_window_operands`` / ``_window_blocks_f64`` (windows cache
-        inside the private MRF against its own generation counter).
-        """
-        n = self.n
-        cols = self.cols
-        b, nb, segs = self.seg_width, self.nb, self.segs
-        outs = []
-        if self.mode == _MODE_F64:
-            base, rows = self.members[0]
-            window = mrf.read_window(base, rows, cols)
-            blocks = window.reshape(rows * n, cols, n).transpose(1, 0, 2)
-            if nb > 1:
-                blocks = (blocks.reshape(cols, rows * n, nb, b)
-                          .transpose(0, 2, 1, 3).reshape(segs, rows * n, b))
-            blocks = np.ascontiguousarray(blocks.astype(np.float64))
-            return [self._f64_member(sim, value, blocks, rows)]
-        mant_x, exps = decompose(value, sim._bfp)
-        mant_x = mant_x.reshape(segs, b)
-        x_scales = scales_of(exps, sim._bfp).reshape(segs, 1)
-        for base, rows in self.members:
-            window = mrf.read_window(base, rows, cols)
-            blocks = np.ascontiguousarray(
-                window.reshape(rows * n, cols, n).transpose(1, 0, 2))
-            w_mant, w_exps = decompose(blocks.reshape(-1, n), sim._bfp)
-            w_scales = np.ascontiguousarray(
-                scales_of(w_exps, sim._bfp)
-                .reshape(cols, rows * n, nb).transpose(0, 2, 1)
-                .reshape(segs, rows * n))
-            w_mant = np.ascontiguousarray(
-                w_mant.reshape(cols, rows * n, nb, b)
-                .transpose(0, 2, 1, 3).reshape(segs, rows * n, b))
-            if self.mode == _MODE_PACKED:
-                w_mant = sim._pack_rows(w_mant, segs, rows * n, b)
-                x_mant = mant_x.astype(np.float64)
-                packed = np.matmul(w_mant,
-                                   x_mant[:, :, np.newaxis])[:, :, 0]
-                dots = sim._unpack(packed, rows * n)
-                terms = dots * (w_scales * x_scales)
-                if segs == 1:
-                    acc = terms.reshape(-1)
-                else:
-                    acc = terms[0] + terms[1]
-                    for s in range(2, segs):
-                        acc += terms[s]
-            else:
-                acc = ((w_mant[0] @ mant_x[0]).astype(np.float64)
-                       * (w_scales[0] * x_scales[0]))
-                for s in range(1, segs):
-                    acc += ((w_mant[s] @ mant_x[s]).astype(np.float64)
-                            * (w_scales[s] * x_scales[s]))
-            out = acc.reshape(rows, n).astype(np.float32)
-            outs.append(to_float16(out))
-        return outs
-
 
 # ---------------------------------------------------------------------------
 # Compiled steps
@@ -459,38 +389,27 @@ class _ScalarStep:
 
 
 class _MatrixStep:
-    """A compiled ``m_rd`` → ``m_wr`` tile move."""
+    """A compiled ``m_rd`` → ``m_wr(Dram)`` tile move (a plan that
+    writes the MRF is not compiled: see :func:`_compile_matrix_step`)."""
 
-    __slots__ = ("src_netq", "src_index", "dst_mrf", "dst_index", "count",
-                 "ticks")
+    __slots__ = ("src_netq", "src_index", "dst_index", "count", "ticks")
     matrix = True
 
-    def __init__(self, src_netq, src_index, dst_mrf, dst_index, count,
-                 ticks):
+    def __init__(self, src_netq, src_index, dst_index, count, ticks):
         self.src_netq = src_netq
         self.src_index = src_index
-        self.dst_mrf = dst_mrf
         self.dst_index = dst_index
         self.count = count
         self.ticks = ticks
 
     def run(self, bstate) -> None:
-        sim = bstate.sim
         if self.src_netq:
             tiles = bstate._pop_input_tiles(self.count)  # (B, count, N, N)
         else:
             tiles = bstate._read_dram_tiles(self.src_index, self.count)
-        if self.dst_mrf:
-            mrfs = bstate._split_mrfs()
-            for b, mrf in enumerate(mrfs):
-                part = tiles[b]
-                if not sim.exact:
-                    part = quantize(part, sim._bfp)
-                mrf.write_tiles(self.dst_index, part)
-        else:
-            for i in range(self.count):
-                bstate._dram_tiles[self.dst_index + i] = \
-                    np.ascontiguousarray(tiles[:, i])
+        for i in range(self.count):
+            bstate._dram_tiles[self.dst_index + i] = \
+                np.ascontiguousarray(tiles[:, i])
 
 
 class _VectorStep:
@@ -598,7 +517,7 @@ class ReplayPlan:
                  "final_scalars", "steps", "batchable", "chains",
                  "instructions", "mv_muls", "macs", "pointwise_flops",
                  "ticks", "vrf_reads", "vrf_writes", "mrf_reads",
-                 "mrf_writes", "dram_bytes", "vrf_footprints",
+                 "dram_bytes", "vrf_footprints",
                  "fallback_steps", "fallback_step_kinds",
                  "groups", "fused_groups", "hoists", "hoisted_groups",
                  "hoisted_inputs")
@@ -606,7 +525,7 @@ class ReplayPlan:
     def __init__(self, program, bindings_key, entry_scalars, final_scalars,
                  steps, batchable, chains, instructions, mv_muls, macs,
                  pointwise_flops, ticks, vrf_reads, vrf_writes, mrf_reads,
-                 mrf_writes, dram_bytes, vrf_footprints, fallback_steps,
+                 dram_bytes, vrf_footprints, fallback_steps,
                  fallback_step_kinds, groups, fused_groups, hoists,
                  hoisted_inputs):
         self.program = program
@@ -623,9 +542,8 @@ class ReplayPlan:
         self.ticks = ticks
         self.vrf_reads = vrf_reads
         self.vrf_writes = vrf_writes
-        #: MRF tiles read by ``mv_mul`` and written by ``m_wr``.
+        #: MRF tiles read by ``mv_mul``.
         self.mrf_reads = mrf_reads
-        self.mrf_writes = mrf_writes
         #: DRAM traffic as (bytes read, bytes written).
         self.dram_bytes = dram_bytes
         #: Per-VRF high-water mark of static accesses (MemId -> rows).
@@ -634,8 +552,8 @@ class ReplayPlan:
         self.vrf_footprints = vrf_footprints
         self.fallback_steps = fallback_steps
         #: Kind tags of every event from the first statically invalid
-        #: one onward, in plan order — the diagnostic payload of
-        #: :class:`UnbatchablePlanError`.
+        #: one or MRF write onward, in plan order — the diagnostic
+        #: payload of :class:`UnbatchablePlanError`.
         self.fallback_step_kinds = fallback_step_kinds
         self.groups = groups
         self.fused_groups = fused_groups
@@ -788,8 +706,9 @@ def compile_plan(sim, program: NpuProgram,
     entry_scalars = (rows, cols, iters)
 
     # Pass 1: unroll and compile chain templates (dedup per context).
-    # records: ("scalar", event) | ("chain", template) | ("fb", event),
-    # "fb" from the first statically invalid event onward.
+    # records: ("scalar", event) | ("chain", template or _MatrixStep)
+    # | ("fb", event), "fb" from the first statically invalid event or
+    # MRF write onward.
     records = []
     template_cache: Dict[tuple, object] = {}
     broken = False
@@ -816,9 +735,9 @@ def compile_plan(sim, program: NpuProgram,
             template = template_cache[key]
         else:
             if event.is_matrix_chain:
-                # Matrix chains skip MFU validation (as interpreted) and
-                # have no statically checkable operands: never fallback.
-                template = _compile_matrix_template(event, rows, cols)
+                # Matrix chains skip MFU validation (as interpreted);
+                # only an MRF write makes one fall back.
+                template = _compile_matrix_step(event, rows, cols)
             else:
                 try:
                     event.assign_function_units(sim.config.mfus)
@@ -841,7 +760,7 @@ def compile_plan(sim, program: NpuProgram,
     step_cache: Dict[tuple, object] = {}
     groups: List[_MvGroup] = []
     chains = instructions = mv_muls = macs = flops = ticks = 0
-    mrf_reads = mrf_writes = dram_read = dram_written = 0
+    mrf_reads = dram_read = dram_written = 0
     fallback_kinds: List[str] = []
     reads: Dict[int, list] = {}
     writes: Dict[int, list] = {}
@@ -917,8 +836,8 @@ def compile_plan(sim, program: NpuProgram,
                     flush_run()
                 continue
             flush_run()
-            if isinstance(t, _MatrixTemplate):
-                step = t.step
+            if isinstance(t, _MatrixStep):
+                step = t
                 steps.append(step)
                 chains += 1
                 instructions += 3
@@ -926,10 +845,7 @@ def compile_plan(sim, program: NpuProgram,
                 tile_bytes = step.count * n * vector_bytes
                 if not step.src_netq:
                     dram_read += tile_bytes
-                if step.dst_mrf:
-                    mrf_writes += step.count
-                else:
-                    dram_written += tile_bytes
+                dram_written += tile_bytes
             else:
                 step = step_cache.get(id(t))
                 if step is None:
@@ -952,8 +868,9 @@ def compile_plan(sim, program: NpuProgram,
 
     final_scalars = {ScalarReg.Rows: rows, ScalarReg.Columns: cols,
                      ScalarReg.Iterations: iters}
-    # Hoisting needs static queue consumption and fixed weights.
-    hoists, hoisted_inputs = ((), 0) if fallback_kinds or mrf_writes \
+    # Hoisting needs static queue consumption (weights are fixed: a
+    # plan that writes the MRF falls back).
+    hoists, hoisted_inputs = ((), 0) if fallback_kinds \
         else _plan_hoists(steps)
     return ReplayPlan(
         program=program,
@@ -971,7 +888,6 @@ def compile_plan(sim, program: NpuProgram,
         vrf_reads=tuple((v, c) for v, c in reads.values()),
         vrf_writes=tuple((v, c) for v, c in writes.values()),
         mrf_reads=mrf_reads,
-        mrf_writes=mrf_writes,
         dram_bytes=(dram_read, dram_written),
         vrf_footprints=footprints,
         fallback_steps=len(fallback_kinds),
@@ -997,9 +913,8 @@ def _plan_hoists(steps) -> Tuple[tuple, int]:
       written into the VRF head window by a pure copy chain (a head
       followed only by ``v_wr``s) with nothing overwriting it before
       the read;
-    * the plan is batchable and writes no MRF tiles, so the queue
-      consumption is static and the weights are fixed for the whole
-      run (checked by the caller).
+    * the plan is batchable, so the queue consumption is static and
+      the weights are fixed for the whole run (checked by the caller).
 
     Walks the steps once, tracking the queue cursor and, per VRF row,
     the queue slot its current contents came from (absent: unknown).
@@ -1048,18 +963,14 @@ def _plan_hoists(steps) -> Tuple[tuple, int]:
     return tuple(hoists), inputs
 
 
-class _MatrixTemplate:
-    """Wrapper pairing a matrix-chain template with its single step."""
-
-    __slots__ = ("step",)
-
-    def __init__(self, step: _MatrixStep):
-        self.step = step
-
-
-def _compile_matrix_template(chain: InstructionChain, rows: int,
-                             cols: int) -> Optional[_MatrixTemplate]:
+def _compile_matrix_step(chain: InstructionChain, rows: int,
+                         cols: int) -> Optional[_MatrixStep]:
+    """Compile a tile move, or return None for an MRF write: plans share
+    one MRF across requests (the paper's pinned weights), so a plan
+    that rewrites matrix registers is interpreted."""
     rd, wr = chain.instructions
+    if wr.mem_id is MemId.MatrixRf:
+        return None
     count = rows * cols
     src_netq = rd.mem_id is MemId.NetQ
     ticks = ((rd.opcode.name.lower(),
@@ -1068,9 +979,7 @@ def _compile_matrix_template(chain: InstructionChain, rows: int,
              (wr.opcode.name.lower(),
               {"mem": wr.mem_id.name, "index": wr.index, "tiles": count},
               "executor.tiles_moved", count))
-    return _MatrixTemplate(_MatrixStep(
-        src_netq, rd.index, wr.mem_id is MemId.MatrixRf, wr.index, count,
-        ticks))
+    return _MatrixStep(src_netq, rd.index, wr.index, count, ticks)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,14 +992,14 @@ class BatchedReplay:
     All architectural state gains a leading batch axis: VRFs become
     (B, footprint, N) arrays (only the statically reachable prefix of
     each register file is replicated), DRAM entries (B, ...) arrays,
-    the network input queue a stream of (B, N) stacks. The MRF stays
-    *shared* (weights are per-model, not per-request) until the plan
-    itself writes matrix registers, at which point it is transparently
-    replicated per request. On the exact-integer mantissa paths every
+    the network input queue a stream of (B, N) stacks. The MRF is
+    *shared*: weights are per-model, not per-request, and a batchable
+    plan never writes them. On the exact-integer mantissa paths every
     batched kernel is bit-identical to B sequential runs — the
     invariant the three-way differential fuzzer asserts.
 
-    Unbatchable plans (``plan.batchable`` is False) are rejected with
+    Unbatchable plans (``plan.batchable`` is False: a statically invalid
+    event or an MRF write) are rejected with
     :class:`~repro.errors.UnbatchablePlanError` — run those
     sequentially. :meth:`run` keeps no statistics or metric counters
     and never writes the base simulator; outputs and architectural
@@ -1112,8 +1021,8 @@ class BatchedReplay:
             kinds = self.plan.fallback_step_kinds
             raise UnbatchablePlanError(
                 f"plan is not batchable: {self.plan.fallback_steps} "
-                "interpreted fallback step(s) follow a statically invalid "
-                "event (step kinds: "
+                "interpreted fallback step(s) from a statically invalid "
+                "event or MRF write onward (step kinds: "
                 f"{', '.join(kinds)}); run requests sequentially",
                 step_kinds=kinds)
         b = batch
@@ -1131,7 +1040,6 @@ class BatchedReplay:
                               for k, v in sim.dram._vectors.items()}
         self._dram_tiles = {k: np.repeat(v[np.newaxis], b, axis=0)
                             for k, v in sim.dram._tiles.items()}
-        self._mrfs = None  # shared with sim.mrf until the plan writes it
         self._pending_vectors = collections.deque(
             np.repeat(v[np.newaxis], b, axis=0)
             for v in sim.netq._in_vectors)
@@ -1259,19 +1167,6 @@ class BatchedReplay:
             parts.append(part)
         return np.stack(parts, axis=1)
 
-    def _split_mrfs(self) -> List[MatrixRegisterFile]:
-        """Replicate the shared MRF per request on first matrix write."""
-        if self._mrfs is None:
-            base = self.sim.mrf
-            self._mrfs = []
-            for _ in range(self.batch):
-                mrf = MatrixRegisterFile(
-                    base.name, base.capacity, self.sim.config.native_dim,
-                    tile_engines=base.tile_engines)
-                mrf._tiles[...] = base._tiles
-                self._mrfs.append(mrf)
-        return self._mrfs
-
     # -- inspection and write-back -----------------------------------------
 
     def snapshot(self, b: int) -> Dict[str, object]:
@@ -1280,10 +1175,6 @@ class BatchedReplay:
         if not 0 <= b < self.batch:
             raise ExecutionError(
                 f"request {b} out of range for a batch of {self.batch}")
-        if self._mrfs is not None:
-            mrf_tiles = self._mrfs[b]._tiles.copy()
-        else:
-            mrf_tiles = self.sim.mrf._tiles.copy()
         vrf_state = {}
         for mem, data in self._vrf.items():
             full = self.sim.vrfs[mem]._data.copy()
@@ -1291,7 +1182,7 @@ class BatchedReplay:
             vrf_state[mem.name] = full
         return {
             "vrf": vrf_state,
-            "mrf": mrf_tiles,
+            "mrf": self.sim.mrf._tiles.copy(),
             "dram_vectors": {k: v[b].copy()
                              for k, v in self._dram_vectors.items()},
             "dram_tiles": {k: v[b].copy()
@@ -1307,8 +1198,8 @@ class BatchedReplay:
 
         The mirror of :meth:`snapshot`, and what makes
         ``FunctionalSimulator.run(compiled=True)`` a sequential run: the
-        VRF footprints, DRAM, the MRF (when the plan split it), the
-        network queues, and the scalar registers take the request's
+        VRF footprints, DRAM, the network queues, and the scalar
+        registers take the request's
         values, and the plan's static totals are applied —
         ``ExecutionStats``, register-file, DRAM and queue counters, and
         the trace clock. With a tracer or metrics sink attached the
@@ -1322,12 +1213,7 @@ class BatchedReplay:
         sim, plan = self.sim, self.plan
         for mem, data in self._vrf.items():
             sim.vrfs[mem]._data[:data.shape[1]] = data[0]
-        mrf = sim.mrf
-        if self._mrfs is not None:
-            mrf._tiles[...] = self._mrfs[0]._tiles
-            mrf.generation += 1
-        mrf.reads += plan.mrf_reads
-        mrf.writes += plan.mrf_writes
+        sim.mrf.reads += plan.mrf_reads
         dram = sim.dram
         dram._vectors = {k: v[0] for k, v in self._dram_vectors.items()}
         dram._tiles = {k: v[0] for k, v in self._dram_tiles.items()}

@@ -248,6 +248,14 @@ def quantize_reference(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     ``round``, matching ``np.rint``), clamp to the mantissa range —
     sharing no code with the vectorized implementation. Used by
     :mod:`repro.verify` to cross-check the production path bit for bit.
+
+    Non-finite input follows :func:`quantize` (docs/NUMERICS.md): a
+    NaN anywhere in a block (a row, per tile) makes the block maximum
+    NaN, so the block takes the minimum exponent; an infinite maximum
+    takes ``frexp(inf)``'s exponent, -1; a NaN element stays NaN and an
+    infinite quotient saturates to the signed maximum mantissa. Results
+    carry the quotient's sign, so a negative value that rounds to zero
+    gives -0.0, as in :func:`quantize`.
     """
     arr = np.asarray(x)
     shaped = arr.reshape(-1, arr.shape[-1]) if arr.ndim else arr.reshape(1, 1)
@@ -258,14 +266,14 @@ def quantize_reference(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
             "first")
     out = np.zeros(shaped.shape, dtype=np.float32)
     for r in range(shaped.shape[0]):
-        row_amax = max(abs(float(v)) for v in shaped[r])
+        row_amax = _amax_reference(float(v) for v in shaped[r])
         for b in range(shaped.shape[1] // fmt.block_size):
             lo, hi = b * fmt.block_size, (b + 1) * fmt.block_size
             block = [float(v) for v in shaped[r, lo:hi]]
             if fmt.scale_granularity == "tile":
                 amax = row_amax
             else:
-                amax = max(abs(v) for v in block)
+                amax = _amax_reference(block)
             if amax > 0:
                 exponent = math.frexp(amax)[1] - 1
             else:
@@ -274,10 +282,28 @@ def quantize_reference(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
                            fmt.max_exponent)
             step = math.ldexp(1.0, exponent - fmt.mantissa_bits + 1)
             for j, v in enumerate(block):
-                mant = round(v / step)
-                mant = min(max(mant, -fmt.max_mantissa), fmt.max_mantissa)
-                out[r, lo + j] = np.float32(mant * step)
+                quotient = v / step
+                if math.isnan(quotient):
+                    out[r, lo + j] = quotient
+                    continue
+                if math.isinf(quotient):
+                    mant = fmt.max_mantissa
+                else:
+                    mant = min(abs(round(quotient)), fmt.max_mantissa)
+                # The quotient's sign, zero included, as np.rint keeps it.
+                out[r, lo + j] = math.copysign(mant * step, quotient)
     return out.reshape(arr.shape)
+
+
+def _amax_reference(values) -> float:
+    """``max |v|``, NaN if any value is NaN (numpy's ``max`` semantics;
+    python's ``max`` would depend on where the NaN sits)."""
+    amax = 0.0
+    for v in values:
+        if math.isnan(v):
+            return math.nan
+        amax = max(amax, abs(v))
+    return amax
 
 
 def quantize(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:

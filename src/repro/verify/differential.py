@@ -250,11 +250,11 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
     :meth:`~BatchedReplay.snapshot` be bit-identical to a sequential
     vectorized-interpreter run of the correspondingly scaled case, and
     a raising run to raise the interpreter's error type. The run
-    takes any hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); plans
-    that write the MRF never hoist, so they check the per-step path.
-    Unbatchable plans (a fallback tail) must be rejected with
-    :class:`~repro.errors.UnbatchablePlanError` naming the offending
-    step kinds.
+    takes any hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); the
+    rest check the per-step path. Unbatchable plans (a fallback tail
+    from a statically invalid event or an MRF write) must be rejected
+    with :class:`~repro.errors.UnbatchablePlanError` naming the
+    offending step kinds.
     """
     batch = len(_BATCH_SCALES)
     base = load_simulator(

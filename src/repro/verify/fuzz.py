@@ -145,6 +145,7 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
     if not pathlib.Path(directory).is_dir():
         raise ReproError(f"corpus directory not found: {directory}")
     failures: List[FuzzFailure] = []
+    hoisted = 0
     files = corpus_files(directory)
     for path in files:
         case = load_corpus_case(path)
@@ -157,10 +158,11 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
                 mismatches=result_mismatches, case=case,
                 corpus_path=str(path)))
             continue
+        hoisted += result.hoisted_groups > 0
         if not result.ok:
             failures.append(FuzzFailure(
                 seed=None, note=case.note or path.name,
                 mismatches=result.mismatches, case=case,
                 corpus_path=str(path)))
     return FuzzReport(cases_run=len(files), failures=failures,
-                      label=f"replay({directory})")
+                      hoisted_plans=hoisted, label=f"replay({directory})")

@@ -98,7 +98,10 @@ class FuzzProfile:
     #: Probability the MRF window is pinned before the program runs
     #: (``ProgramCase.mrf_tiles``, the serving model's resident weights)
     #: instead of written by an in-program ``m_rd``/``m_wr`` prologue.
-    p_pinned_mrf: float = 0.0
+    #: A pinned case models a serving node: its matrix chains write
+    #: DRAM, never the MRF, so its plan is batchable. Unpinned cases
+    #: keep ``m_wr(MatrixRf)`` coverage through the interpreters.
+    p_pinned_mrf: float = 0.5
     #: Probability a vector-chain event becomes an input projection: a
     #: counted loop of a pure ``v_rd NetQ -> v_wr`` copy chain and one
     #: or two ``mv_mul`` chains reading the copied window (the RNN
@@ -201,6 +204,8 @@ class _GenState:
         self.netq_vec_left = self.netq_vectors
         self.netq_tile_left = self.netq_tiles
         self.native_dim = n
+        #: Weights pinned before the run: no event writes the MRF.
+        self.pinned = False
 
     def rand_values(self, shape) -> np.ndarray:
         """Random float32 values with a wide but finite dynamic range."""
@@ -224,6 +229,7 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
     events: List[object] = []
     pinned = (profile.p_pinned_mrf > 0
               and rng.random() < profile.p_pinned_mrf)
+    state.pinned = pinned
     if not pinned:
         _emit_mrf_init(state, events)
     n_events = int(rng.integers(profile.min_events,
@@ -334,7 +340,8 @@ def _emit_matrix_chain(state: _GenState, events: List[object]) -> None:
     else:
         rd = ins.m_rd(MemId.Dram, int(rng.integers(
             0, state.dram_tile_count - count + 1)))
-    if rng.random() < 0.7 and count <= state.config.mrf_address_space:
+    if (rng.random() < 0.7 and not state.pinned
+            and count <= state.config.mrf_address_space):
         wr = ins.m_wr(MemId.MatrixRf, int(rng.integers(
             0, state.config.mrf_address_space - count + 1)))
     else:

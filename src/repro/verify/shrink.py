@@ -2,9 +2,10 @@
 
 Given a :class:`~repro.verify.generator.ProgramCase` and a failure
 predicate, repeatedly tries structurally smaller variants — dropping
-event spans, unrolling loops, deleting in-chain instructions — and keeps
-any variant that still fails, iterating to a fixpoint. A final data pass
-zeroes initial-state arrays that the failure does not depend on.
+event spans and deleting in-chain instructions, inside loop bodies too
+— and keeps any variant that still fails, iterating to a fixpoint. A
+final data pass zeroes initial-state arrays that the failure does not
+depend on.
 
 Candidates need not be well-formed: deleting a producer chain can starve
 a later consumer, and deleting instructions can violate chain structure.
@@ -87,35 +88,43 @@ def _rebuild(case: ProgramCase, items: List[object]) -> ProgramCase:
 
 def _structural_candidates(case: ProgramCase) -> Iterator[ProgramCase]:
     """Smaller program variants, largest deletions first."""
-    items = list(case.program.items)
+    for items in _smaller_items(list(case.program.items)):
+        yield _rebuild(case, items)
+
+
+def _smaller_items(items: List[object]) -> Iterator[List[object]]:
+    """Variants of an event list with something deleted: spans of
+    events (halves down to single events), then per item either the
+    same deletions inside a loop body (recursively; a loop keeps at
+    least one item) or one in-chain instruction."""
     n = len(items)
-    # Span deletions: halves down to single events.
     length = max(1, n // 2)
     while length >= 1:
         for start in range(0, n - length + 1):
-            yield _rebuild(case, items[:start] + items[start + length:])
+            yield items[:start] + items[start + length:]
         length //= 2
-    # Loop simplification: unroll to a single iteration, or halve count.
     for i, item in enumerate(items):
-        if not isinstance(item, Loop):
-            continue
-        yield _rebuild(case, items[:i] + list(item.body) + items[i + 1:])
-        if isinstance(item.count, int) and item.count > 2:
-            smaller = Loop(item.count // 2, item.body)
-            yield _rebuild(case, items[:i] + [smaller] + items[i + 1:])
-    # In-chain instruction deletions (invalid structures are skipped).
-    for i, item in enumerate(items):
-        if not isinstance(item, InstructionChain):
+        if isinstance(item, Loop):
+            smaller = (Loop(item.count, tuple(body))
+                       for body in _smaller_items(list(item.body)) if body)
+        elif isinstance(item, InstructionChain):
+            smaller = _smaller_chains(item)
+        else:
             continue  # scalar writes: covered by span deletion above
-        instrs = list(item.instructions)
-        if len(instrs) <= 2:
-            continue  # already minimal (head + terminal)
-        for j in range(len(instrs)):
-            try:
-                chain = InstructionChain(instrs[:j] + instrs[j + 1:])
-            except ReproError:
-                continue
-            yield _rebuild(case, items[:i] + [chain] + items[i + 1:])
+        for replacement in smaller:
+            yield items[:i] + [replacement] + items[i + 1:]
+
+
+def _smaller_chains(chain: InstructionChain) -> Iterator[InstructionChain]:
+    """``chain`` minus one instruction, for every valid deletion."""
+    instrs = list(chain.instructions)
+    if len(instrs) <= 2:
+        return  # already minimal (head + terminal)
+    for j in range(len(instrs)):
+        try:
+            yield InstructionChain(instrs[:j] + instrs[j + 1:])
+        except ReproError:
+            continue  # invalid structures are skipped
 
 
 def _data_candidates(case: ProgramCase) -> Iterator[ProgramCase]:

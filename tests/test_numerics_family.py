@@ -30,6 +30,7 @@ from repro.numerics.bfp import (
     quantize_reference,
     scales_of,
 )
+from repro.verify import FUZZ_CONFIGS
 
 #: Family members plus adversarial extras: tiny blocks, narrow
 #: exponents, and a sub-block tile-granularity member.
@@ -151,6 +152,37 @@ def test_tile_granularity_shares_one_exponent_per_row(data):
     # Every block of a row carries the row-wide exponent.
     assert np.all(exps == exps[:, :1])
     assert np.array_equal(quantize(x, fmt), quantize_reference(x, fmt))
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, cfg in FUZZ_CONFIGS.items() if cfg.bfp_format))
+def test_oracle_matches_quantize_on_non_finite_blocks(name):
+    """Regression: the oracle raised on ±inf (``OverflowError``) and NaN
+    (``ValueError``) where :func:`quantize` returns values, which
+    aborted ``formats`` fuzz campaigns. Blocks holding ±inf or NaN now
+    quantize bit for bit alike (the rule is in docs/NUMERICS.md)."""
+    cfg = FUZZ_CONFIGS[name]
+    fmt, n = cfg.bfp_format, cfg.native_dim
+    rng = np.random.default_rng(0)
+    x = (rng.standard_normal((8, n)) * 4).astype(np.float32)
+    x[0, 0] = np.inf
+    x[1, n - 1] = -np.inf
+    x[2, 1] = np.nan
+    x[3, :2] = (np.nan, np.inf)
+    x[4, :2] = (np.inf, np.nan)
+    x[5] = np.nan
+    x[6, 0], x[6, 1:] = np.inf, -x[6, 1:] ** 2 * 1e-3  # rounds to -0.0
+    x[7, 0], x[7, 1:] = np.inf, 1.0
+    with np.errstate(over="ignore"):  # NaN blocks: min exponent
+        q = quantize(x, fmt)
+    ref = quantize_reference(x, fmt)
+    assert np.array_equal(np.isnan(q), np.isnan(ref))
+    finite = ~np.isnan(q)
+    assert np.array_equal(q.view(np.uint32)[finite],
+                          ref.view(np.uint32)[finite])
+    # An infinite block maximum takes frexp(inf)'s exponent, -1.
+    step = 2.0 ** (-1 - fmt.mantissa_bits + 1)
+    assert ref[7, 1] == min(1.0 / step, fmt.max_mantissa) * step
 
 
 def test_e8m0_loses_top_exponent():

@@ -327,39 +327,72 @@ def test_raising_compiled_run_commits_nothing():
     assert len(sim_i.snapshot()["outputs"]) > 0
 
 
+def _run_traffic(program, compiled_run):
+    """Run an ``mv_mul`` program, ``program``, and the ``mv_mul`` program
+    again on a fresh simulator; returns the simulator and the plan the
+    compiled path would use for ``program``."""
+    b = ProgramBuilder("mvm")
+    b.v_rd(MemId.InitialVrf, 0).mv_mul(0).v_wr(MemId.NetQ)
+    mvm = b.build()
+    rng = np.random.default_rng(4)
+    sim = FunctionalSimulator(MB2)
+    n = MB2.native_dim
+    sim.load_matrix(0, rng.uniform(-1, 1, (n, n)))
+    sim.vrfs[MemId.InitialVrf].write(0, rng.uniform(-1, 1, (1, n)))
+    sim.dram.write_tiles(0, rng.uniform(-1, 1, (1, n, n)))
+    sim.netq.push_input(rng.uniform(-1, 1, n))
+    sim.netq.push_input_tiles(rng.uniform(-1, 1, (1, n, n)))
+    sim.run(mvm, compiled=compiled_run)
+    plan = sim.plan_for(program)
+    for prog in (program, mvm):
+        sim.run(prog, compiled=compiled_run)
+    return sim, plan
+
+
 @pytest.mark.tier1
 def test_compiled_memory_traffic_matches_interpreter():
-    """DRAM, MRF, and network-queue traffic through the commit: a VRF
-    window copied to DRAM and then overwritten (the DRAM entry must be
-    a copy, not a view of the VRF slice, which is contiguous at B=1),
-    tiles moved to the MRF and to DRAM, and an ``mv_mul`` before and
-    after the MRF rewrite (the commit must invalidate cached weights).
-    State, outputs, and every counter equal the interpreter's."""
+    """DRAM and network-queue traffic through the commit: a VRF window
+    copied to DRAM and then overwritten (the DRAM entry must be a copy,
+    not a view of the VRF slice, which is contiguous at B=1), and tiles
+    moved from DRAM and from the queue to DRAM. The plan is batchable;
+    state, outputs, and every counter equal the interpreter's."""
     b = ProgramBuilder("traffic")
     b.v_rd(MemId.InitialVrf, 0).v_wr(MemId.Dram, 0)
     b.v_rd(MemId.NetQ).v_wr(MemId.InitialVrf, 0)
     b.v_rd(MemId.Dram, 0).v_wr(MemId.NetQ)
-    b.m_rd(MemId.Dram, 0).m_wr(MemId.MatrixRf, 0)
+    b.m_rd(MemId.Dram, 0).m_wr(MemId.Dram, 2)
     b.m_rd(MemId.NetQ).m_wr(MemId.Dram, 1)
     traffic = b.build()
-    b = ProgramBuilder("mvm")
-    b.v_rd(MemId.InitialVrf, 0).mv_mul(0).v_wr(MemId.NetQ)
-    mvm = b.build()
 
-    def run(compiled_run):
-        rng = np.random.default_rng(4)
-        sim = FunctionalSimulator(MB2)
-        n = MB2.native_dim
-        sim.load_matrix(0, rng.uniform(-1, 1, (n, n)))
-        sim.vrfs[MemId.InitialVrf].write(0, rng.uniform(-1, 1, (1, n)))
-        sim.dram.write_tiles(0, rng.uniform(-1, 1, (1, n, n)))
-        sim.netq.push_input(rng.uniform(-1, 1, n))
-        sim.netq.push_input_tiles(rng.uniform(-1, 1, (1, n, n)))
-        for program in (mvm, traffic, mvm):
-            sim.run(program, compiled=compiled_run)
-        return sim
+    (sim_i, _), (sim_c, plan) = (_run_traffic(traffic, False),
+                                 _run_traffic(traffic, True))
+    assert plan.batchable
+    _assert_state_equal(sim_i.snapshot(), sim_c.snapshot(), "snapshot")
+    assert _counters(sim_i) == _counters(sim_c)
+    assert len(sim_c.snapshot()["outputs"]) == 3
 
-    sim_i, sim_c = run(False), run(True)
+
+@pytest.mark.tier1
+def test_mrf_writing_plan_is_interpreted():
+    """Batched requests share one MRF, so a plan that writes matrix
+    registers is unbatchable: ``BatchedReplay`` names the ``m_wr`` chain,
+    and ``run(compiled=True)`` interprets the plan whole. The ``mv_mul``
+    after it sees the new weights (the interpreted write bumps the MRF
+    generation, which rebinds the compiled operands), and state,
+    outputs, and every counter equal the interpreter's."""
+    b = ProgramBuilder("rewrite")
+    b.v_rd(MemId.NetQ).v_wr(MemId.InitialVrf, 1)
+    b.m_rd(MemId.Dram, 0).m_wr(MemId.MatrixRf, 0)
+    b.v_rd(MemId.InitialVrf, 1).v_wr(MemId.NetQ)
+    rewrite = b.build()
+
+    (sim_i, _), (sim_c, plan) = (_run_traffic(rewrite, False),
+                                 _run_traffic(rewrite, True))
+    assert not plan.batchable
+    assert plan.fallback_step_kinds == ("m_rd>m_wr", "v_rd>v_wr")
+    with pytest.raises(UnbatchablePlanError) as exc_info:
+        BatchedReplay(sim_c, rewrite, 2)
+    assert "m_rd>m_wr" in exc_info.value.step_kinds
     _assert_state_equal(sim_i.snapshot(), sim_c.snapshot(), "snapshot")
     assert _counters(sim_i) == _counters(sim_c)
     outs = sim_c.snapshot()["outputs"]

@@ -11,12 +11,14 @@ import repro.functional.ops as ops
 from repro.errors import ReproError
 from repro.isa import InstructionChain, MemId, v_rd, v_wr
 from repro.isa.assembler import format_program
+from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.program import NpuProgram
+from repro.isa.program import Loop, NpuProgram
 from repro.verify import (CaseInvalid, PROFILES, case_to_json,
                           generate_case, load_corpus_case, replay_corpus,
                           run_differential, run_fuzz, save_case,
                           shrink_case)
+from repro.verify.differential import load_simulator
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
@@ -45,10 +47,47 @@ def test_recurrent_profile_reaches_hoisted_replay():
 
 
 @pytest.mark.tier1
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_every_profile_reaches_batched_replay(profile):
+    """Every profile pins the weights of a share of its cases, and a
+    pinned case writes no matrix registers, so its plan is batchable
+    and the batched-vs-sequential check runs on it. A case that writes
+    the MRF is unbatchable, its step kinds naming the ``m_wr`` chain."""
+    batchable = 0
+    for seed in range(100, 108):
+        case = generate_case(seed, profile=PROFILES[profile])
+        plan = load_simulator(case).plan_for(case.program)
+        writes_mrf = any(
+            chain.is_matrix_chain
+            and chain.instructions[1].mem_id is MemId.MatrixRf
+            for chain in case.program.chains())
+        assert plan.batchable is not writes_mrf, case.note
+        if writes_mrf:
+            assert "m_rd>m_wr" in plan.fallback_step_kinds
+        batchable += plan.batchable
+    assert batchable > 0
+
+
+@pytest.mark.tier1
+def test_committed_corpus_reaches_batched_replay():
+    """The corpus replay (a CI step) keeps batched replay covered: it
+    holds batchable pinned-weight cases on a packed and an exact
+    configuration."""
+    modes = set()
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        case = load_corpus_case(path)
+        sim = load_simulator(case)
+        if sim.plan_for(case.program).batchable:
+            assert case.mrf_tiles is not None, path.name
+            modes.add("exact" if sim.exact else
+                      "packed" if sim._pack_slots else "mantissa")
+    assert {"packed", "exact"} <= modes
+
+
+@pytest.mark.tier1
 def test_netq_chains_fold_into_loops_with_enough_supply():
     """Folded spans may read the network queue; the generated supply
     covers every iteration, so every engine runs the case cleanly."""
-    from repro.isa.program import Loop
     folded = 0
     for seed in range(60):
         case = generate_case(seed, profile=PROFILES["memory"])
@@ -66,6 +105,7 @@ def test_committed_corpus_replays_clean():
     report = replay_corpus(CORPUS_DIR)
     assert report.cases_run >= 6
     assert report.ok, report.render()
+    assert report.hoisted_plans > 0, report.render()
 
 
 @pytest.mark.tier1
@@ -192,6 +232,44 @@ def test_injected_compiled_path_bug_is_caught_and_shrunk(monkeypatch):
                for m in failure.mismatches), failure.mismatches
     assert failure.case.instruction_count() <= 4, \
         format_program(failure.case.program)
+
+
+@pytest.mark.tier1
+def test_failure_inside_a_loop_shrinks(monkeypatch):
+    """Regression: the shrinker deletes events and instructions inside
+    loop bodies. Before, a failing chain inside a ``Loop`` kept the
+    whole loop: its only loop candidates (unroll to one iteration,
+    halve the count) never lower the instruction count."""
+    orig = ops.BINARY_KERNELS[Opcode.VV_ADD]
+
+    def buggy(a, b, exact=False):
+        return orig(a, b, exact=exact) + np.float32(0.25)
+
+    monkeypatch.setitem(ops.BINARY_KERNELS, Opcode.VV_ADD, buggy)
+    body = (
+        InstructionChain([v_rd(MemId.InitialVrf, 0),
+                          Instruction(Opcode.V_RELU),
+                          v_wr(MemId.InitialVrf, 4)]),
+        InstructionChain([v_rd(MemId.InitialVrf, 1),
+                          Instruction(Opcode.VV_ADD, 2),
+                          Instruction(Opcode.V_TANH),
+                          v_wr(MemId.AddSubVrf, 8)]),
+        InstructionChain([v_rd(MemId.AddSubVrf, 3),
+                          v_wr(MemId.Dram, 0)]),
+    )
+    case = dataclasses.replace(
+        generate_case(2),
+        program=NpuProgram((Loop(2, body),), name="looped"))
+
+    def still_failing(candidate):
+        return not run_differential(candidate, check_timing=False).ok
+
+    assert still_failing(case)
+    shrunk = shrink_case(case, still_failing)
+    assert shrunk.instruction_count() <= 3, format_program(shrunk.program)
+    (loop,) = shrunk.program.items
+    assert isinstance(loop, Loop) and loop.count == 2
+    assert "vv_add" in format_program(shrunk.program)
 
 
 @pytest.mark.tier1
