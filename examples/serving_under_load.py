@@ -13,11 +13,7 @@ Run:  python examples/serving_under_load.py
 from repro.baselines import TITAN_XP, GpuRnnModel
 from repro.baselines.deepbench import RnnBenchmark
 from repro.harness import bw_rnn_report
-from repro.system.loadgen import (
-    Batch1Server,
-    BatchingServer,
-    compare_under_load,
-)
+from repro.system import compare_under_load
 
 
 def main():
@@ -31,13 +27,11 @@ def main():
             bench.ops_per_step, bench.time_steps,
             batch=batch).latency_s
 
-    bw = Batch1Server(bw_service)
-    gpu = BatchingServer(gpu_batch_time, max_batch=32, timeout_s=0.02)
     print(f"workload: {bench.name}")
     print(f"  BW service time {bw_service * 1e3:.2f} ms -> capacity "
-          f"{bw.capacity_rps:.0f} req/s")
+          f"{1 / bw_service:.0f} req/s")
     print(f"  GPU batch-32 time {gpu_batch_time(32) * 1e3:.1f} ms -> "
-          f"capacity {gpu.capacity_rps():.0f} req/s "
+          f"capacity {32 / gpu_batch_time(32):.0f} req/s "
           f"(batching queue, 20 ms forming timeout)\n")
 
     header = (f"{'req/s':>6} {'BW p50':>8} {'BW p99':>8} "

@@ -561,7 +561,7 @@ def slo_under_load() -> ExperimentTable:
     each request as it arrives. GRU h=2048 t=375; the GPU stack batches
     up to 32 with a 20 ms forming timeout.
     """
-    from ..system.loadgen import compare_under_load
+    from ..system.batching import compare_under_load
 
     bench = RnnBenchmark("gru", 2048, 375)
     bw_service = bw_rnn_report(bench).latency_s

@@ -17,7 +17,9 @@ from .batching import (
     BatchingError,
     DynamicBatcher,
     ServiceTimeCurve,
+    SloComparison,
     calibrate_batch_curve,
+    compare_under_load,
     record_batch_series,
     render_slo_sweep,
     slo_sweep,
@@ -31,15 +33,10 @@ from .faults import (
     RetryPolicy,
 )
 from .loadgen import (
-    Batch1Server,
-    BatchingServer,
     FaultEvent,
     FaultScenarioResult,
-    LoadResult,
     ServedRequest,
-    SloComparison,
     bursty_arrivals,
-    compare_under_load,
     diurnal_arrivals,
     heavy_tailed_arrivals,
     poisson_arrivals,
@@ -96,8 +93,8 @@ __all__ = [
     "FaultInjector", "FaultProfile", "FaultSample", "InvocationOutcome",
     "ResilientClient", "RetryPolicy",
     "BidirectionalRnnService", "CpuStage", "FederatedRuntime",
-    "FpgaStage", "PlanResult", "Batch1Server", "BatchingServer",
-    "FaultEvent", "FaultScenarioResult", "LoadResult", "ServedRequest",
+    "FpgaStage", "PlanResult",
+    "FaultEvent", "FaultScenarioResult", "ServedRequest",
     "SloComparison", "bursty_arrivals", "compare_under_load",
     "diurnal_arrivals", "heavy_tailed_arrivals", "poisson_arrivals",
     "run_fault_scenario", "uniform_arrivals",

@@ -26,12 +26,17 @@ and makes its cost/benefit measurable against the BW batch-1 design:
   so every dispatched batch is one
   :class:`~repro.functional.replay.BatchedReplay` execution with
   per-request outputs bit-identical to sequential invocation; in
-  *curve-only* mode service times come from a measured
-  :class:`ServiceTimeCurve` and million-request sweeps run in seconds.
+  *curve-only* mode service times come from any ``batch -> seconds``
+  callable (a measured :class:`ServiceTimeCurve`, or a baseline's
+  latency model) and million-request sweeps run in seconds.  It is the
+  one offline batch-formation loop: batch-1 serving is
+  ``BatchPolicy(max_batch=1, timeout_s=0.0)``.
 * :func:`slo_sweep` — the headline benchmark: goodput (requests
   completed within a fixed p99-style SLO per second) of dynamic
   batching vs. the batch-1 server, swept over arrival rates.  Its
   payload feeds ``BENCH_perf.json`` and the CI goodput gate.
+* :func:`compare_under_load` — Section I's latency argument: a batch-1
+  BW server against a GPU-style batching queue on the same traces.
 
 Simulated time is seconds.  Everything except the wall-clock
 calibration itself is deterministic for fixed seeds.
@@ -43,14 +48,14 @@ import bisect
 import dataclasses
 import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ReproError
 from ..obs import Metrics, Tracer, or_null, or_null_metrics, \
     percentile_or_nan
-from .loadgen import Batch1Server, ServedRequest, poisson_arrivals
+from .loadgen import ServedRequest, checked_trace, poisson_arrivals
 from .microservice import HardwareMicroservice
 
 #: Histogram bucket bounds for batch occupancy (requests per dispatch).
@@ -362,17 +367,6 @@ class BatchServeResult:
         return met / span if span > 0 else float("inf")
 
 
-def goodput_rps(requests: Sequence[ServedRequest],
-                slo_s: float) -> float:
-    """SLO-met completions per second for any served-request list
-    (shared with the batch-1 baseline in :func:`slo_sweep`)."""
-    if not requests:
-        return float("nan")
-    span = max(r.finish for r in requests) - requests[0].arrival
-    met = sum(1 for r in requests if r.latency <= slo_s)
-    return met / span if span > 0 else float("inf")
-
-
 class DynamicBatcher:
     """One SLO-aware batching queue in front of one serving node.
 
@@ -386,8 +380,9 @@ class DynamicBatcher:
       real :class:`~repro.functional.replay.BatchedReplay` per
       dispatch and the result carries per-request outputs bit-identical
       to sequential invocation.
-    * ``curve`` (a measured :class:`ServiceTimeCurve`): pure
-      discrete-event mode for large sweeps.
+    * ``curve`` (any ``batch -> seconds`` callable, such as a
+      measured :class:`ServiceTimeCurve`): pure discrete-event mode
+      for large sweeps.
 
     ``metrics`` receives the observability contract of the serving
     stack: a ``serving.batch_occupancy`` histogram (requests per
@@ -400,13 +395,17 @@ class DynamicBatcher:
 
     def __init__(self, policy: BatchPolicy,
                  service: Optional[HardwareMicroservice] = None,
-                 curve: Optional[ServiceTimeCurve] = None,
+                 curve: Optional[Callable[[int], float]] = None,
                  adaptive: Optional[AdaptiveBatchPolicy] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[Metrics] = None):
         if (service is None) == (curve is None):
             raise BatchingError(
                 "exactly one of service/curve must back the batcher")
+        if curve is not None and not callable(curve):
+            raise BatchingError(
+                f"curve must be callable (batch -> seconds), got "
+                f"{type(curve).__name__}")
         if adaptive is not None and adaptive.max_batch > policy.max_batch:
             raise BatchingError(
                 f"adaptive max_batch ({adaptive.max_batch}) exceeds "
@@ -439,9 +438,7 @@ class DynamicBatcher:
         ``inputs`` (one input-vector list per request) additionally
         runs every dispatch through batched replay for real outputs.
         """
-        arrivals = [float(a) for a in arrivals]
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            raise BatchingError("arrivals must be sorted")
+        arrivals = checked_trace(arrivals, BatchingError).tolist()
         if self.service is not None and steps is None:
             raise BatchingError("service-backed runs need steps")
         if inputs is not None:
@@ -539,11 +536,12 @@ def slo_sweep(curve: ServiceTimeCurve, slo_s: float,
         raise BatchingError("rates_rps must be non-empty")
     if timeout_s is None:
         timeout_s = slo_s / 4.0
-    batch1 = Batch1Server(curve(1))
+    batch1 = DynamicBatcher(BatchPolicy(max_batch=1, timeout_s=0.0),
+                            curve=lambda b: curve(1))
     rows = []
     for rate in rates_rps:
         arrivals = poisson_arrivals(float(rate), requests, seed=seed)
-        base = batch1.simulate(arrivals)
+        base = batch1.run(arrivals)
         batcher = DynamicBatcher(
             BatchPolicy(max_batch=max_batch, timeout_s=timeout_s),
             curve=curve,
@@ -552,7 +550,7 @@ def slo_sweep(curve: ServiceTimeCurve, slo_s: float,
         dyn = batcher.run(arrivals)
         rows.append({
             "rate_rps": float(rate),
-            "batch1_goodput_rps": goodput_rps(base.requests, slo_s),
+            "batch1_goodput_rps": base.goodput_rps(slo_s),
             "batch1_p99_ms": base.p99_ms,
             "dynamic_goodput_rps": dyn.goodput_rps(slo_s),
             "dynamic_p99_ms": dyn.p99_ms,
@@ -574,6 +572,43 @@ def slo_sweep(curve: ServiceTimeCurve, slo_s: float,
         "peak_goodput_dynamic_rps": peak_dynamic,
         "goodput_ratio": ratio,
     }
+
+
+@dataclasses.dataclass(frozen=True)
+class SloComparison:
+    """One arrival-rate point of the BW-vs-GPU serving comparison."""
+
+    rate_rps: float
+    bw: BatchServeResult
+    gpu: BatchServeResult
+
+
+def compare_under_load(bw_service_s: float,
+                       gpu_batch_service: Callable[[int], float],
+                       max_batch: int, timeout_s: float,
+                       rates_rps: Sequence[float],
+                       requests: int = 2000,
+                       seed: int = 0) -> List[SloComparison]:
+    """Batch-1 BW serving vs a GPU batching queue across arrival rates.
+
+    Both arms are :class:`DynamicBatcher` queues on identical Poisson
+    traces: the BW server dispatches each request alone at
+    ``bw_service_s``; the GPU stack waits up to ``timeout_s`` to fill
+    ``max_batch`` and pays ``gpu_batch_service(batch)`` per dispatch.
+    """
+    if bw_service_s <= 0:
+        raise BatchingError(
+            f"bw_service_s must be positive, got {bw_service_s}")
+    bw = DynamicBatcher(BatchPolicy(max_batch=1, timeout_s=0.0),
+                        curve=lambda b: bw_service_s)
+    gpu = DynamicBatcher(BatchPolicy(max_batch, timeout_s),
+                         curve=gpu_batch_service)
+    out = []
+    for rate in rates_rps:
+        arrivals = poisson_arrivals(rate, requests, seed=seed)
+        out.append(SloComparison(rate_rps=rate, bw=bw.run(arrivals),
+                                 gpu=gpu.run(arrivals)))
+    return out
 
 
 def record_batch_series(batch_log: Sequence[Tuple[float, int]],

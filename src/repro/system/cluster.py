@@ -46,6 +46,7 @@ from ..errors import ReproError
 from ..obs import Metrics, Tracer, or_null, or_null_metrics, \
     percentile_or_nan
 from .batching import OCCUPANCY_BOUNDS, QUEUE_WAIT_BOUNDS
+from .loadgen import checked_trace
 from .network import NetworkFabric, NetworkModel
 from .runtime import DEFAULT_CPU_FALLBACK_LATENCY_S
 
@@ -178,11 +179,10 @@ class NodeBatching:
     ``curve`` maps a dispatch size to its aggregate service time in
     seconds — e.g. a :class:`~repro.system.batching.ServiceTimeCurve`
     from :func:`~repro.system.batching.calibrate_batch_curve`, replacing
-    both ``ClusterSpec.service_time_s`` and the hand-written
-    ``batch_service_time`` functions of
-    :class:`~repro.system.loadgen.BatchingServer`.  Each node queues
-    requests and dispatches ``min(queued, max_batch)`` when the batch
-    fills or the oldest request has waited ``timeout_s``.
+    ``ClusterSpec.service_time_s``; the same callable backs a
+    single-queue :class:`~repro.system.batching.DynamicBatcher`.  Each
+    node queues requests and dispatches ``min(queued, max_batch)`` when
+    the batch fills or the oldest request has waited ``timeout_s``.
     """
 
     curve: object
@@ -713,9 +713,7 @@ class ClusterSimulator:
         """
         spec = self.spec
         # Memoryviews need C-contiguous float64, whatever came in.
-        arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-        if arrivals.size and np.any(np.diff(arrivals) < 0):
-            raise ClusterError("arrivals must be sorted")
+        arrivals = checked_trace(arrivals, ClusterError)
         for ev in events:
             # Range-check every target up front: a bad index must not
             # fail mid-run, or wrap silently (crash(-1) is node N-1).

@@ -1,27 +1,25 @@
-"""Request-level serving simulation: latency under load.
+"""Arrival traces and fault scenarios for the serving simulations.
 
-The paper's motivation (Section I): "in an online inference setting,
-requests often arrive one at a time; a throughput architecture must
-either process these requests individually, leading to reduced
-throughput while still sustaining batch-equivalent latency, or incur
-increased latency by waiting for multiple request arrivals to form a
-batch." This module makes that argument quantitative: a discrete-event
-simulation of Poisson request arrivals against
+* **Arrival traces**: Poisson and uniform request lists for the
+  single-queue comparisons, and vectorized diurnal, bursty and
+  heavy-tailed numpy traces for million-request cluster runs.
+* :class:`ServedRequest`: one request's lifecycle timestamps, the
+  per-request record of
+  :class:`~repro.system.batching.BatchServeResult`.
+* **Fault scenarios**: :func:`run_fault_scenario` drives a trace
+  through a :class:`~repro.system.faults.ResilientClient` under
+  injected crashes, transient failures and tail spikes.
 
-* a **batch-1 server** (the BW NPU: one request at a time, fixed
-  service time), and
-* a **batching server** (the GPU serving stack: requests queue until
-  ``max_batch`` accumulate or the oldest waits ``timeout``; a batch of
-  size b takes ``batch_service_time(b)``),
-
-reporting the latency distribution each sustains at a given arrival
-rate.
+Queueing itself lives in :class:`~repro.system.batching.DynamicBatcher`
+(one batching queue in front of one node; batch-1 serving is its
+``BatchPolicy(1, 0.0)``) and :class:`~repro.system.cluster
+.ClusterSimulator` (a fleet).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,48 +50,18 @@ class ServedRequest:
         return self.start - self.arrival
 
 
-@dataclasses.dataclass(frozen=True)
-class LoadResult:
-    """Latency statistics of one simulation.
-
-    Degenerate (empty) result sets follow NaN-with-flag semantics:
-    :attr:`empty` is the flag, and every statistic returns ``nan``
-    instead of raising or reporting a misleading ``0.0``.
-    """
-
-    requests: List[ServedRequest]
-
-    @property
-    def empty(self) -> bool:
-        """No requests were served — every statistic below is ``nan``."""
-        return not self.requests
-
-    def percentile_latency(self, q: float) -> float:
-        """Latency percentile (seconds) via the shared
-        :func:`repro.obs.percentile_or_nan` helper; ``nan`` when
-        :attr:`empty`."""
-        return percentile_or_nan([r.latency for r in self.requests], q)
-
-    @property
-    def p50_ms(self) -> float:
-        return self.percentile_latency(50) * 1e3
-
-    @property
-    def p99_ms(self) -> float:
-        return self.percentile_latency(99) * 1e3
-
-    @property
-    def mean_ms(self) -> float:
-        if self.empty:
-            return float("nan")
-        return 1e3 * float(np.mean([r.latency for r in self.requests]))
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.empty:
-            return float("nan")
-        span = self.requests[-1].finish - self.requests[0].arrival
-        return len(self.requests) / span if span > 0 else float("inf")
+def checked_trace(arrivals: Sequence[float], error: type) -> np.ndarray:
+    """``arrivals`` as a C-contiguous float64 array, raising ``error``
+    at the first NaN or infinite time, or if the trace is unsorted."""
+    times = np.ascontiguousarray(arrivals, dtype=np.float64)
+    finite = np.isfinite(times)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise error(f"arrival {k} is {times[k]}; arrival times must "
+                    f"be finite")
+    if times.size and np.any(np.diff(times) < 0):
+        raise error("arrivals must be sorted")
+    return times
 
 
 def poisson_arrivals(rate_rps: float, count: int,
@@ -209,99 +177,6 @@ def heavy_tailed_arrivals(rate_rps: float, count: int,
     # 1-U maps [0,1) to (0,1], keeping the inverse CDF finite.
     gaps = scale * (1.0 - rng.random(count)) ** (-1.0 / alpha)
     return np.cumsum(gaps)
-
-
-class Batch1Server:
-    """One request at a time at a fixed service time — the BW regime."""
-
-    def __init__(self, service_time_s: float):
-        if service_time_s <= 0:
-            raise LoadError("service time must be positive")
-        self.service_time_s = service_time_s
-
-    @property
-    def capacity_rps(self) -> float:
-        return 1.0 / self.service_time_s
-
-    def simulate(self, arrivals: Sequence[float]) -> LoadResult:
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        for arrival in arrivals:
-            start = max(arrival, free_at)
-            finish = start + self.service_time_s
-            free_at = finish
-            served.append(ServedRequest(arrival, start, finish))
-        return LoadResult(served)
-
-
-class BatchingServer:
-    """Forms batches up to ``max_batch``, waiting at most ``timeout_s``
-    for stragglers — the GPU serving-stack regime."""
-
-    def __init__(self, batch_service_time: Callable[[int], float],
-                 max_batch: int, timeout_s: float):
-        if max_batch < 1:
-            raise LoadError("max_batch must be >= 1")
-        if timeout_s < 0:
-            raise LoadError("timeout must be non-negative")
-        self.batch_service_time = batch_service_time
-        self.max_batch = max_batch
-        self.timeout_s = timeout_s
-
-    @classmethod
-    def from_curve(cls, curve, max_batch: int,
-                   timeout_s: float) -> "BatchingServer":
-        """A batching server backed by a **measured**
-        :class:`~repro.system.batching.ServiceTimeCurve` instead of a
-        hand-written service-time function, so SLO comparisons run
-        against the service times batched replay actually achieves."""
-        if not callable(curve):
-            raise LoadError(
-                f"curve must be callable (batch -> seconds), got "
-                f"{type(curve).__name__}")
-        return cls(curve, max_batch, timeout_s)
-
-    def capacity_rps(self) -> float:
-        """Throughput ceiling at full batches."""
-        return self.max_batch / self.batch_service_time(self.max_batch)
-
-    def simulate(self, arrivals: Sequence[float]) -> LoadResult:
-        arrivals = sorted(arrivals)
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        i = 0
-        n = len(arrivals)
-        while i < n:
-            # The server considers dispatch once it is free and at
-            # least one request is waiting.
-            head = max(arrivals[i], free_at)
-            deadline = max(arrivals[i] + self.timeout_s, head)
-            # Requests arriving by the deadline may join, up to
-            # max_batch; a full batch dispatches immediately.
-            j = i
-            dispatch_at = deadline
-            while j < n and j - i < self.max_batch \
-                    and arrivals[j] <= deadline:
-                j += 1
-            if j - i == self.max_batch:
-                dispatch_at = max(arrivals[j - 1], head)
-            batch = arrivals[i:j]
-            start = max(dispatch_at, free_at)
-            finish = start + self.batch_service_time(len(batch))
-            free_at = finish
-            for arrival in batch:
-                served.append(ServedRequest(arrival, start, finish))
-            i = j
-        return LoadResult(served)
-
-
-@dataclasses.dataclass(frozen=True)
-class SloComparison:
-    """One arrival-rate point of the BW-vs-GPU serving comparison."""
-
-    rate_rps: float
-    bw: LoadResult
-    gpu: LoadResult
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +303,7 @@ def run_fault_scenario(client: ResilientClient, service: str,
     ``injector`` as simulated time passes them. Server-side queueing is
     not modeled here (each request sees an unloaded replica) — the
     point is the fault/recovery behavior, and
-    :class:`Batch1Server`/:class:`BatchingServer` cover queueing.
+    :class:`~repro.system.batching.DynamicBatcher` covers queueing.
 
     ``tracer`` (simulated-seconds timebase) receives an instant event
     per applied :class:`FaultEvent`; ``metrics`` gets scenario-level
@@ -468,21 +343,3 @@ def run_fault_scenario(client: ResilientClient, service: str,
                                arrivals=list(arrivals),
                                fault_counts=counts)
 
-
-def compare_under_load(bw_service_s: float,
-                       gpu_batch_service: Callable[[int], float],
-                       max_batch: int, timeout_s: float,
-                       rates_rps: Sequence[float],
-                       requests: int = 2000,
-                       seed: int = 0) -> List[SloComparison]:
-    """Simulate both serving stacks across arrival rates."""
-    bw_server = Batch1Server(bw_service_s)
-    gpu_server = BatchingServer(gpu_batch_service, max_batch, timeout_s)
-    out = []
-    for rate in rates_rps:
-        arrivals = poisson_arrivals(rate, requests, seed=seed)
-        out.append(SloComparison(
-            rate_rps=rate,
-            bw=bw_server.simulate(arrivals),
-            gpu=gpu_server.simulate(arrivals)))
-    return out

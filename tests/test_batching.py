@@ -23,7 +23,6 @@ from repro.system import (
     AdaptiveBatchPolicy,
     BatchPolicy,
     BatchingError,
-    BatchingServer,
     DynamicBatcher,
     FpgaNode,
     HardwareMicroservice,
@@ -223,6 +222,31 @@ class TestDynamicBatcherCurveMode:
         with pytest.raises(BatchingError):
             batcher.run([0.0], inputs=[[np.zeros(16)]])  # curve mode
 
+    def test_curve_must_be_callable(self):
+        """Any ``batch -> seconds`` callable backs the queue; anything
+        else fails at construction, not at the first dispatch."""
+        batcher = DynamicBatcher(BatchPolicy(max_batch=16), curve=CURVE)
+        saturated = batcher.run([0.0] * 64)
+        assert saturated.batch_sizes == [16] * 4
+        assert saturated.throughput_rps == pytest.approx(
+            CURVE.throughput_rps(16))
+        DynamicBatcher(BatchPolicy(), curve=lambda b: 1e-3 * b)
+        with pytest.raises(BatchingError, match="callable"):
+            DynamicBatcher(BatchPolicy(), curve=3.0)
+
+    @pytest.mark.parametrize("trace, index", [
+        ([0.0, float("nan"), 1.0], 1),
+        ([0.0, float("inf")], 1),
+        ([float("-inf"), 0.0], 0),
+    ], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_arrivals(self, trace, index):
+        """A NaN used to surface as ``batch must be >= 1, got 0`` and
+        an infinite arrival was served with an infinite finish."""
+        batcher = DynamicBatcher(BatchPolicy(), curve=CURVE)
+        with pytest.raises(BatchingError,
+                           match=rf"arrival {index} is .*finite"):
+            batcher.run(trace)
+
 
 class TestServingStackBitEquality:
     """The tentpole contract: dispatches through the serving stack —
@@ -337,15 +361,6 @@ class TestSloSweep:
             slo_sweep(CURVE, slo_s=0.0, rates_rps=[100.0])
         with pytest.raises(BatchingError):
             slo_sweep(CURVE, slo_s=1.0, rates_rps=[])
-
-    def test_batching_server_from_curve(self):
-        server = BatchingServer.from_curve(CURVE, max_batch=16,
-                                           timeout_s=1e-3)
-        assert server.capacity_rps() == pytest.approx(16 / CURVE(16))
-        from repro.system.loadgen import LoadError
-        with pytest.raises(LoadError):
-            BatchingServer.from_curve(3.0, max_batch=16,
-                                      timeout_s=1e-3)
 
 
 class TestBatchObservability:

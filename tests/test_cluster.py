@@ -219,6 +219,26 @@ class TestEventTargets:
         assert "outside" in str(info.value)
 
 
+class TestNonFiniteArrivals:
+    """NaN and infinite arrival times are rejected before the loop on
+    both loops, naming the first bad index: the unbatched loop used to
+    record a NaN arrival as a TIMEOUT with a NaN latency and the
+    batched loop as FAILED."""
+
+    @_LOOPS
+    @pytest.mark.parametrize("trace, index", [
+        ([0.0, float("nan"), 1.0], 1),
+        ([0.0, 0.5, float("inf")], 2),
+        ([float("-inf"), 0.0], 0),
+        ([0.0, float("nan"), 0.1, float("inf")], 1),
+    ], ids=["nan", "inf", "-inf", "first_of_two"])
+    def test_rejected_naming_the_first_bad_index(self, make_sim, trace,
+                                                 index):
+        with pytest.raises(ClusterError,
+                           match=rf"arrival {index} is .*finite"):
+            make_sim().run(trace)
+
+
 class TestEmptyRun:
     def test_nan_with_flag_semantics(self):
         res = ClusterSimulator(_spec()).run([])

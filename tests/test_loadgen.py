@@ -1,14 +1,18 @@
-"""Tests for the request-level serving simulation."""
+"""Tests for arrival traces, fault scenarios, and the batch-1 and
+batching regimes of the one offline serving queue."""
 
 import numpy as np
 import pytest
 
+from repro.system.batching import (
+    BatchingError,
+    BatchPolicy,
+    DynamicBatcher,
+    compare_under_load,
+)
 from repro.system.loadgen import (
-    Batch1Server,
-    BatchingServer,
     LoadError,
     bursty_arrivals,
-    compare_under_load,
     diurnal_arrivals,
     heavy_tailed_arrivals,
     poisson_arrivals,
@@ -37,79 +41,93 @@ class TestArrivals:
             uniform_arrivals(5, 0)
 
 
+def _batch1(service_s):
+    """The batch-1 BW regime: every request dispatched alone."""
+    return DynamicBatcher(BatchPolicy(max_batch=1, timeout_s=0.0),
+                          curve=lambda b: service_s)
+
+
 class TestBatch1Server:
+    """Batch-1 serving as :class:`DynamicBatcher` at
+    ``BatchPolicy(1, 0.0)``: one request at a time, FIFO."""
+
     def test_idle_server_latency_is_service_time(self):
-        server = Batch1Server(0.001)
-        result = server.simulate(uniform_arrivals(10.0, 20))
+        result = _batch1(0.001).run(uniform_arrivals(10.0, 20))
         assert result.p50_ms == pytest.approx(1.0)
         assert result.p99_ms == pytest.approx(1.0)
+        assert result.batch_sizes == [1] * 20
 
     def test_saturated_server_queues(self):
-        server = Batch1Server(0.01)  # 100 req/s capacity
-        result = server.simulate(uniform_arrivals(200.0, 100))
+        result = _batch1(0.01).run(uniform_arrivals(200.0, 100))
         # Every second request waits behind the previous one.
         assert result.p99_ms > 10.0
         latencies = [r.latency for r in result.requests]
         assert latencies == sorted(latencies)  # waits grow monotonically
 
     def test_fifo_order(self):
-        server = Batch1Server(0.002)
-        result = server.simulate([0.0, 0.0005, 0.001])
+        result = _batch1(0.002).run([0.0, 0.0005, 0.001])
         starts = [r.start for r in result.requests]
         assert starts == sorted(starts)
         assert starts[1] == pytest.approx(0.002)
 
     def test_capacity(self):
-        assert Batch1Server(0.004).capacity_rps == pytest.approx(250.0)
+        """Saturated, the server completes one request per service
+        time."""
+        result = _batch1(0.004).run([0.0] * 100)
+        assert result.throughput_rps == pytest.approx(250.0)
 
     def test_invalid_service_time(self):
-        with pytest.raises(LoadError):
-            Batch1Server(0.0)
+        with pytest.raises(BatchingError):
+            compare_under_load(
+                bw_service_s=0.0, gpu_batch_service=lambda b: 0.05,
+                max_batch=16, timeout_s=0.02, rates_rps=(50,))
 
 
 class TestBatchingServer:
+    """The GPU serving-stack regime: :class:`DynamicBatcher` waits up
+    to the timeout to fill a batch."""
+
     @staticmethod
-    def linear_service(base=0.01, per=0.001):
-        return lambda b: base + per * b
+    def batcher(max_batch, timeout_s, base=0.01, per=0.001):
+        return DynamicBatcher(BatchPolicy(max_batch, timeout_s),
+                              curve=lambda b: base + per * b)
 
     def test_low_load_waits_for_timeout(self):
         """A lone request waits the full forming timeout."""
-        server = BatchingServer(self.linear_service(), max_batch=8,
-                                timeout_s=0.05)
-        result = server.simulate([0.0])
+        result = self.batcher(max_batch=8, timeout_s=0.05).run([0.0])
         assert result.requests[0].start == pytest.approx(0.05)
 
     def test_full_batch_dispatches_without_timeout(self):
-        server = BatchingServer(self.linear_service(), max_batch=4,
-                                timeout_s=10.0)
         arrivals = [0.0, 0.001, 0.002, 0.003]
-        result = server.simulate(arrivals)
+        result = self.batcher(max_batch=4, timeout_s=10.0).run(arrivals)
         assert result.requests[0].start == pytest.approx(0.003)
 
     def test_batch_size_capped(self):
-        server = BatchingServer(self.linear_service(), max_batch=2,
-                                timeout_s=1.0)
-        result = server.simulate([0.0, 0.0, 0.0, 0.0])
+        result = self.batcher(max_batch=2, timeout_s=1.0).run(
+            [0.0, 0.0, 0.0, 0.0])
         starts = sorted({r.start for r in result.requests})
         assert len(starts) == 2  # two batches of two
+        assert result.batch_sizes == [2, 2]
 
     def test_batchmates_share_finish_time(self):
-        server = BatchingServer(self.linear_service(), max_batch=4,
-                                timeout_s=0.01)
-        result = server.simulate([0.0, 0.001, 0.002])
+        result = self.batcher(max_batch=4, timeout_s=0.01).run(
+            [0.0, 0.001, 0.002])
         finishes = {r.finish for r in result.requests}
         assert len(finishes) == 1
 
     def test_capacity_uses_full_batches(self):
-        service = self.linear_service(0.01, 0.001)
-        server = BatchingServer(service, max_batch=10, timeout_s=0.01)
-        assert server.capacity_rps() == pytest.approx(10 / 0.02)
+        """Saturated, every dispatch is full: throughput is
+        ``max_batch / service(max_batch)``."""
+        result = self.batcher(max_batch=10, timeout_s=0.01).run(
+            [0.0] * 100)
+        assert result.batch_sizes == [10] * 10
+        assert result.throughput_rps == pytest.approx(10 / 0.02)
 
     def test_invalid_parameters(self):
-        with pytest.raises(LoadError):
-            BatchingServer(self.linear_service(), 0, 0.1)
-        with pytest.raises(LoadError):
-            BatchingServer(self.linear_service(), 4, -1.0)
+        with pytest.raises(BatchingError):
+            BatchPolicy(0, 0.1)
+        with pytest.raises(BatchingError):
+            BatchPolicy(4, -1.0)
 
 
 class TestComparison:
@@ -137,13 +155,14 @@ class TestComparison:
         of raising or fabricating a misleading 0.0."""
         import math
 
-        from repro.system.loadgen import LoadResult
-        res = LoadResult([])
-        assert res.empty
+        res = _batch1(0.001).run([])
+        assert res.empty and res.batch_sizes == []
         assert math.isnan(res.percentile_latency(50))
         assert math.isnan(res.p99_ms)
-        assert math.isnan(res.mean_ms)
+        assert math.isnan(res.mean_batch)
         assert math.isnan(res.throughput_rps)
+        assert math.isnan(res.goodput_rps(1.0))
+        assert math.isnan(res.slo_attainment(1.0))
 
     def test_empty_fault_scenario_nan_with_flag(self):
         import math
