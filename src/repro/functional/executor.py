@@ -250,12 +250,12 @@ class FunctionalSimulator:
         The schema matches
         :meth:`repro.verify.reference.ReferenceInterpreter.snapshot`, so
         differential runners can compare executors field by field. The
-        output queue is *not* drained.
+        output queue is *not* drained, and no read counter moves.
         """
         return {
-            "vrf": {mem.name: vrf.read(0, vrf.depth)
+            "vrf": {mem.name: vrf._data.copy()
                     for mem, vrf in self.vrfs.items()},
-            "mrf": self.mrf.read_tiles(0, self.mrf.capacity),
+            "mrf": self.mrf._tiles.copy(),
             "dram_vectors": {k: v.copy()
                              for k, v in self.dram._vectors.items()},
             "dram_tiles": {k: v.copy()
@@ -523,7 +523,7 @@ class FunctionalSimulator:
 
     def _mv_mul_vectorized(self, base: int, value: np.ndarray,
                            rows: int, cols: int) -> np.ndarray:
-        """Vectorized mega-SIMD MVM over the assembled weight window.
+        """Vectorized mega-SIMD MVM over a weight window's derived operands.
 
         Bit-identical by construction to the reference interpreter's
         per-tile loop (:mod:`repro.verify.reference`), which accumulates
@@ -579,7 +579,7 @@ class FunctionalSimulator:
         else:
             inputs = self._quantized_input_f64(value) \
                 .reshape(segs, self._seg_width)
-        blocks = self._window_blocks_f64(base, rows, cols)
+        blocks = self._window_operands(base, rows, cols)
         acc = blocks[0] @ inputs[0]
         for s in range(1, segs):
             acc += blocks[s] @ inputs[s]
@@ -629,63 +629,37 @@ class FunctionalSimulator:
             self._input_cache.move_to_end(key)
         return entry
 
-    def _window_operands(self, base: int, rows: int, cols: int) -> tuple:
-        """Mantissa-GEMV operands for a weight window.
+    def _window_operands(self, base: int, rows: int, cols: int):
+        """This simulator's ``mv_mul`` operands for a weight window,
+        cached against the MRF generation.
 
-        Plain mode: float32 mantissa segments (S, rows*N, block) and
-        float64 scales (S, rows*N), with ``S = cols * nb`` segments in
-        (c, k) order. Packed mode (``_pack_slots`` = k > 0): k mantissa
-        rows share one float64 lane, (S, ceil(rows*N/k), block), with
-        the same scales array.
-
-        Derived from the assembled MRF window (weights are already
-        BFP-quantized there, so the decomposition is exact and
-        idempotent) and cached against the MRF generation.
+        The mantissa-GEMV modes get the ``(mantissas, scales)`` of
+        :func:`window_operands`; the float64/exact mode gets the
+        :func:`window_blocks_f64` stack. Every call counts the
+        ``rows * cols`` MRF tile reads of the ``mv_mul``, hit or not.
         """
-        entry = self._window_lookup(base, rows, cols)
-        if entry[1] is None:
-            n = self.config.native_dim
-            b, nb = self._seg_width, self._nb
-            segs = cols * nb
-            window = entry[0]
-            # Column-block layout: blocks[c] stacks tile column c of every
-            # window row, (rows*N, N); splitting each native row into nb
-            # scale blocks yields segment s = c*nb + k as (rows*N, block),
-            # each row sharing one exponent.
-            blocks = np.ascontiguousarray(
-                window.reshape(rows * n, cols, n).transpose(1, 0, 2))
-            mant, exps = decompose(blocks.reshape(-1, n), self._bfp)
-            scales = np.ascontiguousarray(
-                scales_of(exps, self._bfp)
-                .reshape(cols, rows * n, nb).transpose(0, 2, 1)
-                .reshape(segs, rows * n))
-            mant = np.ascontiguousarray(
-                mant.reshape(cols, rows * n, nb, b).transpose(0, 2, 1, 3)
-                .reshape(segs, rows * n, b))
-            if self._pack_slots:
-                mant = self._pack_rows(mant, segs, rows * n, b)
-            entry[1] = (mant, scales)
-        return entry[1]
-
-    def _pack_rows(self, mant: np.ndarray, cols: int, total_rows: int,
-                   n: int) -> np.ndarray:
-        """Pack k consecutive mantissa rows into one float64 lane each.
-
-        Row ``g*k + t`` lands in bit slot ``w*(k-1-t)`` of packed row
-        ``g``. Slot values stay integers below ``2^(w-1)`` through the
-        GEMV, so the packed dot product is the exact sum of k disjoint
-        slot dots; :meth:`_unpack` recovers them.
-        """
-        k, w = self._pack_slots, self._pack_width
-        groups = -(-total_rows // k)
-        padded = np.zeros((cols, groups * k, n), dtype=np.float64)
-        padded[:, :total_rows] = mant
-        slot_scale = np.exp2(
-            w * (k - 1 - np.arange(k, dtype=np.float64)))
-        packed = (padded.reshape(cols, groups, k, n)
-                  * slot_scale[np.newaxis, np.newaxis, :, np.newaxis]
-                  ).sum(axis=2)
-        return np.ascontiguousarray(packed)
+        mrf = self.mrf
+        tiles = mrf.read_tiles(base, rows * cols, copy=False)
+        key = (base, rows, cols)
+        entry = self._derived_windows.get(key)
+        if entry is not None and entry[0] == mrf.generation:
+            self._derived_windows.move_to_end(key)
+            return entry[1]
+        k = self._pack_slots
+        if not (k or self._mantissa_gemv):
+            operands = window_blocks_f64(tiles, cols, self._seg_width)
+        else:
+            segs, r = cols * self._nb, rows * self.config.native_dim
+            mant = np.empty((segs, -(-r // (k or 1)), self._seg_width),
+                            dtype=np.float64 if k else np.float32)
+            scales = np.empty((segs, r))
+            window_operands(tiles, cols, self._bfp, k, self._pack_width,
+                            mant, scales)
+            operands = (mant, scales)
+        self._derived_windows[key] = (mrf.generation, operands)
+        while len(self._derived_windows) > _DERIVED_WINDOW_SLOTS:
+            self._derived_windows.popitem(last=False)
+        return operands
 
     def _unpack(self, packed_dots: np.ndarray, count: int) -> np.ndarray:
         """Recover the k exact integer block dots from packed dots.
@@ -706,41 +680,62 @@ class FunctionalSimulator:
         cols, _, groups = dots.shape
         return dots.transpose(0, 2, 1).reshape(cols, groups * k)[:, :count]
 
-    def _window_blocks_f64(self, base: int, rows: int,
-                           cols: int) -> np.ndarray:
-        """Float64 segment stack (S, rows*N, block) of a window.
 
-        In exact mode (nb == 1) this is the column-block stack
-        (cols, rows*N, N) unchanged.
-        """
-        entry = self._window_lookup(base, rows, cols)
-        if entry[2] is None:
-            n = self.config.native_dim
-            b, nb = self._seg_width, self._nb
-            blocks = entry[0].reshape(rows * n, cols, n).transpose(1, 0, 2)
-            if nb > 1:
-                blocks = (blocks.reshape(cols, rows * n, nb, b)
-                          .transpose(0, 2, 1, 3)
-                          .reshape(cols * nb, rows * n, b))
-            entry[2] = np.ascontiguousarray(blocks.astype(np.float64))
-        return entry[2]
+def window_operands(tiles: np.ndarray, cols: int, bfp, pack_slots: int,
+                    pack_width: int, mant_out: np.ndarray,
+                    scales_out: np.ndarray) -> None:
+    """Derive a weight window's mantissa-GEMV operands from its MRF tiles.
 
-    def _window_lookup(self, base: int, rows: int, cols: int) -> list:
-        """LRU entry ``[window, mantissa_operands, f64_blocks]`` for a
-        window, invalidated by the MRF generation counter."""
-        key = (base, rows, cols)
-        mrf = self.mrf
-        entry = self._derived_windows.get(key)
-        if entry is not None and entry[3] == mrf.generation:
-            # Every mv_mul reads rows * cols MRF tiles, derived-cache
-            # hit or not.
-            mrf.reads += rows * cols
-            self._derived_windows.move_to_end(key)
-            return entry
-        window = mrf.read_window(base, rows, cols)
-        entry = [window, None, None, mrf.generation]
-        self._derived_windows[key] = entry
-        self._derived_windows.move_to_end(key)
-        while len(self._derived_windows) > _DERIVED_WINDOW_SLOTS:
-            self._derived_windows.popitem(last=False)
-        return entry
+    ``tiles`` is the window's run of ``rows * cols`` tiles, tile
+    ``(r, c)`` at ``r * cols + c``. MRF weights are BFP-quantized on
+    write, so the decomposition is exact and idempotent. Segment
+    ``s = c * nb + j`` is scale block ``j`` of tile column ``c`` (the
+    reference (c, k) order), one exponent per row. Writes float64
+    scales (S, rows*N) into ``scales_out`` and the mantissas into
+    ``mant_out``: float32 (S, rows*N, block), or with ``pack_slots``
+    k > 0, k rows per float64 lane (S, ceil(rows*N/k), block). The
+    interpreter passes fresh arrays; a fused replay group passes its
+    member's slices of one stacked array, so the engines agree bit for
+    bit.
+    """
+    n = tiles.shape[-1]
+    b = bfp.block_size
+    nb = n // b
+    r = tiles.shape[0] // cols * n
+    mant, exps = decompose(
+        tiles.reshape(-1, cols, n, n).transpose(1, 0, 2, 3).reshape(-1, n),
+        bfp)
+    mant = mant.reshape(cols, r, nb, b)
+    scales = scales_of(exps, bfp).reshape(cols, r, nb)
+    k = pack_slots
+    # Row g*k + t lands in bit slot w*(k-1-t) of packed row g. Slot
+    # values stay integers below 2^(w-1) through the GEMV, so the packed
+    # dot product is the exact sum of k disjoint slot dots, which
+    # FunctionalSimulator._unpack recovers.
+    slot_scale = np.exp2(
+        pack_width * (k - 1 - np.arange(k, dtype=np.float64)))
+    for s in range(cols * nb):
+        c, j = divmod(s, nb)
+        scales_out[s] = scales[c, :, j]
+        seg = mant[c, :, j]
+        if not k:
+            mant_out[s] = seg
+            continue
+        packed = mant_out[s]
+        packed[...] = 0.0  # so an all-zero lane packs as +0.0
+        for t in range(k):
+            part = seg[t::k]
+            packed[:len(part)] += part * slot_scale[t]
+
+
+def window_blocks_f64(tiles: np.ndarray, cols: int,
+                      seg_width: int) -> np.ndarray:
+    """Float64 segment stack (S, rows*N, block) of a weight window,
+    from its MRF tiles (float64/exact mode; with nb == 1 it is the
+    column-block stack (cols, rows*N, N))."""
+    n = tiles.shape[-1]
+    nb = n // seg_width
+    rows = tiles.shape[0] // cols
+    return np.ascontiguousarray(
+        tiles.reshape(rows, cols, n, nb, seg_width).transpose(1, 3, 0, 2, 4),
+        dtype=np.float64).reshape(cols * nb, rows * n, seg_width)

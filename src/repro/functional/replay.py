@@ -80,6 +80,7 @@ from ..isa.opcodes import Opcode
 from ..isa.program import NpuProgram, SetScalar
 from ..numerics.bfp import decompose, scales_of, to_float16
 from . import ops
+from .executor import window_blocks_f64, window_operands
 
 # Piece kinds inside a compiled vector step (dispatch tags).
 _MV, _BIN, _UN, _WR_VRF, _WR_NETQ, _WR_DRAM = range(6)
@@ -100,7 +101,7 @@ class _MvGroup:
     """One stacked mega-SIMD MVM shared by one or more fused chains.
 
     Members are consecutive ``mv_mul`` chains reading the same VRF head
-    with the same column count; their weight windows are concatenated
+    with the same column count; their weight operands are stacked
     along the output-row axis so one GEMV per column block yields every
     member's block dots. Stacking is exact on the packed and
     mantissa-GEMV paths (integer dot products are order-insensitive),
@@ -158,36 +159,36 @@ class _MvGroup:
     # -- operand binding ---------------------------------------------------
 
     def _refresh(self, sim):
-        """(Re)stack the members' decomposed weight windows: the
-        ``(w_stack, scales)`` of the executor's own ``_window_operands``
-        per member, or in float64/exact mode the one member's
-        ``_window_blocks_f64`` array, so the derivations match the
-        interpreter exactly."""
+        """(Re)derive the members' weight operands straight from the MRF
+        tiles with the interpreter's own :func:`window_operands`, each
+        member into its rows of one stack allocated on first use, or in
+        float64/exact mode the one member's :func:`window_blocks_f64`.
+
+        Packed members start at their padded offsets; padding rows carry
+        zero scales, so their terms vanish exactly.
+        """
+        mrf, cols = sim.mrf, self.cols
         if self.mode == _MODE_F64:
             base, rows = self.members[0]
-            return sim._window_blocks_f64(base, rows, self.cols)
-        parts = [sim._window_operands(base, rows, self.cols)
-                 for base, rows in self.members]
-        if self.mode == _MODE_PACKED:
-            k = sim._pack_slots
-            if len(parts) == 1:
-                w_stack = parts[0][0]
-            else:
-                w_stack = np.concatenate([p[0] for p in parts], axis=1)
-            # Scales live at the *unpadded* row positions of each
-            # member's padded slot range; padding rows carry zero
-            # mantissas and zero scales, so their terms vanish exactly.
-            scales = np.zeros((self.segs, self.groups_total * k))
-            for (_, rows), off, part in zip(self.members,
-                                            self.padded_offsets, parts):
-                scales[:, off:off + rows * self.n] = part[1]
-        else:
-            if len(parts) == 1:
-                w_stack, scales = parts[0]
-            else:
-                w_stack = np.concatenate([p[0] for p in parts], axis=1)
-                scales = np.concatenate([p[1] for p in parts], axis=1)
-        return w_stack, scales
+            return window_blocks_f64(mrf.read_tiles(base, rows * cols,
+                                                    copy=False),
+                                     cols, self.seg_width)
+        k = sim._pack_slots or 1
+        if self._operands is None:
+            self._operands = (
+                np.empty((self.segs, self.groups_total, self.seg_width),
+                         dtype=np.float64 if self.mode == _MODE_PACKED
+                         else np.float32),
+                np.zeros((self.segs, self.groups_total * k)))
+        w_stack, scales = self._operands
+        for (base, rows), start in zip(self.members, self.padded_offsets):
+            r = rows * self.n
+            window_operands(mrf.read_tiles(base, rows * cols, copy=False),
+                            cols, sim._bfp, sim._pack_slots,
+                            sim._pack_width,
+                            w_stack[:, start // k:(start + r + k - 1) // k],
+                            scales[:, start:start + r])
+        return self._operands
 
     def _bound_operands(self, sim):
         """Stacked operands for the current MRF generation.

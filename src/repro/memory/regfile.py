@@ -10,16 +10,9 @@ structure is exposed for the timing model and tests.
 
 from __future__ import annotations
 
-import collections
-from typing import Dict, Tuple
-
 import numpy as np
 
 from ..errors import MemoryError_
-
-#: Assembled windows kept per MRF (enough for every weight matrix of the
-#: largest lowered model; evicted least-recently-used beyond this).
-_WINDOW_CACHE_SLOTS = 64
 
 
 class VectorRegisterFile:
@@ -86,9 +79,9 @@ class MatrixRegisterFile:
     property (one SRAM read port per multiplier).
 
     :meth:`read_window` assembles the tiles of a mega-SIMD window into one
-    block matrix with pure reshape/transpose (no Python tile loop) and
-    caches the result; :attr:`generation` increments on every write, so a
-    cached window is valid exactly while its generation matches.
+    block matrix with pure reshape/transpose (no Python tile loop);
+    :attr:`generation` increments on every write, so operands derived
+    from the tiles are valid exactly while their generation matches.
     """
 
     def __init__(self, name: str, capacity: int, native_dim: int,
@@ -104,10 +97,8 @@ class MatrixRegisterFile:
                                dtype=np.float32)
         self.reads = 0
         self.writes = 0
-        #: Bumped on every tile write; invalidates cached windows.
+        #: Bumped on every tile write; invalidates derived operands.
         self.generation = 0
-        self._windows: "collections.OrderedDict[Tuple[int, int, int], Tuple[int, np.ndarray]]" = \
-            collections.OrderedDict()
 
     def _check(self, index: int, count: int = 1) -> None:
         if count <= 0:
@@ -133,33 +124,18 @@ class MatrixRegisterFile:
         """Assembled mega-SIMD weight window: a (rows*N, cols*N) matrix.
 
         Tile ``(r, c)`` of the window is MRF slot ``base + r*cols + c``
-        (``mv_mul``'s row-major layout). The block matrix is built once
-        with a reshape/transpose and cached; any tile write invalidates
-        via :attr:`generation`. Every call still counts ``rows*cols``
-        tile reads — the hardware reads the SRAM each issue, cache hit
-        or not.
-
-        The returned array is shared with the cache: callers must not
-        mutate it.
+        (``mv_mul``'s row-major layout), assembled with one
+        reshape/transpose. Counts ``rows*cols`` tile reads. A one-column
+        window is a view of the MRF: callers must not mutate it.
         """
         count = rows * cols
         self._check(base, count)
         self.reads += count
-        key = (base, rows, cols)
-        cached = self._windows.get(key)
-        if cached is not None and cached[0] == self.generation:
-            self._windows.move_to_end(key)
-            return cached[1]
         n = self.native_dim
-        window = (self._tiles[base:base + count]
-                  .reshape(rows, cols, n, n)
-                  .transpose(0, 2, 1, 3)
-                  .reshape(rows * n, cols * n))
-        self._windows[key] = (self.generation, window)
-        self._windows.move_to_end(key)
-        while len(self._windows) > _WINDOW_CACHE_SLOTS:
-            self._windows.popitem(last=False)
-        return window
+        return (self._tiles[base:base + count]
+                .reshape(rows, cols, n, n)
+                .transpose(0, 2, 1, 3)
+                .reshape(rows * n, cols * n))
 
     def write_tile(self, index: int, tile: np.ndarray) -> None:
         tile = np.asarray(tile, dtype=np.float32)
@@ -202,7 +178,6 @@ class MatrixRegisterFile:
 
     def clear(self) -> None:
         self.generation += 1
-        self._windows.clear()
         self._tiles.fill(0.0)
 
     @property

@@ -1,7 +1,7 @@
 """Bit-exact equivalence of the vectorized execution layer.
 
 The vectorized ``mv_mul`` paths (row-packed float64 GEMV, mantissa-GEMV,
-and the stacked float64 fallback), the MRF window cache, and the
+and the stacked float64 fallback), MRF window assembly, and the
 ``copy=False`` register-file reads must be indistinguishable from the
 reference interpreter (:mod:`repro.verify.reference`) — same
 architectural state, same statistics — and the simulator's own
@@ -200,7 +200,7 @@ def test_compiled_rnn_bit_identical(kind, hidden, config, exact):
     _assert_matches_reference(sim, ref, tracer, metrics)
 
 
-# -- MRF window cache ------------------------------------------------------
+# -- MRF window assembly ------------------------------------------------
 
 class TestReadWindow:
     def test_window_matches_tile_layout(self):
@@ -217,18 +217,17 @@ class TestReadWindow:
                     window[r * 4:(r + 1) * 4, c * 4:(c + 1) * 4],
                     tiles[r * 3 + c])
 
-    def test_cache_hit_counts_reads_and_write_invalidates(self):
+    def test_each_read_counts_tiles_and_sees_writes(self):
         mrf = MatrixRegisterFile("mrf", capacity=8, native_dim=2)
         mrf.write_tiles(0, np.ones((4, 2, 2), dtype=np.float32))
-        first = mrf.read_window(0, 2, 2)
-        reads_after_first = mrf.reads
-        again = mrf.read_window(0, 2, 2)
-        assert again is first  # cached object
-        assert mrf.reads == reads_after_first + 4  # stats still accrue
+        reads = mrf.reads
+        mrf.read_window(0, 2, 2)
+        assert mrf.reads == reads + 4
+        mrf.read_window(0, 2, 2)
+        assert mrf.reads == reads + 8  # every issue reads the SRAM
         mrf.write_tile(3, np.full((2, 2), 7.0, dtype=np.float32))
-        refreshed = mrf.read_window(0, 2, 2)
-        assert refreshed is not first
-        assert refreshed[2, 2] == 7.0
+        assert mrf.read_window(0, 2, 2)[2, 2] == 7.0
+        assert not hasattr(mrf, "_windows")  # no assembled-window copy
 
     def test_clear_invalidates(self):
         mrf = MatrixRegisterFile("mrf", capacity=4, native_dim=2)

@@ -79,8 +79,7 @@ def _assert_run_equivalent(compiled, xs, exact=False):
 
 def _counters(sim):
     """Every counter a run advances: stats, register files, DRAM bytes,
-    network-queue vectors, and the trace clock. (Read these before
-    ``snapshot()``, which counts its own register-file reads.)"""
+    network-queue vectors, and the trace clock."""
     return (dict(vars(sim.stats)), sim.mrf.reads, sim.mrf.writes,
             {mem: (v.reads, v.writes) for mem, v in sim.vrfs.items()},
             sim.dram.bytes_read, sim.dram.bytes_written,
@@ -283,6 +282,25 @@ def test_batched_run_leaves_base_simulator_untouched(exact):
     compiled.run_sequence_batched([xs, xs], sim=sim)
     assert _counters(sim) == counters
     _assert_state_equal(sim.snapshot(), snap, "snapshot")
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("exact", [False, True], ids=["bfp", "exact"])
+def test_snapshot_moves_no_counter(exact):
+    """Regression: ``FunctionalSimulator.snapshot`` copied its state
+    through the counting register-file reads, so inspecting a simulator
+    added the whole VRF depth and MRF capacity to the read counters. A
+    snapshot on either engine leaves every counter as it was."""
+    compiled = _compiled_model("lstm", 256, MB2)
+    sim = compiled.new_simulator(exact=exact)
+    compiled.run_sequence(_inputs(256, 2), sim=sim, compiled=True)
+    counters = _counters(sim)
+    snap = sim.snapshot()
+    assert _counters(sim) == counters
+    rep = BatchedReplay(sim, compiled.program, 2,
+                        bindings={compiled.steps_binding: 1})
+    _assert_state_equal(rep.snapshot(1), snap, "snapshot")
+    assert _counters(sim) == counters
 
 
 @pytest.mark.tier1
