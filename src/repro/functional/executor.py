@@ -33,7 +33,7 @@ from ..isa.program import NpuProgram, SetScalar
 from ..memory.dram import Dram
 from ..memory.netq import NetworkQueues
 from ..memory.regfile import MatrixRegisterFile, VectorRegisterFile
-from ..numerics.bfp import decompose, quantize, scales_of, to_float16
+from ..numerics.bfp import decompose, quantize, round_float16, scales_of
 from ..obs import Metrics, Tracer, or_null, or_null_metrics
 from . import ops
 
@@ -108,6 +108,10 @@ class FunctionalSimulator:
         #: scalar registers); see :meth:`plan_for`.
         self._plans: "collections.OrderedDict[tuple, object]" = \
             collections.OrderedDict()
+        #: Stacked weight operands of the plans' fused mv_mul groups,
+        #: one per (member windows, columns) whatever the binding:
+        #: key -> (MRF generation, operands); see ``replay._MvGroup``.
+        self._operand_stacks: Dict[tuple, tuple] = {}
         n = config.native_dim
         self.vrfs: Dict[MemId, VectorRegisterFile] = {
             MemId.InitialVrf: VectorRegisterFile(
@@ -322,8 +326,13 @@ class FunctionalSimulator:
         if plan is None:
             plan = compile_plan(self, program, bindings)
             self._plans[key] = plan
-            while len(self._plans) > _PLAN_CACHE_SLOTS:
-                self._plans.popitem(last=False)
+            if len(self._plans) > _PLAN_CACHE_SLOTS:
+                while len(self._plans) > _PLAN_CACHE_SLOTS:
+                    self._plans.popitem(last=False)
+                live = {g.key for p in self._plans.values()
+                        for g in p.groups}
+                for stale in set(self._operand_stacks) - live:
+                    del self._operand_stacks[stale]
         else:
             self._plans.move_to_end(key)
         return plan
@@ -519,7 +528,7 @@ class FunctionalSimulator:
         if self._observing:
             self.metrics.counter("executor.macs").inc(rows * cols * n * n)
         result = out.astype(np.float32)
-        return result if self.exact else to_float16(result)
+        return result if self.exact else round_float16(result)
 
     def _mv_mul_vectorized(self, base: int, value: np.ndarray,
                            rows: int, cols: int) -> np.ndarray:

@@ -13,12 +13,15 @@ from typing import Callable, Dict
 import numpy as np
 
 from ..isa.opcodes import Opcode
-from ..numerics.bfp import to_float16
+from ..numerics.bfp import round_float16
 
 
 def _finish(x: np.ndarray, exact: bool) -> np.ndarray:
-    result = np.asarray(x, dtype=np.float32)
-    return result if exact else to_float16(result)
+    """Round a kernel's own fresh float32 output to float16, in place
+    where :func:`~repro.numerics.bfp.round_float16` can."""
+    if not isinstance(x, np.ndarray):  # 0-d operands give numpy scalars
+        x = np.asarray(x)
+    return x if exact else round_float16(x)
 
 
 def vv_add(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
@@ -55,19 +58,22 @@ def vv_mul(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
 
 def v_relu(a: np.ndarray, exact: bool = False) -> np.ndarray:
     """Point-wise rectified linear unit."""
-    return _finish(np.maximum(np.asarray(a, np.float32), 0.0), exact)
+    return _finish(np.maximum(np.asarray(a, np.float32), np.float32(0.0)),
+                   exact)
 
 
 def v_sigm(a: np.ndarray, exact: bool = False) -> np.ndarray:
     """Point-wise logistic sigmoid (saturates cleanly at the rails)."""
     a64 = np.asarray(a, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return _finish(1.0 / (1.0 + np.exp(-a64)), exact)
+        return _finish((1.0 / (1.0 + np.exp(-a64))).astype(np.float32),
+                       exact)
 
 
 def v_tanh(a: np.ndarray, exact: bool = False) -> np.ndarray:
     """Point-wise hyperbolic tangent."""
-    return _finish(np.tanh(np.asarray(a, dtype=np.float64)), exact)
+    return _finish(np.tanh(np.asarray(a, dtype=np.float64))
+                   .astype(np.float32), exact)
 
 
 #: Two-operand point-wise kernels indexed by opcode.

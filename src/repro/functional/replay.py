@@ -22,6 +22,11 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
   against one input vector become one matmul — legal only on the
   exact-integer mantissa paths, where the stacked dot products are
   bit-identical to the per-chain ones;
+* pointwise ops that a group's members go on with, the same kernel
+  over VRF rows laid out in member order — the LSTM's four gate adds,
+  three of its sigmoids — run as one wide piece over the group's
+  stacked output where a static alias check allows
+  (:func:`_plan_fusion`);
 * ``mv_mul`` groups whose input never depends on the recurrence — every
   occurrence reads a known slot of the network input queue, like an
   RNN's ``x_t * W`` — marked for *hoisting* (``ReplayPlan.hoists``,
@@ -78,7 +83,7 @@ from ..isa.chain import InstructionChain
 from ..isa.memspace import MemId, ScalarReg
 from ..isa.opcodes import Opcode
 from ..isa.program import NpuProgram, SetScalar
-from ..numerics.bfp import decompose, scales_of, to_float16
+from ..numerics.bfp import decompose, round_float16, scales_of
 from . import ops
 from .executor import window_blocks_f64, window_operands
 
@@ -96,6 +101,17 @@ _MODE_PACKED, _MODE_MANTISSA, _MODE_F64 = range(3)
 #: whatever the batch size or the number of hoisted timesteps.
 _EPILOGUE_ROWS = 8
 
+#: Up to this many input rows, :meth:`_MvGroup.apply_rows` runs one GEMV
+#: per row and segment instead of one GEMM per segment: OpenBLAS's GEMM
+#: repacks the whole weight panel on every call. Measured on a 2-vCPU
+#: Xeon (h=1024 LSTM on BW_S10, T=25, a 3.84 MB panel per segment,
+#: medians of 6 interleaved dispatches), BLAS threads unset as in the
+#: end-to-end benchmark: B=2 took 42.1 ms with GEMVs against 50.8 ms
+#: with GEMMs, B=3 51.5 against 55.8 ms, B=4 82.3 against 72.2 ms.
+#: With one BLAS thread GEMVs won at B=2 (56.2 against 63.7 ms) and
+#: lost at B=3 (81.0 against 75.9 ms).
+_GEMV_MAX_ROWS = 3
+
 
 class _MvGroup:
     """One stacked mega-SIMD MVM shared by one or more fused chains.
@@ -108,21 +124,31 @@ class _MvGroup:
     so member outputs are bit-identical to per-chain execution; the
     float64/exact path keeps one member per group.
 
-    Stacked operands are cached against the MRF ``generation`` counter:
+    Stacked operands live on the simulator, keyed by ``key`` (the
+    member windows and the column count), so the plans of every loop
+    binding share one copy. They are checked against the MRF
+    ``generation`` counter:
     :meth:`~repro.functional.FunctionalSimulator.load_matrix` or an
     interpreted ``m_wr`` between compiled runs rebinds the weights on
     the next compute — the plan-cache invalidation required when matrix
     registers are rewritten.
+
+    ``fused`` holds the pointwise pieces that member 0's step runs over
+    the stacked output for a leading run of members at once
+    (:func:`_plan_fusion`); each member's step then goes on from
+    ``values[member]`` with the rest of its own pieces.
     """
 
-    __slots__ = ("mode", "members", "cols", "segs", "seg_width", "nb", "n",
-                 "offsets", "padded_offsets", "groups_total",
-                 "total_rows", "_generation", "_operands",
-                 "_scratch_generation", "_scratch", "outputs")
+    __slots__ = ("mode", "members", "key", "cols", "segs", "seg_width",
+                 "nb", "n", "offsets", "padded_offsets", "starts",
+                 "row_offsets", "groups_total", "total_rows",
+                 "_generation", "_operands", "_scratch_generation",
+                 "_scratch", "outputs", "fused", "values")
 
     def __init__(self, sim, members: List[Tuple[int, int]], cols: int):
         self.members = tuple(members)  # (mrf_base, rows) per member
         self.cols = cols
+        self.key = (self.members, cols)
         # Segment view: a native row splits into nb scale blocks, so a
         # cols-wide window has S = cols*nb GEMV segments in the
         # executor's (c, k) reference order (nb == 1 for native-block
@@ -140,29 +166,42 @@ class _MvGroup:
         n = self.n
         offsets, off = [], 0
         padded_offsets, poff = [], 0
+        row_offsets = [0]
         k = sim._pack_slots or 1
         for _, rows in self.members:
             offsets.append(off)
             off += rows * n
             padded_offsets.append(poff)
             poff += -(-(rows * n) // k) * k
+            row_offsets.append(row_offsets[-1] + rows)
         self.offsets = tuple(offsets)
         self.total_rows = off
         self.padded_offsets = tuple(padded_offsets)
+        #: Column where each member's values start in :attr:`outputs`.
+        self.starts = self.padded_offsets if self.mode == _MODE_PACKED \
+            else self.offsets
+        #: Vector-row offsets of the members in the stacked output,
+        #: valid when the members sit back to back (see _plan_fusion).
+        self.row_offsets = tuple(row_offsets)
         self.groups_total = poff // k
         self._generation = None
         self._operands = None
         self._scratch_generation = None
         self._scratch = None
+        #: (B, columns) float32 outputs of the last compute, member m
+        #: at columns ``starts[m]`` on.
         self.outputs = None
+        self.fused = ()
+        self.values = None
 
     # -- operand binding ---------------------------------------------------
 
-    def _refresh(self, sim):
+    def _refresh(self, sim, operands):
         """(Re)derive the members' weight operands straight from the MRF
         tiles with the interpreter's own :func:`window_operands`, each
-        member into its rows of one stack allocated on first use, or in
-        float64/exact mode the one member's :func:`window_blocks_f64`.
+        member into its rows of one stack (``operands``, or a new one),
+        or in float64/exact mode the one member's
+        :func:`window_blocks_f64`.
 
         Packed members start at their padded offsets; padding rows carry
         zero scales, so their terms vanish exactly.
@@ -174,13 +213,13 @@ class _MvGroup:
                                                     copy=False),
                                      cols, self.seg_width)
         k = sim._pack_slots or 1
-        if self._operands is None:
-            self._operands = (
+        if operands is None:
+            operands = (
                 np.empty((self.segs, self.groups_total, self.seg_width),
                          dtype=np.float64 if self.mode == _MODE_PACKED
                          else np.float32),
                 np.zeros((self.segs, self.groups_total * k)))
-        w_stack, scales = self._operands
+        w_stack, scales = operands
         for (base, rows), start in zip(self.members, self.padded_offsets):
             r = rows * self.n
             window_operands(mrf.read_tiles(base, rows * cols, copy=False),
@@ -188,10 +227,12 @@ class _MvGroup:
                             sim._pack_width,
                             w_stack[:, start // k:(start + r + k - 1) // k],
                             scales[:, start:start + r])
-        return self._operands
+        return operands
 
     def _bound_operands(self, sim):
-        """Stacked operands for the current MRF generation.
+        """Stacked operands for the current MRF generation, from the
+        simulator's ``_operand_stacks`` (one per ``key``), derived there
+        on the first compute after an MRF write.
 
         Re-deriving them leaves ``sim.mrf.reads`` untouched: the
         architectural tile reads of every ``mv_mul`` are part of the
@@ -199,10 +240,14 @@ class _MvGroup:
         """
         mrf = sim.mrf
         if self._generation != mrf.generation:
-            reads = mrf.reads
-            self._operands = self._refresh(sim)
-            self._generation = mrf.generation
-            mrf.reads = reads
+            entry = sim._operand_stacks.get(self.key)
+            if entry is None or entry[0] != mrf.generation:
+                reads = mrf.reads
+                entry = (mrf.generation, self._refresh(
+                    sim, entry[1] if entry is not None else None))
+                sim._operand_stacks[self.key] = entry
+                mrf.reads = reads
+            self._generation, self._operands = entry
         return self._operands
 
     def _packed_scratch(self, w_scales: np.ndarray, k: int,
@@ -249,8 +294,8 @@ class _MvGroup:
         acc = blocks[0] @ inputs[0]
         for s in range(1, self.segs):
             acc += blocks[s] @ inputs[s]
-        out = acc.reshape(rows, self.n).astype(np.float32)
-        return out if sim.exact else to_float16(out)
+        out = acc.astype(np.float32)
+        return out if sim.exact else round_float16(out)
 
     # -- batched compute ---------------------------------------------------
 
@@ -268,28 +313,57 @@ class _MvGroup:
         if hoisted is not None:
             occurrence = hoisted[1]
             hoisted[1] = occurrence + 1
-            self.outputs = tuple(out[occurrence] for out in hoisted[0])
+            self.outputs = hoisted[0][occurrence]
             return
         sim = bstate.sim
         if self.mode == _MODE_F64:
             blocks = self._bound_operands(sim)
             rows = self.members[0][1]
-            self.outputs = (np.stack([
+            self.outputs = np.stack([
                 self._f64_member(sim, value[b], blocks, rows)
-                for b in range(bstate.batch)]),)
+                for b in range(bstate.batch)])
             return
         self.outputs = self.apply_rows(sim, value)
 
-    def apply_rows(self, sim, value: np.ndarray) -> tuple:
-        """Every member's outputs for an (R, cols, N) stack of inputs.
+    def start_members(self, bstate, exact: bool) -> None:
+        """Run the fused pieces over the stacked outputs and leave each
+        member's (B, rows, N) starting value in :attr:`values`.
+
+        A piece covers the leading ``count`` members; a member outside
+        it keeps the value it had, and its step runs the rest.
+        """
+        out, n = self.outputs, self.n
+        if not self.fused:
+            self.values = [
+                out[:, start:start + rows * n].reshape(len(out), rows, n)
+                for (_, rows), start in zip(self.members, self.starts)]
+            return
+        ro = self.row_offsets
+        live = len(self.members)
+        value = out[:, :ro[live] * n].reshape(len(out), ro[live], n)
+        values = [None] * live
+        for piece, count in self.fused:
+            if count < live:
+                for m in range(count, live):
+                    values[m] = value[:, ro[m]:ro[m + 1]]
+                live = count
+                value = value[:, :ro[count]]
+            value = _run_piece(bstate, piece, value, exact)
+        for m in range(live):
+            values[m] = value[:, ro[m]:ro[m + 1]]
+        self.values = values
+
+    def apply_rows(self, sim, value: np.ndarray) -> np.ndarray:
+        """Every member's outputs for an (R, cols, N) stack of inputs, as
+        one (R, columns) float32 array (member m from ``starts[m]``).
 
         Rows are requests on the per-step path and (occurrence, request)
-        pairs for a hoisted group. One decomposition and one GEMM per
-        segment cover all R rows — the GEMMs batch rows along the GEMM's
-        N dimension, which is what amortizes the weight traffic (a
-        (R, ...) batched matmul would degrade to R separate GEMVs). The
-        unpack/scale/``to_float16`` epilogue then runs in chunks of
-        :data:`_EPILOGUE_ROWS` rows through fixed scratch. Every dot
+        pairs for a hoisted group. One decomposition covers all R rows,
+        then one GEMM per segment — the GEMMs batch rows along the
+        GEMM's N dimension, which is what amortizes the weight traffic —
+        or, up to :data:`_GEMV_MAX_ROWS` rows, one GEMV per row and
+        segment. The unpack/scale/float16 epilogue then runs in chunks
+        of :data:`_EPILOGUE_ROWS` rows through fixed scratch. Every dot
         product is an exact integer, so the results equal per-row GEMVs
         bit for bit; scale products and the segment summation keep the
         reference operation order. Packed/mantissa modes only.
@@ -306,18 +380,14 @@ class _MvGroup:
                                            sim._pack_width)
             gemm = scratch[1][:, :total] if total <= chunk else \
                 np.empty((segs, total, self.groups_total))
-            x = mant.astype(np.float64)
-            for s in range(segs):
-                np.matmul(x[:, s], w_stack[s].T, out=gemm[s])
+            _gemm(mant.astype(np.float64), w_stack, gemm)
             parts = [self._unpack_chunk(gemm[:, r0:r0 + chunk],
                                         x_scales[r0:r0 + chunk], scratch,
                                         sim._pack_width)
                      for r0 in range(0, total, chunk)]
-            starts = self.padded_offsets
         else:
             gemm = np.empty((segs, total, self.total_rows), dtype=np.float32)
-            for s in range(segs):
-                np.matmul(mant[:, s], w_stack[s].T, out=gemm[s])
+            _gemm(mant, w_stack, gemm)
             parts = []
             for r0 in range(0, total, chunk):
                 part, xs = gemm[:, r0:r0 + chunk], x_scales[r0:r0 + chunk]
@@ -325,13 +395,8 @@ class _MvGroup:
                 for s in range(1, segs):
                     acc += (part[s].astype(np.float64)
                             * (w_scales[s] * xs[:, s]))
-                parts.append(to_float16(acc.astype(np.float32)))
-            starts = self.offsets
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        n = self.n
-        return tuple(
-            out[:, start:start + rows * n].reshape(total, rows, n)
-            for (_, rows), start in zip(self.members, starts))
+                parts.append(round_float16(acc.astype(np.float32)))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _unpack_chunk(self, gemm: np.ndarray, x_scales: np.ndarray,
                       scratch: tuple, width: int) -> np.ndarray:
@@ -365,8 +430,22 @@ class _MvGroup:
                 np.add(accb, dots[s], out=accb)
             acc = accb
         # (c, k, groups) -> (c, groups, k) -> rows g*k + t.
-        return to_float16(
+        return round_float16(
             acc.transpose(0, 2, 1).astype(np.float32).reshape(c, -1))
+
+
+def _gemm(x: np.ndarray, w_stack: np.ndarray, out: np.ndarray) -> None:
+    """``out[s] = x[:, s] @ w_stack[s].T`` for every segment ``s``: one
+    GEMM per segment, or one GEMV per row and segment for at most
+    :data:`_GEMV_MAX_ROWS` rows (exact integer dots either way)."""
+    rows = x.shape[0]
+    if rows <= _GEMV_MAX_ROWS:
+        for s in range(x.shape[1]):
+            for r in range(rows):
+                np.matmul(w_stack[s], x[r, s], out=out[s, r])
+    else:
+        for s in range(x.shape[1]):
+            np.matmul(x[:, s], w_stack[s].T, out=out[s])
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +509,6 @@ class _VectorStep:
         self.ticks = ticks
 
     def run(self, bstate) -> None:
-        sim = bstate.sim
         kind = self.head_kind
         if kind == _H_VRF:
             value = bstate._vrf[self.head_mem][
@@ -440,30 +518,39 @@ class _VectorStep:
         else:
             value = bstate._read_dram_vectors(self.head_index,
                                               self.width_in)
-        exact = sim.exact
+        exact = bstate.sim.exact
         for p in self.pieces:
-            kind = p[0]
-            if kind == _MV:
-                group = p[1]
-                if p[2] == 0:
-                    group.compute_batched(bstate, value)
-                value = group.outputs[p[2]]
-            elif kind == _BIN:
-                operand = bstate._vrf[p[2]][:, p[3]:p[3] + p[4]]
-                value = p[1](value, operand, exact=exact)
-            elif kind == _UN:
-                value = p[1](value, exact=exact)
-            elif kind == _WR_VRF:
-                if p[4]:
-                    value = value.copy()
-                bstate._vrf[p[1]][:, p[2]:p[2] + p[3]] = value
-            elif kind == _WR_NETQ:
-                bstate._push_outputs(value)
-            else:
-                # A copy, never a view: at B=1 a slice of a VRF head
-                # is contiguous and would alias the register file.
-                for i in range(value.shape[1]):
-                    bstate._dram_vectors[p[1] + i] = value[:, i].copy()
+            value = _run_piece(bstate, p, value, exact)
+
+
+def _run_piece(bstate, p: tuple, value: np.ndarray,
+               exact: bool) -> np.ndarray:
+    """Run one compiled piece on the (B, rows, N) chain value; returns
+    the value the next piece sees."""
+    kind = p[0]
+    if kind == _MV:
+        group, member = p[1], p[2]
+        if member == 0:
+            group.compute_batched(bstate, value)
+            group.start_members(bstate, exact)
+        return group.values[member]
+    if kind == _BIN:
+        return p[1](value, bstate._vrf[p[2]][:, p[3]:p[3] + p[4]],
+                    exact=exact)
+    if kind == _UN:
+        return p[1](value, exact=exact)
+    if kind == _WR_VRF:
+        if p[4]:
+            value = value.copy()
+        bstate._vrf[p[1]][:, p[2]:p[2] + p[3]] = value
+    elif kind == _WR_NETQ:
+        bstate._push_outputs(value)
+    else:
+        # A copy, never a view: at B=1 a slice of a VRF head
+        # is contiguous and would alias the register file.
+        for i in range(value.shape[1]):
+            bstate._dram_vectors[p[1] + i] = value[:, i].copy()
+    return value
 
 
 def _event_kind(event) -> str:
@@ -780,15 +867,20 @@ def compile_plan(sim, program: NpuProgram,
         if group is None:
             group = _MvGroup(sim, [(t.mv_base, t.rows) for t in open_run],
                              open_run[0].cols)
+            group.fused = _plan_fusion(group, open_run)
             group_cache[key] = group
             groups.append(group)
+        # Pieces a fused piece covers run in member 0's step.
+        done = [0] * len(open_run)
+        for _, count in group.fused:
+            for member in range(count):
+                done[member] += 1
         for member, t in enumerate(open_run):
             skey = (id(t), id(group), member)
             step = step_cache.get(skey)
             if step is None:
-                pieces = tuple(
-                    (_MV, group, member) if p[0] == _MV else p
-                    for p in t.raw_pieces)
+                pieces = ((_MV, group, member),) \
+                    + tuple(t.raw_pieces[1 + done[member]:])
                 step = _VectorStep(t.head_kind, t.head_mem, t.head_index,
                                    t.width_in, pieces, tuple(t.ticks))
                 step_cache[skey] = step
@@ -900,6 +992,95 @@ def compile_plan(sim, program: NpuProgram,
     )
 
 
+def _plan_fusion(group: _MvGroup, templates: List[_ChainTemplate]) -> tuple:
+    """The pointwise pieces member 0's step runs for a leading run of
+    the group's members at once; ``((piece, count), ...)``.
+
+    Position k after the ``mv_mul`` fuses the leading ``count >= 2``
+    members (at most the previous position's count) whose k-th pieces
+    run the same kernel, or write the same VRF, over row ranges laid
+    out in member order: member m's range starts ``row_offsets[m]``
+    rows after member 0's, so the wide piece covers them back to back
+    over the stacked output. Only ``vv_*``, ``v_*`` and VRF ``v_wr``
+    pieces fuse; network and DRAM writes stay in member order.
+
+    The fused pieces run before any member's remaining pieces, which
+    reorders VRF accesses across members. A static alias check drops
+    trailing positions until no access of member i (i < j) that
+    follows, in the fused order, a fused access of member j conflicts
+    with it (same VRF row, one of them a write); the chains' original
+    order is member i's pieces before member j's.
+    """
+    if len(templates) < 2 or group.starts != group.offsets:
+        return ()
+    ro = group.row_offsets
+    # An mv_mul directly follows a chain's head (ISA rule), so it is
+    # every member's first piece.
+    tails = [t.raw_pieces[1:] for t in templates]
+    fused = []
+    live = len(templates)
+    for k, first in enumerate(tails[0]):
+        if first[0] not in (_BIN, _UN, _WR_VRF):
+            break
+        count = 1
+        while count < live and k < len(tails[count]) and _continues(
+                first, tails[count][k], ro[count]):
+            count += 1
+        if count < 2:
+            break
+        if first[0] == _UN:
+            wide = first
+        elif first[0] == _BIN:
+            wide = first[:4] + (ro[count],)
+        else:
+            wide = (_WR_VRF, first[1], first[2], ro[count], False)
+        fused.append((wide, count))
+        live = count
+    while fused and _fusion_conflicts(tails, fused):
+        fused.pop()
+    return tuple(fused)
+
+
+def _continues(first: tuple, piece: tuple, rows_before: int) -> bool:
+    """Whether ``piece`` does what member 0's ``first`` does, on the
+    rows ``rows_before`` rows further on."""
+    if piece[0] != first[0]:
+        return False
+    if first[0] == _UN:
+        return piece[1] is first[1]
+    if first[0] == _BIN:
+        return (piece[1] is first[1] and piece[2] is first[2]
+                and piece[3] == first[3] + rows_before)
+    return (piece[1] is first[1] and piece[2] == first[2] + rows_before
+            and not piece[4])
+
+
+def _fusion_conflicts(tails: list, fused: list) -> bool:
+    """True if running ``fused`` first reorders two conflicting VRF
+    accesses of different members (see :func:`_plan_fusion`)."""
+    # Per member: (position, mem, lo, hi, writes); a piece left to the
+    # member's own step runs after every fused one (position inf).
+    accesses = []
+    for m, tail in enumerate(tails):
+        fused_here = sum(1 for _, count in fused if count > m)
+        mine = []
+        for k, p in enumerate(tail):
+            pos = k if k < fused_here else float("inf")
+            if p[0] == _BIN:
+                mine.append((pos, p[2], p[3], p[3] + p[4], False))
+            elif p[0] == _WR_VRF:
+                mine.append((pos, p[1], p[2], p[2] + p[3], True))
+        accesses.append(mine)
+    for i in range(len(tails)):
+        for j in range(i + 1, len(tails)):
+            for pos_i, mem_i, lo_i, hi_i, w_i in accesses[i]:
+                for pos_j, mem_j, lo_j, hi_j, w_j in accesses[j]:
+                    if (pos_j < pos_i and (w_i or w_j) and mem_i is mem_j
+                            and lo_i < hi_j and lo_j < hi_i):
+                        return True
+    return False
+
+
 def _plan_hoists(steps) -> Tuple[tuple, int]:
     """Find the ``mv_mul`` groups batched replay may hoist out of the
     unrolled time loop; returns ``(hoists, hoisted_inputs)``.
@@ -942,6 +1123,10 @@ def _plan_hoists(steps) -> Tuple[tuple, int]:
             if kind == _MV:
                 if p[2] == 0:
                     occurrences.setdefault(p[1], []).append(value)
+                    for piece, _ in p[1].fused:
+                        if piece[0] == _WR_VRF:
+                            for i in range(piece[3]):
+                                source.pop((piece[1], piece[2] + i), None)
                 value = None
             elif kind == _BIN or kind == _UN:
                 value = None
@@ -1051,8 +1236,8 @@ class BatchedReplay:
             np.repeat(v[np.newaxis], b, axis=0)
             for v in sim.netq._out_vectors]
         self._scalars = dict(sim.scalar_regs)
-        #: Hoisted group -> [per-member (occurrences, B, rows, N)
-        #: outputs, next occurrence]; filled only while :meth:`run` runs.
+        #: Hoisted group -> [(occurrences, B, columns) outputs, next
+        #: occurrence]; filled only while :meth:`run` runs.
         self._hoisted: Dict[_MvGroup, list] = {}
 
     # -- request-side I/O --------------------------------------------------
@@ -1090,9 +1275,10 @@ class BatchedReplay:
             for step in self.plan.steps:
                 step.run(self)
         finally:
+            # Member values may view a whole hoisted output block.
             self._hoisted = {}
-            for group, _ in self.plan.hoists:
-                group.outputs = None
+            for group in self.plan.groups:
+                group.outputs = group.values = None
         self._scalars.update(self.plan.final_scalars)
         return self
 
@@ -1121,11 +1307,10 @@ class BatchedReplay:
             for o in range(occurrences):
                 for c in range(cols):
                     rows[o, :, c] = queue[positions[o, c]]
-            outs = group.apply_rows(
+            out = group.apply_rows(
                 self.sim, rows.reshape(occurrences * batch, cols, n))
             self._hoisted[group] = [
-                tuple(out.reshape((occurrences, batch) + out.shape[1:])
-                      for out in outs), 0]
+                out.reshape(occurrences, batch, out.shape[1]), 0]
 
     # -- plan-facing state helpers -----------------------------------------
 

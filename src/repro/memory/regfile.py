@@ -78,8 +78,6 @@ class MatrixRegisterFile:
     geometry for the timing model and for tests of the port-scaling
     property (one SRAM read port per multiplier).
 
-    :meth:`read_window` assembles the tiles of a mega-SIMD window into one
-    block matrix with pure reshape/transpose (no Python tile loop);
     :attr:`generation` increments on every write, so operands derived
     from the tiles are valid exactly while their generation matches.
     """
@@ -119,23 +117,6 @@ class MatrixRegisterFile:
         self.reads += count
         data = self._tiles[index:index + count]
         return data.copy() if copy else data
-
-    def read_window(self, base: int, rows: int, cols: int) -> np.ndarray:
-        """Assembled mega-SIMD weight window: a (rows*N, cols*N) matrix.
-
-        Tile ``(r, c)`` of the window is MRF slot ``base + r*cols + c``
-        (``mv_mul``'s row-major layout), assembled with one
-        reshape/transpose. Counts ``rows*cols`` tile reads. A one-column
-        window is a view of the MRF: callers must not mutate it.
-        """
-        count = rows * cols
-        self._check(base, count)
-        self.reads += count
-        n = self.native_dim
-        return (self._tiles[base:base + count]
-                .reshape(rows, cols, n, n)
-                .transpose(0, 2, 1, 3)
-                .reshape(rows * n, cols * n))
 
     def write_tile(self, index: int, tile: np.ndarray) -> None:
         tile = np.asarray(tile, dtype=np.float32)

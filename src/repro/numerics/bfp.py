@@ -171,7 +171,17 @@ def _exponents_of(blocks: np.ndarray, fmt: BfpFormat) -> np.ndarray:
             np.max(amax, axis=-1, keepdims=True), amax.shape)
     exponents = np.frexp(amax)[1] - 1
     exponents = np.where(amax > 0, exponents, fmt.min_exponent)
-    return np.clip(exponents, fmt.min_exponent, fmt.max_exponent).astype(int)
+    # In-place maximum/minimum rather than np.clip, whose Python wrapper
+    # costs more than the clamp itself on one vector's few blocks.
+    np.maximum(exponents, fmt.min_exponent, out=exponents)
+    np.minimum(exponents, fmt.max_exponent, out=exponents)
+    return exponents.astype(int)
+
+
+def _clamp(mantissas: np.ndarray, limit: int) -> None:
+    """Clamp to [-limit, limit] in place (NaN stays NaN, as np.clip)."""
+    np.maximum(mantissas, -limit, out=mantissas)
+    np.minimum(mantissas, limit, out=mantissas)
 
 
 def block_exponents(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
@@ -202,7 +212,7 @@ def quantize_with_info(
     scale = np.exp2((exponents - fmt.mantissa_bits + 1).astype(blocks.dtype)
                     )[..., np.newaxis]
     mantissas = np.rint(blocks / scale)
-    np.clip(mantissas, -fmt.max_mantissa, fmt.max_mantissa, out=mantissas)
+    _clamp(mantissas, fmt.max_mantissa)
     values = (mantissas * scale).reshape(original_shape).astype(np.float32)
     return values, mantissas.astype(np.int64).reshape(original_shape), exponents
 
@@ -223,7 +233,7 @@ def decompose(x: np.ndarray, fmt: BfpFormat) -> Tuple[np.ndarray, np.ndarray]:
     scale = np.exp2((exponents - fmt.mantissa_bits + 1).astype(blocks.dtype)
                     )[..., np.newaxis]
     mantissas = np.rint(blocks / scale)
-    np.clip(mantissas, -fmt.max_mantissa, fmt.max_mantissa, out=mantissas)
+    _clamp(mantissas, fmt.max_mantissa)
     return mantissas.reshape(original_shape), exponents
 
 
@@ -314,7 +324,7 @@ def quantize(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     scale = np.exp2((exponents - fmt.mantissa_bits + 1).astype(blocks.dtype)
                     )[..., np.newaxis]
     mantissas = np.rint(blocks / scale)
-    np.clip(mantissas, -fmt.max_mantissa, fmt.max_mantissa, out=mantissas)
+    _clamp(mantissas, fmt.max_mantissa)
     return (mantissas * scale).reshape(original_shape).astype(np.float32)
 
 
@@ -336,14 +346,82 @@ def bfp_dot(a: np.ndarray, b: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     return np.float16(qa @ qb)
 
 
+#: Arrays with fewer elements round through numpy's float16 cast, which
+#: has the lower fixed cost. Measured on a 2-vCPU Xeon with numpy 2.4
+#: (median of 15 interleaved timings): the in-place cast took 18.6 us at
+#: 2,000 elements and 22.5 us at 2,400 against 19.2 and 21.4 us for the
+#: magic-add kernel of :func:`round_float16`, which then wins from
+#: 24.0 against 30.2 us at 3,600 to 244 against 627 us at 76,800.
+F16_KERNEL_MIN_SIZE = 2048
+
+#: float32 bit pattern of 65520, half way between float16's largest
+#: finite value (65504) and the next step (65536). A magnitude at or
+#: above it, an infinity or a NaN compares at or above it as an integer.
+_F16_OVERFLOW_BITS = 0x477FF000
+
+
+def round_float16(x: np.ndarray) -> np.ndarray:
+    """Round a float32 array the caller owns to float16 values.
+
+    Returns float32 words holding the float16 rounding of every element:
+    round-half-even, subnormals kept, magnitudes of 65520 and above
+    saturating to ``inf`` (the narrow pipeline word's defined behaviour;
+    numpy's overflow warning is suppressed). Rounds ``x`` in place and
+    returns it: by numpy's cast below :data:`F16_KERNEL_MIN_SIZE`
+    elements, by the magic-add kernel from there on.
+
+    The kernel adds ``C = 2^(max(e, -14) + 13)`` to ``|x|`` (``e`` its
+    binary exponent) and subtracts it again: the float32 sum has float16's
+    spacing at ``|x|``, so float32's own round-half-even addition does
+    the rounding, and the subtraction is exact (docs/NUMERICS.md). ``C``
+    comes from the exponent bits: ``max(bits & 0x7F800000, 113 << 23) +
+    (13 << 23)``. One integer max over ``|x|``'s bits sends an array
+    holding a magnitude of 65520 or more, an infinity or a NaN to
+    numpy's cast, which keeps the saturation and the NaN payloads.
+    """
+    if x.size >= F16_KERNEL_MIN_SIZE:
+        magnitude = np.bitwise_and(x.view(np.uint32), 0x7FFFFFFF)
+        if magnitude.max() < _F16_OVERFLOW_BITS:
+            return _magic_round(x, magnitude)
+    with np.errstate(over="ignore"):
+        x[...] = x.astype(np.float16)
+    return x
+
+
+def _magic_round(x: np.ndarray,
+                 magnitude: Optional[np.ndarray] = None) -> np.ndarray:
+    """The kernel of :func:`round_float16`, in place, for float32 ``x``
+    whose every magnitude is below 65520 (``magnitude``: the bits of
+    ``|x|``, if the caller has them)."""
+    if magnitude is None:
+        magnitude = np.bitwise_and(x.view(np.uint32), 0x7FFFFFFF)
+    # C's bits: float16's smallest normal exponent (-14) as a floor,
+    # then 13 more, the float32-float16 mantissa width difference.
+    magic = np.maximum(magnitude, 113 << 23)
+    np.bitwise_and(magic, 0x7F800000, out=magic)
+    np.add(magic, 13 << 23, out=magic)
+    c = magic.view(np.float32)
+    a = magnitude.view(np.float32)
+    np.add(a, c, out=a)
+    np.subtract(a, c, out=a)
+    np.copysign(a, x, out=x)
+    return x
+
+
 def to_float16(x: np.ndarray) -> np.ndarray:
     """Round to float16 and return as float32 (the pipeline word type).
 
     Out-of-range values saturate to ``inf``, the defined behaviour of the
-    narrow pipeline word; numpy's overflow warning is suppressed.
+    narrow pipeline word; numpy's overflow warning is suppressed. A
+    float32 input is copied and rounded by :func:`round_float16`; any
+    other dtype is cast to float16 directly, with no float32 rounding
+    in between.
     """
+    x = np.asarray(x)
+    if x.dtype == np.float32:
+        return round_float16(x.copy())
     with np.errstate(over="ignore"):
-        return np.asarray(x, dtype=np.float16).astype(np.float32)
+        return x.astype(np.float16).astype(np.float32)
 
 
 #: The RNN production format used by BW_S10 (Table IV).

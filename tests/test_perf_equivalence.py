@@ -202,47 +202,6 @@ def test_compiled_rnn_bit_identical(kind, hidden, config, exact):
 
 # -- MRF window assembly ------------------------------------------------
 
-class TestReadWindow:
-    def test_window_matches_tile_layout(self):
-        """Window tile (r, c) is MRF slot base + r*cols + c."""
-        mrf = MatrixRegisterFile("mrf", capacity=12, native_dim=4)
-        rng = np.random.default_rng(0)
-        tiles = rng.standard_normal((6, 4, 4)).astype(np.float32)
-        mrf.write_tiles(2, tiles)
-        window = mrf.read_window(2, 2, 3)
-        assert window.shape == (8, 12)
-        for r in range(2):
-            for c in range(3):
-                assert np.array_equal(
-                    window[r * 4:(r + 1) * 4, c * 4:(c + 1) * 4],
-                    tiles[r * 3 + c])
-
-    def test_each_read_counts_tiles_and_sees_writes(self):
-        mrf = MatrixRegisterFile("mrf", capacity=8, native_dim=2)
-        mrf.write_tiles(0, np.ones((4, 2, 2), dtype=np.float32))
-        reads = mrf.reads
-        mrf.read_window(0, 2, 2)
-        assert mrf.reads == reads + 4
-        mrf.read_window(0, 2, 2)
-        assert mrf.reads == reads + 8  # every issue reads the SRAM
-        mrf.write_tile(3, np.full((2, 2), 7.0, dtype=np.float32))
-        assert mrf.read_window(0, 2, 2)[2, 2] == 7.0
-        assert not hasattr(mrf, "_windows")  # no assembled-window copy
-
-    def test_clear_invalidates(self):
-        mrf = MatrixRegisterFile("mrf", capacity=4, native_dim=2)
-        mrf.write_tile(0, np.ones((2, 2), dtype=np.float32))
-        assert mrf.read_window(0, 1, 1)[0, 0] == 1.0
-        mrf.clear()
-        assert np.all(mrf.read_window(0, 1, 1) == 0.0)
-
-    def test_out_of_range_window_rejected(self):
-        from repro.errors import MemoryError_
-        mrf = MatrixRegisterFile("mrf", capacity=4, native_dim=2)
-        with pytest.raises(MemoryError_):
-            mrf.read_window(2, 1, 3)
-
-
 class TestCopyFalseReads:
     def test_vrf_view_aliases_storage(self):
         vrf = VectorRegisterFile("vrf", depth=4, native_dim=3)

@@ -219,12 +219,12 @@ def test_injected_compiled_path_bug_is_caught_and_shrunk(monkeypatch):
     the vectorized interpreter are untouched — is detected by the
     three-way differential and shrunk to a small reproducer."""
     import repro.functional.replay as replay
-    orig = replay.to_float16
+    orig = replay.round_float16
 
     def buggy(x):
         return orig(x) + np.float32(0.125)
 
-    monkeypatch.setattr(replay, "to_float16", buggy)
+    monkeypatch.setattr(replay, "round_float16", buggy)
     report = run_fuzz(seed=0, iterations=25, check_timing=False)
     assert not report.ok, "compiled-path bug went undetected"
     failure = report.failures[0]
