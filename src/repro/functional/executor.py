@@ -686,6 +686,9 @@ class FunctionalSimulator:
                            inv[np.newaxis, :, np.newaxis])
         dots = prefixes
         dots[:, 1:] -= prefixes[:, :-1] * float(np.exp2(w))
+        # A negative lane whose top-slot dot is 0 rounds to -0.0; the
+        # integer dot is +0.0 (the other slots' differences already are).
+        np.add(dots[:, 0], 0.0, out=dots[:, 0])
         cols, _, groups = dots.shape
         return dots.transpose(0, 2, 1).reshape(cols, groups * k)[:, :count]
 

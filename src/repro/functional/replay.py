@@ -409,11 +409,13 @@ class _MvGroup:
         pref, dots, accb = pref[:, :c], dots[:, :c], accb[:c]
         # Unpack the k slot dots per lane in (.., k, groups) layout
         # (one transposing copy at the very end instead of one per
-        # column block): dots[t] = pref[t] - pref[t-1] * 2^w.
+        # column block): dots[t] = pref[t] - pref[t-1] * 2^w.  Slot 0
+        # adds +0.0 as it copies: a negative lane whose top-slot dot is
+        # 0 rounds to -0.0, and the integer dot is +0.0.
         np.multiply(gemm[:, :, np.newaxis, :], inv[:, np.newaxis], out=pref)
         np.rint(pref, out=pref)
         two_w = float(2 ** width)
-        dots[:, :, 0] = pref[:, :, 0]
+        np.add(pref[:, :, 0], 0.0, out=dots[:, :, 0])
         np.multiply(pref[:, :, :-1], two_w, out=dots[:, :, 1:])
         np.subtract(pref[:, :, 1:], dots[:, :, 1:], out=dots[:, :, 1:])
         # terms = dots * (w_scales * x_scales). Both scale factors are

@@ -70,6 +70,10 @@ class DiffResult:
     #: ``mv_mul`` groups the case's batched replay hoisted out of its
     #: loops (``ReplayPlan.hoisted_groups``; 0 when unbatchable).
     hoisted_groups: int = 0
+    #: ``mv_mul`` groups whose members run shared pointwise ops as one
+    #: wide op over the stacked output (``_MvGroup.fused``; 0 when
+    #: unbatchable).
+    fused_groups: int = 0
 
     @property
     def ok(self) -> bool:
@@ -134,6 +138,15 @@ def _compare_arrays(label: str, a: np.ndarray, b: np.ndarray,
         idx = np.unravel_index(int(np.argmax(delta)), a.shape)
         out.append(f"{label}: worst divergence at {tuple(idx)}: "
                    f"{a[idx]!r} != {b[idx]!r}")
+    elif a.dtype.kind == "f":
+        # array_equal holds -0.0 == +0.0; the engines must agree on the
+        # sign of a zero too.
+        flipped = (np.signbit(a) != np.signbit(b)) & (a == 0)
+        if flipped.any():
+            idx = np.unravel_index(int(np.argmax(flipped)), a.shape)
+            out.append(f"{label}: signed zero at "
+                       f"{tuple(int(i) for i in idx)}: "
+                       f"{float(a[idx])!r} != {float(b[idx])!r}")
 
 
 def _compare_snapshots(tag: str, lhs: Dict[str, object],
@@ -232,17 +245,20 @@ def run_differential(case: ProgramCase,
         mismatches.append(f"metrics counters vectorized vs compiled: "
                           f"{vec_counts} != {comp_counts}")
 
-    batched, hoisted = check_batched_replay(case)
+    batched, hoisted, fused = check_batched_replay(case)
     mismatches.extend(batched)
 
     if check_timing:
         mismatches.extend(check_timing_invariants(case, ref))
-    return DiffResult(case, mismatches, hoisted_groups=hoisted)
+    return DiffResult(case, mismatches, hoisted_groups=hoisted,
+                      fused_groups=fused)
 
 
-def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
+def check_batched_replay(case: ProgramCase
+                         ) -> Tuple[List[str], int, int]:
     """Batched replay vs per-request interpreted runs; returns the
-    mismatches and the plan's hoisted ``mv_mul`` group count.
+    mismatches, the plan's hoisted ``mv_mul`` group count and its count
+    of groups with fused pointwise ops.
 
     Builds a :class:`BatchedReplay` whose requests see the case's
     network-input vectors scaled by :data:`_BATCH_SCALES` (all other
@@ -276,13 +292,13 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
                        f"instead of UnbatchablePlanError: {exc}")
         else:
             out.append("unbatchable plan accepted by BatchedReplay")
-        return out, 0
+        return out, 0, 0
 
     try:
         replay = BatchedReplay(base, case.program, batch)
     except ReproError as exc:
         return [f"batched: BatchedReplay rejected a batchable plan: "
-                f"{type(exc).__name__}: {exc}"], 0
+                f"{type(exc).__name__}: {exc}"], 0, 0
     for vec in case.netq_vectors:
         replay.push_input(np.stack([vec * s for s in _BATCH_SCALES]))
     batched_err = _guarded(replay.run)
@@ -304,7 +320,8 @@ def check_batched_replay(case: ProgramCase) -> Tuple[List[str], int]:
             continue
         _compare_snapshots(f"batched[{b}] vs sequential interpreted",
                            replay.snapshot(b), sim.snapshot(), out)
-    return out, plan.hoisted_groups
+    return (out, plan.hoisted_groups,
+            sum(1 for group in plan.groups if group.fused))
 
 
 def check_timing_invariants(case: ProgramCase,

@@ -275,3 +275,33 @@ class TestReadyTracker:
         # Range extends past the backing array; clip, don't fault.
         assert t.range_max(MemId.InitialVrf, 1, 10_000) == 4.0
         assert t.range_max(MemId.InitialVrf, 10_000, 4) == 0.0
+
+
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["interpreted", "compiled"])
+def test_packed_mv_mul_zero_dot_is_positive_zero(compiled):
+    """A packed lane whose top-slot dot is 0 and whose lower slots are
+    negative rounds slot 0 to -0.0; the reference's integer dot gives
+    +0.0, and so must both engines (``array_equal`` cannot tell)."""
+    cfg = NpuConfig(name="signed_zero", native_dim=128, lanes=4,
+                    tile_engines=2, mrf_size=8, mantissa_bits=2)
+    n = cfg.native_dim
+    W = -np.ones((n, n), dtype=np.float32)
+    W[0, :n // 2] = 1.0
+    b = ProgramBuilder("mvm")
+    b.v_rd(MemId.InitialVrf, 0)
+    b.mv_mul(0)
+    b.v_wr(MemId.NetQ)
+    program = b.build()
+    sim = FunctionalSimulator(cfg)
+    assert sim._pack_slots >= 3
+    sim.load_matrix(0, W)
+    sim.load_vector(MemId.InitialVrf, 0, np.ones(n, dtype=np.float32))
+    ref = _reference_of(sim)
+    sim.run(program, compiled=compiled)
+    ref.run(program)
+    got = sim.pop_outputs_flat()
+    want = np.concatenate(ref.snapshot()["outputs"])
+    assert np.array_equal(got, want)
+    assert got[0] == 0.0
+    assert np.array_equal(np.signbit(got), np.signbit(want))
