@@ -53,6 +53,9 @@ class FuzzReport:
     #: Cases whose batched replay hoisted at least one ``mv_mul`` group
     #: out of a loop (so the hoisted path was checked too).
     hoisted_plans: int = 0
+    #: Cases whose batched replay ran at least one ``mv_mul`` group's
+    #: shared pointwise ops fused over its stacked output.
+    fused_plans: int = 0
 
     @property
     def ok(self) -> bool:
@@ -61,7 +64,8 @@ class FuzzReport:
     def render(self) -> str:
         head = (f"{self.label}: {self.cases_run} case(s), "
                 f"{len(self.failures)} failure(s), "
-                f"{self.hoisted_plans} with hoisted mv_mul groups")
+                f"{self.hoisted_plans} with hoisted mv_mul groups, "
+                f"{self.fused_plans} with fused pointwise ops")
         if self.invalid:
             head += f", {self.invalid} invalid"
         if self.ok:
@@ -94,7 +98,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
     """
     profile_name = profile.name if profile else "default"
     failures: List[FuzzFailure] = []
-    invalid = hoisted = 0
+    invalid = hoisted = fused = 0
     for i in range(iterations):
         case_seed = seed + i
         case = generate_case(case_seed, profile=profile, config=config)
@@ -104,6 +108,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
             invalid += 1  # generator regression; surfaced in the report
             continue
         hoisted += result.hoisted_groups > 0
+        fused += result.fused_groups > 0
         if not result.ok:
             failures.append(_handle_failure(
                 case, case_seed, result.mismatches, corpus_dir, shrink,
@@ -112,6 +117,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
             progress(i + 1, iterations)
     return FuzzReport(cases_run=iterations, failures=failures,
                       invalid=invalid, hoisted_plans=hoisted,
+                      fused_plans=fused,
                       label=f"fuzz(seed={seed}, profile={profile_name})")
 
 
@@ -145,7 +151,7 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
     if not pathlib.Path(directory).is_dir():
         raise ReproError(f"corpus directory not found: {directory}")
     failures: List[FuzzFailure] = []
-    hoisted = 0
+    hoisted = fused = 0
     files = corpus_files(directory)
     for path in files:
         case = load_corpus_case(path)
@@ -159,10 +165,12 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
                 corpus_path=str(path)))
             continue
         hoisted += result.hoisted_groups > 0
+        fused += result.fused_groups > 0
         if not result.ok:
             failures.append(FuzzFailure(
                 seed=None, note=case.note or path.name,
                 mismatches=result.mismatches, case=case,
                 corpus_path=str(path)))
     return FuzzReport(cases_run=len(files), failures=failures,
-                      hoisted_plans=hoisted, label=f"replay({directory})")
+                      hoisted_plans=hoisted, fused_plans=fused,
+                      label=f"replay({directory})")

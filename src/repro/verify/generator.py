@@ -107,13 +107,18 @@ class FuzzProfile:
     #: or two ``mv_mul`` chains reading the copied window (the RNN
     #: lowerings' ``x_t * W`` pattern, which batched replay hoists).
     p_projection: float = 0.0
+    #: Probability a vector-chain event becomes a fusable ``mv_mul``
+    #: group: 2-4 chains reading one VRF head, each running the same
+    #: pointwise ops over operand rows laid out in member order (the
+    #: RNN gate pattern, whose shared ops batched replay fuses).
+    p_fused_group: float = 0.0
 
 
 #: Named opcode-weight profiles for the CLI.
 PROFILES: Dict[str, FuzzProfile] = {
     "default": FuzzProfile(),
     "mvm": FuzzProfile(name="mvm", p_mv_mul=0.95, w_matrix_chain=3.0,
-                       mean_pointwise=1.0),
+                       mean_pointwise=1.0, p_fused_group=0.3),
     "pointwise": FuzzProfile(name="pointwise", p_mv_mul=0.1,
                              w_matrix_chain=0.5, mean_pointwise=3.5,
                              p_multicast=0.35),
@@ -124,7 +129,7 @@ PROFILES: Dict[str, FuzzProfile] = {
                            config_pool=FORMAT_POOL),
     "recurrent": FuzzProfile(name="recurrent", w_matrix_chain=0.3,
                              p_netq=0.35, p_pinned_mrf=1.0,
-                             p_projection=0.35),
+                             p_projection=0.35, p_fused_group=0.25),
 }
 
 #: Point-wise opcodes in the order ``pointwise_weights`` indexes them.
@@ -246,6 +251,9 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
         elif (profile.p_projection > 0
               and rng.random() < profile.p_projection):
             _emit_projection(state, events)
+        elif (profile.p_fused_group > 0
+              and rng.random() < profile.p_fused_group):
+            _emit_fused_group(state, events)
         else:
             _emit_vector_chain(state, events)
 
@@ -395,6 +403,57 @@ def _emit_projection(state: _GenState, events: List[object]) -> None:
             [ins.v_rd(mem, index + offset), ins.mv_mul(base)]
             + _pointwise_run(state) + [_terminal_write(state, rows)]))
     events.append(Loop(count, tuple(body)))
+
+
+def _emit_fused_group(state: _GenState, events: List[object]) -> None:
+    """2-4 ``mv_mul`` chains on one VRF head, each running the same
+    pointwise ops, member m's operand rows ``m * rows`` after member
+    0's; with even odds their terminal writes to one VRF are laid out
+    the same way (otherwise each member writes where it likes).
+
+    Rows are set to ``max_dim``: three 8- or 16-lane rows fill whole
+    packed lanes at 3, 4 or 6 slots per lane, which fusing a packed
+    group needs. A write may land on the head or on another member's
+    operands; the plan must then fuse less or not at all."""
+    rng = state.rng
+    config = state.config
+    rows = state.profile.max_dim
+    if state.rows != rows:
+        events.append(SetScalar(ScalarReg.Rows, rows))
+        state.rows = rows
+    cols = state.cols
+    count = int(rng.integers(2, 5))
+    if rows * cols > state.mrf_window:
+        _emit_vector_chain(state, events)
+        return
+    mem = (MemId.InitialVrf, MemId.AddSubVrf,
+           MemId.MultiplyVrf)[int(rng.integers(3))]
+    head = ins.v_rd(mem, int(rng.integers(
+        0, _vrf_depth(config, mem) - cols + 1)))
+    # (opcode, member 0's operand row or None) per pointwise op.
+    ops = []
+    for op in _pointwise_run(state) or [ins.Instruction(Opcode.V_TANH)]:
+        index = None
+        if op.operand1 is not None:
+            depth = (config.multiply_vrf_depth if op.opcode is Opcode.VV_MUL
+                     else config.addsub_vrf_depth)
+            index = int(rng.integers(0, depth - count * rows + 1))
+        ops.append((op.opcode, index))
+    out_mem = None
+    if rng.random() < 0.5:
+        out_mem = (MemId.InitialVrf, MemId.AddSubVrf,
+                   MemId.MultiplyVrf)[int(rng.integers(3))]
+        out_index = int(rng.integers(
+            0, _vrf_depth(config, out_mem) - count * rows + 1))
+    for m in range(count):
+        base = int(rng.integers(0, state.mrf_window - rows * cols + 1))
+        instrs = [head, ins.mv_mul(base)]
+        for opcode, index in ops:
+            instrs.append(ins.Instruction(opcode) if index is None
+                          else ins.Instruction(opcode, index + m * rows))
+        instrs.append(_terminal_write(state, rows) if out_mem is None
+                      else ins.v_wr(out_mem, out_index + m * rows))
+        events.append(InstructionChain(instrs))
 
 
 def _head_read(state: _GenState, width_in: int):

@@ -18,7 +18,7 @@ from repro.verify import (CaseInvalid, PROFILES, case_to_json,
                           generate_case, load_corpus_case, replay_corpus,
                           run_differential, run_fuzz, save_case,
                           shrink_case)
-from repro.verify.differential import load_simulator
+from repro.verify.differential import _compare_arrays, load_simulator
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
@@ -44,6 +44,29 @@ def test_recurrent_profile_reaches_hoisted_replay():
     assert report.ok, report.render()
     assert report.hoisted_plans > 0
     assert f"{report.hoisted_plans} with hoisted" in report.render()
+
+
+@pytest.mark.tier1
+def test_mvm_profile_reaches_fused_pointwise():
+    """The ``mvm`` profile emits mv_mul groups on one VRF head whose
+    members share pointwise ops over row-aligned operands, so the
+    batched-vs-sequential check covers plans that fuse them."""
+    report = run_fuzz(seed=300, iterations=12, profile=PROFILES["mvm"])
+    assert report.ok, report.render()
+    assert report.fused_plans > 0
+    assert f"{report.fused_plans} with fused pointwise" in report.render()
+
+
+@pytest.mark.tier1
+def test_signed_zero_mismatch_is_reported():
+    out = []
+    _compare_arrays("v", np.array([0.0, 1.0], np.float32),
+                    np.array([-0.0, 1.0], np.float32), out)
+    assert out and "signed zero at (0,)" in out[0]
+    out = []
+    _compare_arrays("v", np.array([0.0, np.nan]), np.array([0.0, -np.nan]),
+                    out)
+    assert out == []
 
 
 @pytest.mark.tier1
@@ -307,6 +330,15 @@ def test_fuzz_gate_checks_hoisted_plans():
                       profile=PROFILES["recurrent"])
     assert report.ok, report.render()
     assert report.hoisted_plans > 0, report.render()
+
+
+@pytest.mark.fuzz
+def test_fuzz_gate_checks_fused_plans():
+    """Bounded mvm-profile campaign: clean, and it must reach plans
+    whose mv_mul groups run shared pointwise ops fused."""
+    report = run_fuzz(seed=1000, iterations=100, profile=PROFILES["mvm"])
+    assert report.ok, report.render()
+    assert report.fused_plans > 0, report.render()
 
 
 @pytest.mark.fuzz
