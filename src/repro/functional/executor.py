@@ -33,7 +33,8 @@ from ..isa.program import NpuProgram, SetScalar
 from ..memory.dram import Dram
 from ..memory.netq import NetworkQueues
 from ..memory.regfile import MatrixRegisterFile, VectorRegisterFile
-from ..numerics.bfp import decompose, quantize, round_float16, scales_of
+from ..numerics.bfp import (code_values, decode, decompose, quantize,
+                             round_float16, scales_of)
 from ..obs import Metrics, Tracer, or_null, or_null_metrics
 from . import ops
 
@@ -121,15 +122,16 @@ class FunctionalSimulator:
             MemId.MultiplyVrf: VectorRegisterFile(
                 "MultiplyVrf", config.multiply_vrf_depth, n),
         }
+        self._bfp = None if self.exact else config.bfp_format
         self.mrf = MatrixRegisterFile("MatrixRf", config.mrf_address_space,
-                                      n, tile_engines=config.tile_engines)
+                                      n, tile_engines=config.tile_engines,
+                                      fmt=self._bfp)
         self.dram = Dram(native_dim=n)
         self.netq = NetworkQueues(native_dim=n)
         self.scalar_regs: Dict[ScalarReg, int] = {
             ScalarReg.Rows: 1, ScalarReg.Columns: 1, ScalarReg.Iterations: 0,
         }
         self.stats = ExecutionStats()
-        self._bfp = None if self.exact else config.bfp_format
         # MVM kernels operate on *segments*: a native row splits into
         # ``nb = N / block_size`` scale blocks, and a cols-wide window
         # becomes ``S = cols * nb`` segments of width ``block_size``,
@@ -174,10 +176,10 @@ class FunctionalSimulator:
 
         The matrix is zero-padded to native tile multiples and stored
         row-major by tile — tile ``(r, c)`` lands at ``base_tile + r*C + c``
-        — matching ``mv_mul``'s mega-SIMD layout. Weights are quantized to
-        the configured BFP format on write (the hardware quantizes during
-        initialization from the network/DRAM). Returns the number of tile
-        slots consumed.
+        — matching ``mv_mul``'s mega-SIMD layout. The MRF quantizes the
+        weights to the configured BFP format per native tile row on write
+        (the hardware quantizes during initialization from the
+        network/DRAM). Returns the number of tile slots consumed.
 
         This is the "initialize over the network" path condensed to one
         call; the explicit ISA path (``m_rd``/``m_wr`` chains) is also
@@ -198,16 +200,10 @@ class FunctionalSimulator:
         padded = np.zeros((rows * n, cols * n), dtype=np.float32)
         padded[:matrix.shape[0], :matrix.shape[1]] = matrix
         # Tile (r, c) lands at slot r*cols + c: one reshape/transpose.
-        tiles = np.ascontiguousarray(
+        return np.ascontiguousarray(
             padded.reshape(rows, n, cols, n)
             .transpose(0, 2, 1, 3)
             .reshape(rows * cols, n, n))
-        if not self.exact:
-            # Quantize per native tile row (after tiling) — the same
-            # grouping as the ISA m_wr path, which matters for per-tile
-            # scale granularity.
-            tiles = quantize(tiles, self._bfp)
-        return tiles
 
     def load_vector(self, mem: MemId, index: int,
                     vector: np.ndarray) -> int:
@@ -259,7 +255,7 @@ class FunctionalSimulator:
         return {
             "vrf": {mem.name: vrf._data.copy()
                     for mem, vrf in self.vrfs.items()},
-            "mrf": self.mrf._tiles.copy(),
+            "mrf": self.mrf.snapshot(),
             "dram_vectors": {k: v.copy()
                              for k, v in self.dram._vectors.items()},
             "dram_tiles": {k: v.copy()
@@ -403,9 +399,7 @@ class FunctionalSimulator:
         else:
             self._trace_clock += 1
         if wr.mem_id is MemId.MatrixRf:
-            if not self.exact:
-                # Weights quantize at MRF initialization, per native row.
-                tiles = quantize(tiles, self._bfp)
+            # The MRF quantizes weights as it stores them, per native row.
             self.mrf.write_tiles(wr.index, tiles)
         else:
             self.dram.write_tiles(wr.index, tiles)
@@ -602,8 +596,8 @@ class FunctionalSimulator:
         content, with ``S = cols * nb`` segments in (c, k) order.
 
         Safe because quantization is a pure function of the bytes and the
-        (fixed) format; weights need no such cache — they quantize once
-        at MRF write time.
+        (fixed) format; weights need no such cache — they quantize once,
+        when the MRF stores their codes.
         """
         entry = self._input_lookup(value)
         if entry[0] is None:
@@ -642,13 +636,17 @@ class FunctionalSimulator:
         """This simulator's ``mv_mul`` operands for a weight window,
         cached against the MRF generation.
 
-        The mantissa-GEMV modes get the ``(mantissas, scales)`` of
-        :func:`window_operands`; the float64/exact mode gets the
-        :func:`window_blocks_f64` stack. Every call counts the
-        ``rows * cols`` MRF tile reads of the ``mv_mul``, hit or not.
+        The mantissa-GEMV modes get the ``(mantissas, scales)`` that
+        :func:`window_operands` builds from the MRF codes; the
+        float64/exact mode gets the :func:`window_blocks_f64` stack of
+        the float32 tiles. Every call counts the ``rows * cols`` MRF tile
+        reads of the ``mv_mul``, hit or not.
         """
         mrf = self.mrf
-        tiles = mrf.read_tiles(base, rows * cols, copy=False)
+        if self.exact:
+            stored = mrf.read_tiles(base, rows * cols, copy=False)
+        else:
+            stored = mrf.read_codes(base, rows * cols)
         key = (base, rows, cols)
         entry = self._derived_windows.get(key)
         if entry is not None and entry[0] == mrf.generation:
@@ -656,13 +654,14 @@ class FunctionalSimulator:
             return entry[1]
         k = self._pack_slots
         if not (k or self._mantissa_gemv):
+            tiles = stored if self.exact else decode(*stored, self._bfp)
             operands = window_blocks_f64(tiles, cols, self._seg_width)
         else:
             segs, r = cols * self._nb, rows * self.config.native_dim
             mant = np.empty((segs, -(-r // (k or 1)), self._seg_width),
                             dtype=np.float64 if k else np.float32)
             scales = np.empty((segs, r))
-            window_operands(tiles, cols, self._bfp, k, self._pack_width,
+            window_operands(*stored, cols, self._bfp, k, self._pack_width,
                             mant, scales)
             operands = (mant, scales)
         self._derived_windows[key] = (mrf.generation, operands)
@@ -693,51 +692,54 @@ class FunctionalSimulator:
         return dots.transpose(0, 2, 1).reshape(cols, groups * k)[:, :count]
 
 
-def window_operands(tiles: np.ndarray, cols: int, bfp, pack_slots: int,
-                    pack_width: int, mant_out: np.ndarray,
-                    scales_out: np.ndarray) -> None:
-    """Derive a weight window's mantissa-GEMV operands from its MRF tiles.
+def window_operands(codes: np.ndarray, exponents: np.ndarray, cols: int,
+                    bfp, pack_slots: int, pack_width: int,
+                    mant_out: np.ndarray, scales_out: np.ndarray) -> None:
+    """Build a weight window's mantissa-GEMV operands from its MRF codes.
 
-    ``tiles`` is the window's run of ``rows * cols`` tiles, tile
-    ``(r, c)`` at ``r * cols + c``. MRF weights are BFP-quantized on
-    write, so the decomposition is exact and idempotent. Segment
+    ``codes`` and ``exponents`` are the window's run of ``rows * cols``
+    tiles as :meth:`~repro.memory.regfile.MatrixRegisterFile.read_codes`
+    serves them, tile ``(r, c)`` at ``r * cols + c``. Segment
     ``s = c * nb + j`` is scale block ``j`` of tile column ``c`` (the
     reference (c, k) order), one exponent per row. Writes float64
-    scales (S, rows*N) into ``scales_out`` and the mantissas into
+    scales (S, rows*N) into ``scales_out`` and the mantissas, looked up
+    from the codes (:func:`~repro.numerics.bfp.code_values`), into
     ``mant_out``: float32 (S, rows*N, block), or with ``pack_slots``
     k > 0, k rows per float64 lane (S, ceil(rows*N/k), block). The
     interpreter passes fresh arrays; a fused replay group passes its
     member's slices of one stacked array, so the engines agree bit for
     bit.
     """
-    n = tiles.shape[-1]
+    n = codes.shape[-1]
     b = bfp.block_size
     nb = n // b
-    r = tiles.shape[0] // cols * n
-    mant, exps = decompose(
-        tiles.reshape(-1, cols, n, n).transpose(1, 0, 2, 3).reshape(-1, n),
-        bfp)
-    mant = mant.reshape(cols, r, nb, b)
-    scales = scales_of(exps, bfp).reshape(cols, r, nb)
+    rows = codes.shape[0] // cols
+    r = rows * n
+    codes = codes.reshape(rows, cols, n, nb, b)
+    scales = scales_of(exponents.astype(np.int32) + bfp.min_exponent,
+                       bfp).reshape(rows, cols, n, nb)
+    values = code_values(bfp)
     k = pack_slots
-    # Row g*k + t lands in bit slot w*(k-1-t) of packed row g. Slot
-    # values stay integers below 2^(w-1) through the GEMV, so the packed
-    # dot product is the exact sum of k disjoint slot dots, which
-    # FunctionalSimulator._unpack recovers.
-    slot_scale = np.exp2(
-        pack_width * (k - 1 - np.arange(k, dtype=np.float64)))
+    if k:
+        # Row g*k + t lands in bit slot w*(k-1-t) of packed row g: one
+        # table per slot holds every code's mantissa times 2^(w(k-1-t)).
+        # Slot values stay integers below 2^(w-1) through the GEMV, so
+        # the packed dot product is the exact sum of k disjoint slot
+        # dots, which FunctionalSimulator._unpack recovers.
+        slot_values = values.astype(np.float64) * np.exp2(
+            pack_width * (k - 1 - np.arange(k, dtype=np.float64)))[:, None]
     for s in range(cols * nb):
         c, j = divmod(s, nb)
-        scales_out[s] = scales[c, :, j]
-        seg = mant[c, :, j]
+        scales_out[s] = scales[:, c, :, j].reshape(r)
+        seg = codes[:, c, :, j].reshape(r, b)
         if not k:
-            mant_out[s] = seg
+            values.take(seg, out=mant_out[s])
             continue
         packed = mant_out[s]
         packed[...] = 0.0  # so an all-zero lane packs as +0.0
         for t in range(k):
             part = seg[t::k]
-            packed[:len(part)] += part * slot_scale[t]
+            packed[:len(part)] += slot_values[t].take(part)
 
 
 def window_blocks_f64(tiles: np.ndarray, cols: int,

@@ -198,10 +198,10 @@ class _MvGroup:
 
     def _refresh(self, sim, operands):
         """(Re)derive the members' weight operands straight from the MRF
-        tiles with the interpreter's own :func:`window_operands`, each
+        codes with the interpreter's own :func:`window_operands`, each
         member into its rows of one stack (``operands``, or a new one),
         or in float64/exact mode the one member's
-        :func:`window_blocks_f64`.
+        :func:`window_blocks_f64` of its float32 tiles.
 
         Packed members start at their padded offsets; padding rows carry
         zero scales, so their terms vanish exactly.
@@ -222,7 +222,7 @@ class _MvGroup:
         w_stack, scales = operands
         for (base, rows), start in zip(self.members, self.padded_offsets):
             r = rows * self.n
-            window_operands(mrf.read_tiles(base, rows * cols, copy=False),
+            window_operands(*mrf.read_codes(base, rows * cols),
                             cols, sim._bfp, sim._pack_slots,
                             sim._pack_width,
                             w_stack[:, start // k:(start + r + k - 1) // k],
@@ -1370,7 +1370,7 @@ class BatchedReplay:
             vrf_state[mem.name] = full
         return {
             "vrf": vrf_state,
-            "mrf": self.sim.mrf._tiles.copy(),
+            "mrf": self.sim.mrf.snapshot(),
             "dram_vectors": {k: v[b].copy()
                              for k, v in self._dram_vectors.items()},
             "dram_tiles": {k: v[b].copy()

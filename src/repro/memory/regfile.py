@@ -10,9 +10,12 @@ structure is exposed for the timing model and tests.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from ..errors import MemoryError_
+from ..numerics.bfp import BfpFormat, code_dtypes, decode, encode
 
 
 class VectorRegisterFile:
@@ -78,12 +81,20 @@ class MatrixRegisterFile:
     geometry for the timing model and for tests of the port-scaling
     property (one SRAM read port per multiplier).
 
+    With a BFP format ``fmt`` the MRF holds what the hardware pins: each
+    written tile is quantized on write and kept as one sign-magnitude
+    code per weight plus one biased exponent per block
+    (:func:`~repro.numerics.bfp.encode`; one byte each for the paper's
+    formats). :meth:`read_codes` serves them to the ``mv_mul`` operand
+    builders; :meth:`read_tiles` and :meth:`snapshot` decode to float32.
+    Without a format (exact mode) tiles are stored as float32.
+
     :attr:`generation` increments on every write, so operands derived
     from the tiles are valid exactly while their generation matches.
     """
 
     def __init__(self, name: str, capacity: int, native_dim: int,
-                 tile_engines: int = 1):
+                 tile_engines: int = 1, fmt: Optional[BfpFormat] = None):
         if capacity <= 0 or native_dim <= 0 or tile_engines <= 0:
             raise MemoryError_(
                 "capacity, native_dim and tile_engines must be positive")
@@ -91,8 +102,16 @@ class MatrixRegisterFile:
         self.capacity = capacity
         self.native_dim = native_dim
         self.tile_engines = tile_engines
-        self._tiles = np.zeros((capacity, native_dim, native_dim),
-                               dtype=np.float32)
+        self.fmt = fmt
+        shape = (capacity, native_dim, native_dim)
+        if fmt is None:
+            self._tiles = np.zeros(shape, dtype=np.float32)
+        else:
+            code_dtype, exponent_dtype = code_dtypes(fmt)
+            self._codes = np.zeros(shape, dtype=code_dtype)
+            self._exponents = np.zeros(
+                (capacity, native_dim, native_dim // fmt.block_size),
+                dtype=exponent_dtype)
         self.reads = 0
         self.writes = 0
         #: Bumped on every tile write; invalidates derived operands.
@@ -107,29 +126,35 @@ class MatrixRegisterFile:
                 f"of range (capacity {self.capacity})")
 
     def read_tile(self, index: int) -> np.ndarray:
-        self._check(index)
-        self.reads += 1
-        return self._tiles[index].copy()
+        return self.read_tiles(index, 1)[0]
 
     def read_tiles(self, index: int, count: int,
                    copy: bool = True) -> np.ndarray:
+        """Float32 values of ``count`` tiles. A BFP MRF decodes them into
+        a new array; an exact one returns a view with ``copy=False``."""
         self._check(index, count)
         self.reads += count
+        if self.fmt is not None:
+            end = index + count
+            return decode(self._codes[index:end],
+                          self._exponents[index:end], self.fmt)
         data = self._tiles[index:index + count]
         return data.copy() if copy else data
 
+    def read_codes(self, index: int,
+                   count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Views of ``count`` tiles' codes and biased block exponents
+        (BFP storage only), read-only by convention."""
+        self._check(index, count)
+        self.reads += count
+        end = index + count
+        return self._codes[index:end], self._exponents[index:end]
+
     def write_tile(self, index: int, tile: np.ndarray) -> None:
-        tile = np.asarray(tile, dtype=np.float32)
-        if tile.shape != (self.native_dim, self.native_dim):
-            raise MemoryError_(
-                f"{self.name}: tile shape {tile.shape} != "
-                f"({self.native_dim}, {self.native_dim})")
-        self._check(index)
-        self.writes += 1
-        self.generation += 1
-        self._tiles[index] = tile
+        self.write_tiles(index, np.asarray(tile)[np.newaxis])
 
     def write_tiles(self, index: int, tiles: np.ndarray) -> None:
+        """Write tiles from ``index`` on, quantized to the MRF's format."""
         tiles = np.asarray(tiles, dtype=np.float32)
         if tiles.ndim != 3 or tiles.shape[1:] != (self.native_dim,
                                                   self.native_dim):
@@ -138,7 +163,18 @@ class MatrixRegisterFile:
         self._check(index, tiles.shape[0])
         self.writes += tiles.shape[0]
         self.generation += 1
-        self._tiles[index:index + tiles.shape[0]] = tiles
+        end = index + tiles.shape[0]
+        if self.fmt is None:
+            self._tiles[index:end] = tiles
+        else:
+            self._codes[index:end], self._exponents[index:end] = \
+                encode(tiles, self.fmt)
+
+    def snapshot(self) -> np.ndarray:
+        """Float32 values of every tile; moves no counter."""
+        if self.fmt is None:
+            return self._tiles.copy()
+        return decode(self._codes, self._exponents, self.fmt)
 
     def bank_of(self, index: int) -> int:
         """Tile-engine bank holding tile ``index`` (round-robin banking)."""
@@ -159,8 +195,16 @@ class MatrixRegisterFile:
 
     def clear(self) -> None:
         self.generation += 1
-        self._tiles.fill(0.0)
+        if self.fmt is None:
+            self._tiles.fill(0.0)
+        else:
+            self._codes.fill(0)
+            self._exponents.fill(0)
 
     @property
     def capacity_bytes(self) -> int:
-        return self._tiles.nbytes
+        """Bytes of weight storage: the codes and exponents of a BFP
+        MRF, the float32 tiles of an exact one."""
+        if self.fmt is None:
+            return self._tiles.nbytes
+        return self._codes.nbytes + self._exponents.nbytes

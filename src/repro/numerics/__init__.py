@@ -19,7 +19,6 @@ from .bfp import (
     quantize_with_info,
     round_float16,
     scales_of,
-    to_float16,
 )
 from .analysis import (
     ErrorStats,
@@ -41,7 +40,7 @@ __all__ = [
     "MX_INT4", "MX_INT6", "MX_INT8", "FORMAT_FAMILY", "named_format",
     "bfp_dot", "block_exponents", "decompose", "quantization_step",
     "quantize", "quantize_reference", "quantize_with_info", "scales_of",
-    "round_float16", "to_float16",
+    "round_float16",
     "ErrorStats", "error_stats", "expected_snr_db", "mantissa_sweep",
     "matvec_stats", "quantization_stats",
     "ParetoPoint", "pareto_front", "render_pareto_table", "sweep_formats",

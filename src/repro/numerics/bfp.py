@@ -15,6 +15,7 @@ simulator can use ordinary numpy arithmetic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
@@ -248,6 +249,70 @@ def scales_of(exponents: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     return np.exp2((exponents - fmt.mantissa_bits + 1).astype(np.float64))
 
 
+def code_dtypes(fmt: BfpFormat) -> Tuple[np.dtype, np.dtype]:
+    """Words of :func:`encode`'s codes and exponents: a code takes one
+    byte up to 6 mantissa bits (every paper format) and two above, an
+    exponent one byte up to 8 exponent bits and two above."""
+    return (np.dtype(np.uint8 if fmt.mantissa_bits <= 6 else np.uint16),
+            np.dtype(np.uint8 if fmt.exponent_bits <= 8 else np.uint16))
+
+
+def encode(x: np.ndarray, fmt: BfpFormat) -> Tuple[np.ndarray, np.ndarray]:
+    """BFP codes of ``x``, the matrix register file's storage form.
+
+    Returns ``(codes, exponents)``. ``codes`` has ``x``'s shape, one
+    :func:`code_dtypes` word per element: the top bit is the mantissa's
+    sign, the others its magnitude, so a negative zero keeps its sign.
+    A NaN takes the all-ones magnitude, which no mantissa reaches, and
+    keeps its sign. ``exponents`` are :func:`decompose`'s shared
+    exponents less ``min_exponent`` (the hardware's biased exponent
+    field), so all-zero storage holds what an all-zero block encodes
+    to. :func:`decode` inverts it.
+    """
+    mant, exponents = decompose(x, fmt)
+    dtype, exponent_dtype = code_dtypes(fmt)
+    sign_bit = 8 * dtype.itemsize - 1
+    sign = np.signbit(mant)
+    np.abs(mant, out=mant)
+    # fmin takes the number, so a NaN becomes the all-ones magnitude.
+    np.fmin(mant, (1 << sign_bit) - 1, out=mant)
+    codes = mant.astype(dtype)
+    codes |= sign.astype(dtype) << sign_bit
+    return codes, (exponents - fmt.min_exponent).astype(exponent_dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def code_values(fmt: BfpFormat) -> np.ndarray:
+    """The signed float32 mantissa of every :func:`encode` code word,
+    indexed by the word: -0.0 for the negative zero, a signed NaN for
+    the all-ones magnitude. Read-only."""
+    bits = 8 * code_dtypes(fmt)[0].itemsize
+    words = np.arange(1 << bits)
+    nan_magnitude = (1 << (bits - 1)) - 1
+    magnitude = (words & nan_magnitude).astype(np.float32)
+    magnitude[magnitude == nan_magnitude] = np.nan
+    # Negation flips the sign bit of zeros and NaNs too.
+    values = np.where(words >> (bits - 1), -magnitude, magnitude)
+    values.setflags(write=False)
+    return values
+
+
+def decode(codes: np.ndarray, exponents: np.ndarray,
+           fmt: BfpFormat) -> np.ndarray:
+    """Float32 values of :func:`encode`'s ``(codes, exponents)``.
+
+    Bit for bit what :func:`quantize` returns for the encoded float32
+    input, the scale arithmetic being the same; only a NaN's payload is
+    not kept (it decodes to the default quiet NaN with its sign).
+    """
+    values = code_values(fmt).take(codes)
+    step = exponents.astype(np.int32) + (fmt.min_exponent
+                                         - fmt.mantissa_bits + 1)
+    blocks = values.reshape(codes.shape[:-1] + (-1, fmt.block_size))
+    blocks *= np.exp2(step.astype(np.float32))[..., np.newaxis]
+    return values
+
+
 def quantize_reference(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     """Pure-python reference quantizer (the conformance oracle).
 
@@ -406,22 +471,6 @@ def _magic_round(x: np.ndarray,
     np.subtract(a, c, out=a)
     np.copysign(a, x, out=x)
     return x
-
-
-def to_float16(x: np.ndarray) -> np.ndarray:
-    """Round to float16 and return as float32 (the pipeline word type).
-
-    Out-of-range values saturate to ``inf``, the defined behaviour of the
-    narrow pipeline word; numpy's overflow warning is suppressed. A
-    float32 input is copied and rounded by :func:`round_float16`; any
-    other dtype is cast to float16 directly, with no float32 rounding
-    in between.
-    """
-    x = np.asarray(x)
-    if x.dtype == np.float32:
-        return round_float16(x.copy())
-    with np.errstate(over="ignore"):
-        return x.astype(np.float16).astype(np.float32)
 
 
 #: The RNN production format used by BW_S10 (Table IV).

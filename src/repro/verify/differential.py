@@ -34,7 +34,6 @@ import numpy as np
 from ..errors import ReproError, UnbatchablePlanError
 from ..functional.executor import FunctionalSimulator
 from ..functional.replay import BatchedReplay
-from ..numerics.bfp import quantize
 from ..obs.metrics import Metrics
 from ..obs.trace import Tracer
 from ..timing import (TimingSimulator, occupancy, occupancy_from_trace,
@@ -102,10 +101,15 @@ def load_simulator(case: ProgramCase,
     for mem, data in case.vrf_init.items():
         sim.vrfs[mem].write(0, data)
     if case.mrf_tiles is not None:
+        # Pinned through the host path, as a serving node pins its
+        # weights: the window as a matrix of two tile columns when its
+        # tile count is even, so load_matrix's tiling lands every tile
+        # back in its slot.
         tiles = case.mrf_tiles
-        if not sim.exact:
-            tiles = quantize(tiles, case.config.bfp_format)
-        sim.mrf.write_tiles(0, tiles)
+        count, n = tiles.shape[0], tiles.shape[-1]
+        cols = 2 if count % 2 == 0 else 1
+        sim.load_matrix(0, tiles.reshape(count // cols, cols, n, n)
+                        .transpose(0, 2, 1, 3).reshape(-1, cols * n))
     sim.dram.write_vectors(0, case.dram_vectors)
     sim.dram.write_tiles(0, case.dram_tiles)
     for vec in case.netq_vectors:

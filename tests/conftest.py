@@ -1,19 +1,13 @@
 """Shared fixtures for the test suite.
 
-Pins one BLAS thread before numpy is first imported: several tests gate
-on wall-clock ratios, and a multi-threaded BLAS makes small GEMVs slow
-and noisy on small hosts. An explicit setting in the environment wins.
+The repository's root ``conftest.py`` pins one BLAS thread for this
+suite and ``benchmarks/`` alike.
 """
 
-import os
+import numpy as np
+import pytest
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from repro.config import NpuConfig  # noqa: E402
+from repro.config import NpuConfig
 
 
 @pytest.fixture

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.numerics import bfp
-from repro.numerics.bfp import F16_KERNEL_MIN_SIZE, round_float16, \
-    to_float16
+from repro.numerics.bfp import F16_KERNEL_MIN_SIZE, round_float16
 from repro.verify.reference import _f16
 
 #: float32 bits of 65520, from where float16 rounds to inf.
@@ -83,7 +82,6 @@ def test_specials_and_the_top_of_the_range():
         assert np.array_equal(_bits(round_float16(x.copy())),
                               _bits(_f16(x)))
     assert round_float16(np.float32([65519.99]))[0] == 65504.0
-    assert np.isinf(to_float16(np.float32([65520.0]))[0])
 
 
 @pytest.mark.tier1
@@ -97,29 +95,15 @@ def test_strided_sample_of_all_float32_patterns():
                                   F16_KERNEL_MIN_SIZE, 3 * 1200, 76_800])
 def test_both_sides_of_the_size_crossover(size):
     """Arrays below the crossover take numpy's cast, arrays at or above
-    it the kernel (rounded in place); both equal the oracle, and
-    ``to_float16`` leaves its input alone."""
+    it the kernel (rounded in place); both equal the oracle."""
     rng = np.random.default_rng(size)
     x = (rng.standard_normal(size) * rng.choice([1e-6, 1.0, 300.0], size)
          ).astype(np.float32).reshape(-1, 1)
     want = _bits(_f16(x))
-    kept = x.copy()
-    assert np.array_equal(_bits(to_float16(x)), want)
-    assert np.array_equal(_bits(x), _bits(kept))
     got = round_float16(x)
     assert np.array_equal(_bits(got), want)
     if size >= F16_KERNEL_MIN_SIZE:
         assert got is x
-
-
-@pytest.mark.tier1
-def test_to_float16_casts_other_dtypes_directly():
-    """A float64 input rounds once, straight to float16, as before: a
-    value just above a float16 tie must not first round onto the tie
-    in float32."""
-    x = np.array([1.0 + 2.0 ** -11 + 2.0 ** -40])
-    assert to_float16(x)[0] == np.float32(1.0 + 2.0 ** -10)
-    assert to_float16(x).dtype == np.float32
 
 
 @pytest.mark.fuzz

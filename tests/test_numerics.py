@@ -22,7 +22,6 @@ from repro.numerics import (
     quantization_step,
     quantize,
     quantize_with_info,
-    to_float16,
 )
 
 
@@ -143,10 +142,6 @@ class TestQuantize:
         x = np.full(8, 1e30, dtype=np.float32)
         q = quantize(x, FMT)
         assert np.all(np.isfinite(q))
-
-    def test_to_float16_rounds(self):
-        x = np.array([1.0 + 2 ** -12], dtype=np.float32)
-        assert to_float16(x)[0] == 1.0
 
 
 # -- hypothesis properties ------------------------------------------------
