@@ -7,6 +7,14 @@ pinned as SHA-256 digests of every outcome the result and the monitor
 expose.  The ``unbatched_wide`` cases run the batch-1 stack on 320
 nodes, past one byte of node ids: per-request attribution is a list
 there, not a bytearray, and routing positions are wider than a byte.
+The ``batched_mitigated`` cases run batched nodes with admission,
+brownout, a fleet monitor and a ``Metrics`` registry through two node
+crashes and a rack partition, each landing while the lost nodes hold
+both a forming batch and dispatched work still in flight; the
+``batched_unshed`` case runs without deadline shedding, so most
+requests time out.  Their digests also cover the registry: the
+queue-wait and occupancy samples in dispatch order, bucket counts,
+count, sum and max, and every counter.
 Any change to the RNG draws, their order, the routing decisions, batch
 formation or the float arithmetic of the loop moves a digest; a pure
 speed-up of the loop moves none.
@@ -21,6 +29,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.obs import Metrics
 from repro.system.batching import ServiceTimeCurve
 from repro.system.chaos import SCENARIOS
 from repro.system.cluster import (AutoscalePolicy, BrownoutPolicy,
@@ -55,7 +64,20 @@ def _store_digest(store) -> str:
     return h.hexdigest()[:16]
 
 
-def _digests(result, monitor=None) -> dict:
+def _metrics_digest(metrics) -> str:
+    h = hashlib.sha256()
+    for name in sorted(metrics.counters):
+        h.update(f"{name}={metrics.counters[name].value!r}".encode())
+    for name in sorted(metrics.histograms):
+        hist = metrics.histograms[name]
+        h.update(name.encode())
+        h.update(np.asarray(hist.samples, dtype=np.float64).tobytes())
+        h.update(repr((hist.counts, hist.count, hist.total, hist._max))
+                 .encode())
+    return h.hexdigest()[:16]
+
+
+def _digests(result, monitor=None, metrics=None) -> dict:
     out = {
         "status": _sha(result.status),
         "latency_s": _sha(result.latency_s),
@@ -66,6 +88,8 @@ def _digests(result, monitor=None) -> dict:
     }
     if monitor is not None:
         out["monitor_store"] = _store_digest(monitor.store)
+    if metrics is not None:
+        out["metrics"] = _metrics_digest(metrics)
     return out
 
 
@@ -82,22 +106,64 @@ def _unbatched(router: str, spec: ClusterSpec = ClusterSpec()):
     return sim.run(scenario.arrivals, scenario.events), monitor
 
 
-def _batched(router: str):
-    spec = ClusterSpec()
+def _diurnal(spec: ClusterSpec, load: float):
+    """The batch curve and a diurnal trace whose mean is ``load`` times
+    the fleet's batched capacity."""
     curve = ServiceTimeCurve(
         (1, 2, 4, 8, 16),
         tuple(spec.service_time_s * k
               for k in (1.0, 1.25, 1.75, 2.75, 4.75)))
-    mean = 0.5 * spec.num_nodes * 16 / curve(16)
+    mean = load * spec.num_nodes * 16 / curve(16)
     duration = REQUESTS / mean
     arrivals = diurnal_arrivals(0.2 * mean, 1.8 * mean, 1.15 * duration,
                                 period_s=duration, seed=0)[:REQUESTS]
+    return curve, arrivals
+
+
+def _batched(router: str):
+    spec = ClusterSpec()
+    curve, arrivals = _diurnal(spec, 0.5)
     events = [ClusterEvent(0.4 * float(arrivals[-1]), "rack_down", 0)]
     sim = ClusterSimulator(
         spec, router=router,
         batching=NodeBatching(curve, max_batch=16, timeout_s=1e-3),
         autoscaler=AutoscalePolicy(min_nodes=4, interval_s=0.05), seed=1)
     return sim.run(arrivals, events), None
+
+
+def _batched_mitigated(router: str):
+    spec = ClusterSpec()
+    curve, arrivals = _diurnal(spec, 0.7)
+    span = float(arrivals[-1])
+    events = [ClusterEvent(0.45 * span, "crash", 3),
+              ClusterEvent(0.5 * span, "crash", 10),
+              ClusterEvent(0.55 * span, "partition", 3),
+              ClusterEvent(0.6 * span, "repair", 3),
+              ClusterEvent(0.7 * span, "heal", 3)]
+    monitor = FleetMonitor(windows=64)
+    metrics = Metrics()
+    sim = ClusterSimulator(
+        spec, router=router,
+        admission=TokenBucket(rate_rps=0.9 * spec.num_nodes * 16
+                              / curve(16), burst=4.0 * spec.num_nodes),
+        brownout=BrownoutPolicy(max_concurrent=4),
+        batching=NodeBatching(curve, max_batch=16, timeout_s=1e-3),
+        metrics=metrics, monitor=monitor, seed=1)
+    return sim.run(arrivals, events), monitor, metrics
+
+
+def _batched_unshed(router: str):
+    spec = ClusterSpec(deadline_s=6e-3)
+    curve, arrivals = _diurnal(spec, 0.7)
+    span = float(arrivals[-1])
+    events = [ClusterEvent(0.45 * span, "crash", 3),
+              ClusterEvent(0.6 * span, "repair", 3)]
+    metrics = Metrics()
+    sim = ClusterSimulator(
+        spec, router=router, shed_on_deadline=False,
+        batching=NodeBatching(curve, max_batch=16, timeout_s=1e-3),
+        metrics=metrics, seed=1)
+    return sim.run(arrivals, events), None, metrics
 
 
 GOLDEN = {
@@ -162,6 +228,32 @@ GOLDEN = {
         detector_transitions="b3e99cafb345f80a",
         batch_log="b9376abc3c717d96",
         active_nodes_trace="5ea56233d0eaab44"),
+    "batched_mitigated:p2c": dict(
+        status="26aaa3a51040beda",
+        latency_s="fcb619816ffbe37b",
+        event_log="e8b281d327bfd762",
+        detector_transitions="ddb00c42b9d5c70a",
+        batch_log="63b252e66cff5950",
+        active_nodes_trace="dc937b59892604f5",
+        monitor_store="7f59d3a51c18c162",
+        metrics="342625c1424618ce"),
+    "batched_mitigated:least_loaded": dict(
+        status="d7ebbbe8c5b54f49",
+        latency_s="3d1fc54b5212607e",
+        event_log="e8b281d327bfd762",
+        detector_transitions="ddb00c42b9d5c70a",
+        batch_log="3bb6c39a48fd274d",
+        active_nodes_trace="dc937b59892604f5",
+        monitor_store="8b80537e4daff9d8",
+        metrics="be82787353682f0a"),
+    "batched_unshed:p2c": dict(
+        status="0be96ea52f37f6b4",
+        latency_s="1b08ee168795e42f",
+        event_log="a844853c95937673",
+        detector_transitions="4f53cda18c2baa0c",
+        batch_log="373de703c312e003",
+        active_nodes_trace="dc937b59892604f5",
+        metrics="1a07d486ee8cd193"),
 }
 
 
@@ -169,11 +261,12 @@ LOOPS = {
     "unbatched": _unbatched,
     "unbatched_wide": lambda router: _unbatched(router, WIDE),
     "batched": _batched,
+    "batched_mitigated": _batched_mitigated,
+    "batched_unshed": _batched_unshed,
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_outcomes(case):
     loop, router = case.split(":")
-    result, monitor = LOOPS[loop](router)
-    assert _digests(result, monitor) == GOLDEN[case]
+    assert _digests(*LOOPS[loop](router)) == GOLDEN[case]
