@@ -153,6 +153,32 @@ class LatencyHistogram:
             self.dropped_samples += 1
         self.counts[int(np.searchsorted(self.bounds, value))] += 1
 
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each of ``values`` in order, in bulk: the
+        same counts, samples, max and sum.  The sum is accumulated in
+        order (``np.add.accumulate``), so it rounds as the sequential
+        ``+=`` does."""
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
+            return
+        self._n += int(values.size)
+        acc = np.empty(values.size + 1)
+        acc[0] = self._sum
+        acc[1:] = values
+        self._sum = float(np.add.accumulate(acc, out=acc)[-1])
+        # fmax skips NaNs, as ``value > self._max`` does.
+        top = float(np.fmax.reduce(values))
+        if top > self._max:
+            self._max = top
+        take = values.size if self.max_samples is None else max(
+            0, min(values.size, self.max_samples - len(self.samples)))
+        self.samples.extend(values[:take].tolist())
+        self.dropped_samples += values.size - take
+        hits = np.bincount(np.searchsorted(self.bounds, values),
+                           minlength=len(self.counts))
+        for i in np.flatnonzero(hits):
+            self.counts[i] += int(hits[i])
+
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Fold ``other`` into this histogram (same bounds required).
 
@@ -284,6 +310,9 @@ class _NullGauge(Gauge):
 
 class _NullHistogram(LatencyHistogram):
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
 

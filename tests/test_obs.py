@@ -175,6 +175,29 @@ class TestMetrics:
         assert left.percentile(99) == whole.percentile(99)
         assert left.exact
 
+    @pytest.mark.parametrize("max_samples", [None, 150])
+    def test_observe_many_matches_sequential_observes(self, rng,
+                                                      max_samples):
+        """Same samples, counts, max and float sum, bit for bit, across
+        two bulk adds onto earlier single observes."""
+        bounds = [1e-3, 0.1, 1.0, 5.0]
+        one = LatencyHistogram("lat", bounds, max_samples=max_samples)
+        bulk = LatencyHistogram("lat", bounds, max_samples=max_samples)
+        vals = rng.exponential(2.0, 300) * rng.choice([1e-9, 1.0, 1e6],
+                                                      300)
+        for v in vals[:10]:
+            bulk.observe(float(v))
+        bulk.observe_many(vals[10:200])
+        bulk.observe_many(vals[200:])
+        for v in vals:
+            one.observe(float(v))
+        assert bulk.samples == one.samples
+        assert bulk.counts == one.counts
+        assert (bulk.count, bulk.dropped_samples) == \
+            (one.count, one.dropped_samples)
+        assert repr(bulk.total) == repr(one.total)
+        assert bulk._max == one._max
+
     def test_histogram_merge_bounds_mismatch_raises(self):
         a = LatencyHistogram("a", bounds=[1.0])
         b = LatencyHistogram("b", bounds=[2.0])

@@ -8,7 +8,9 @@ from repro.errors import (ExecutionError, MemoryError_,
 from repro.isa import (InstructionChain, MemId, ScalarReg, m_rd, m_wr,
                        mv_mul, v_rd, v_sigm, v_tanh, v_wr, vv_add, vv_mul)
 from repro.isa.program import NpuProgram, SetScalar
-from repro.numerics.bfp import BfpFormat, quantize, quantize_reference
+from repro.numerics.bfp import (BfpFormat, decode, decompose, encode,
+                                quantize, quantize_reference,
+                                quantize_with_info)
 from repro.verify import FUZZ_CONFIGS, ReferenceInterpreter
 from repro.verify.differential import load_reference, load_simulator
 from repro.verify.generator import generate_case
@@ -32,6 +34,46 @@ def test_quantize_reference_zero_block():
     fmt = BfpFormat(mantissa_bits=3, exponent_bits=5, block_size=4)
     zero = np.zeros((2, 4), dtype=np.float32)
     assert np.array_equal(quantize_reference(zero, fmt), zero)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float32).view(np.uint32)
+
+
+def _every_path(x, fmt):
+    """The float32 words of quantize, quantize_with_info and decode of
+    encode, and decompose's mantissas times the exact float64 steps."""
+    mant, exponents = decompose(x, fmt)
+    steps = np.ldexp(1.0, exponents - fmt.mantissa_bits + 1)
+    blocks = mant.astype(np.float64).reshape(exponents.shape + (-1,))
+    return {"quantize": quantize(x, fmt),
+            "quantize_with_info": quantize_with_info(x, fmt)[0],
+            "decode": decode(*encode(x, fmt), fmt),
+            "decompose": (blocks * steps[..., np.newaxis]).reshape(x.shape)}
+
+
+@pytest.mark.parametrize("exponent_bits", [9, 10])
+def test_zero_block_below_the_float32_steps(exponent_bits):
+    """With 9 or 10 exponent bits an all-zero block's step underflows
+    float32; a float32 step made ``0/0`` NaN."""
+    fmt = BfpFormat(mantissa_bits=2, exponent_bits=exponent_bits,
+                    block_size=4)
+    x = np.zeros((1, 4), np.float32)
+    x_tiny = np.float32([[2.0 ** -149, -3 * 2.0 ** -149, 0.0, 1e-44]])
+    for data in (x, x_tiny):
+        want = _bits(quantize_reference(data, fmt))
+        for path, got in _every_path(data, fmt).items():
+            assert np.array_equal(_bits(got), want), path
+
+
+def test_step_two_to_the_127_is_exact():
+    """float32 ``exp2(127)`` is one ulp above 2^127 (0x7F000001)."""
+    fmt = BfpFormat(mantissa_bits=1, exponent_bits=8, block_size=1)
+    x = np.float32([[1.5 * 2.0 ** 127]])
+    want = _bits(quantize_reference(x, fmt))
+    assert want[0, 0] == 0x7F000000
+    for path, got in _every_path(x, fmt).items():
+        assert np.array_equal(_bits(got), want), path
 
 
 # -- hand-written program equivalence -------------------------------------
