@@ -287,6 +287,11 @@ class PhiAccrualDetector:
         self.threshold = threshold
         self.tracer = or_null(tracer)
         self.metrics = or_null_metrics(metrics)
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every silence, eviction and transition: all nodes
+        healthy, as at construction (each cluster run starts so)."""
         #: Time each node stopped heartbeating (``None`` = healthy).
         self._silenced: Dict[int, float] = {}
         self.evicted: set = set()
@@ -952,6 +957,8 @@ class ClusterSimulator:
         self._event_log: List[Tuple[float, str, int]] = []
         self._net_s = 2e-6 * spec.network.transfer_us(spec.payload_bytes)
         self.fabric.heal_all()
+        if self.detector is not None:
+            self.detector.reset()
 
         seq = iter(range(1 << 62))
         heap: List[Tuple[float, int, str, int, float]] = []

@@ -93,7 +93,7 @@ def _digests(result, monitor=None, metrics=None) -> dict:
     return out
 
 
-def _unbatched(router: str, spec: ClusterSpec = ClusterSpec()):
+def _unbatched_setup(router: str, spec: ClusterSpec = ClusterSpec()):
     scenario = SCENARIOS["rack_loss"](spec, 0, REQUESTS)
     monitor = FleetMonitor(windows=256)
     sim = ClusterSimulator(
@@ -103,7 +103,12 @@ def _unbatched(router: str, spec: ClusterSpec = ClusterSpec()):
         brownout=BrownoutPolicy(max_concurrent=spec.num_nodes),
         detector_threshold=8.0, shed_on_deadline=True, retries=1,
         seed=1, monitor=monitor)
-    return sim.run(scenario.arrivals, scenario.events), monitor
+    return sim, scenario.arrivals, scenario.events, monitor
+
+
+def _unbatched(router: str, spec: ClusterSpec = ClusterSpec()):
+    sim, arrivals, events, monitor = _unbatched_setup(router, spec)
+    return sim.run(arrivals, events), monitor
 
 
 def _diurnal(spec: ClusterSpec, load: float):
@@ -120,7 +125,7 @@ def _diurnal(spec: ClusterSpec, load: float):
     return curve, arrivals
 
 
-def _batched(router: str):
+def _batched_setup(router: str):
     spec = ClusterSpec()
     curve, arrivals = _diurnal(spec, 0.5)
     events = [ClusterEvent(0.4 * float(arrivals[-1]), "rack_down", 0)]
@@ -128,6 +133,11 @@ def _batched(router: str):
         spec, router=router,
         batching=NodeBatching(curve, max_batch=16, timeout_s=1e-3),
         autoscaler=AutoscalePolicy(min_nodes=4, interval_s=0.05), seed=1)
+    return sim, arrivals, events, None
+
+
+def _batched(router: str):
+    sim, arrivals, events, _ = _batched_setup(router)
     return sim.run(arrivals, events), None
 
 
@@ -270,3 +280,16 @@ LOOPS = {
 def test_golden_outcomes(case):
     loop, router = case.split(":")
     assert _digests(*LOOPS[loop](router)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("setup", [_unbatched_setup, _batched_setup],
+                         ids=["unbatched", "batched"])
+def test_second_run_of_one_simulator_repeats_the_first(setup):
+    """``run()`` starts from a healthy fleet every time: the failure
+    detector forgets the last run's silences, evictions and
+    transitions, so a rack lost in the first run is not still evicted
+    in the second, and the transition log does not double."""
+    sim, arrivals, events, _ = setup("p2c")
+    first = _digests(sim.run(arrivals, events))
+    assert sim.detector.transitions
+    assert _digests(sim.run(arrivals, events)) == first

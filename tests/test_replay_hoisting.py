@@ -181,8 +181,9 @@ def test_sequential_compiled_run_hoists(monkeypatch, kind):
 @pytest.mark.tier1
 def test_hoisting_replaces_per_step_decompositions(monkeypatch):
     """One input decomposition per hoisted group per run, instead of
-    one per timestep: T steps of an LSTM decompose T + 1 times (the
-    recurrent U*h group still runs every step)."""
+    one per timestep: T steps of an LSTM decompose T times. The
+    recurrent U*h group runs on steps 1..T-1; on step 0 it reads the
+    zero state h0, a row apply_rows answers without the weights."""
     compiled = compile_lstm(LstmReference(200, 200, seed=1), MB2)
     sim = compiled.new_simulator()
     xb = _sequences(compiled, 2, steps=5)
@@ -194,11 +195,17 @@ def test_hoisting_replaces_per_step_decompositions(monkeypatch):
         calls.append(x.shape)
         return real(x, fmt)
 
+    plan = sim.plan_for(compiled.program, {compiled.steps_binding: 5})
+    elided = sum(g.elided_rows for g in plan.groups)
     monkeypatch.setattr(replay, "decompose", counting)
     compiled.run_sequence_batched(xb, sim=sim)
-    assert len(calls) == 5 + 1
+    assert len(calls) == 5
+    # Step 0's two request rows of h0 = 0, and no other row.
+    assert sum(g.elided_rows for g in plan.groups) - elided == 2
     # The hoisted call covers every (timestep, request) row at once.
     assert calls[0][0] == 5 * 2
+    # The elided step is the first recurrent one: four U*h calls remain.
+    assert calls[1:] == [(2,) + calls[1][1:]] * 4
 
 
 @pytest.mark.tier1
