@@ -56,6 +56,9 @@ class FuzzReport:
     #: Cases whose batched replay ran at least one ``mv_mul`` group's
     #: shared pointwise ops fused over its stacked output.
     fused_plans: int = 0
+    #: All-zero ``mv_mul`` input rows the cases' batched replays
+    #: answered without reading weights, summed over the cases.
+    elided_rows: int = 0
 
     @property
     def ok(self) -> bool:
@@ -65,7 +68,8 @@ class FuzzReport:
         head = (f"{self.label}: {self.cases_run} case(s), "
                 f"{len(self.failures)} failure(s), "
                 f"{self.hoisted_plans} with hoisted mv_mul groups, "
-                f"{self.fused_plans} with fused pointwise ops")
+                f"{self.fused_plans} with fused pointwise ops, "
+                f"{self.elided_rows} zero mv_mul rows elided")
         if self.invalid:
             head += f", {self.invalid} invalid"
         if self.ok:
@@ -98,7 +102,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
     """
     profile_name = profile.name if profile else "default"
     failures: List[FuzzFailure] = []
-    invalid = hoisted = fused = 0
+    invalid = hoisted = fused = elided = 0
     for i in range(iterations):
         case_seed = seed + i
         case = generate_case(case_seed, profile=profile, config=config)
@@ -109,6 +113,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
             continue
         hoisted += result.hoisted_groups > 0
         fused += result.fused_groups > 0
+        elided += result.elided_rows
         if not result.ok:
             failures.append(_handle_failure(
                 case, case_seed, result.mismatches, corpus_dir, shrink,
@@ -117,7 +122,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
             progress(i + 1, iterations)
     return FuzzReport(cases_run=iterations, failures=failures,
                       invalid=invalid, hoisted_plans=hoisted,
-                      fused_plans=fused,
+                      fused_plans=fused, elided_rows=elided,
                       label=f"fuzz(seed={seed}, profile={profile_name})")
 
 
@@ -151,7 +156,7 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
     if not pathlib.Path(directory).is_dir():
         raise ReproError(f"corpus directory not found: {directory}")
     failures: List[FuzzFailure] = []
-    hoisted = fused = 0
+    hoisted = fused = elided = 0
     files = corpus_files(directory)
     for path in files:
         case = load_corpus_case(path)
@@ -166,6 +171,7 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
             continue
         hoisted += result.hoisted_groups > 0
         fused += result.fused_groups > 0
+        elided += result.elided_rows
         if not result.ok:
             failures.append(FuzzFailure(
                 seed=None, note=case.note or path.name,
@@ -173,4 +179,4 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
                 corpus_path=str(path)))
     return FuzzReport(cases_run=len(files), failures=failures,
                       hoisted_plans=hoisted, fused_plans=fused,
-                      label=f"replay({directory})")
+                      elided_rows=elided, label=f"replay({directory})")

@@ -36,9 +36,12 @@ def _fuzz_config(name: str, dim: int, mb: int, **kw) -> NpuConfig:
 
 #: Pool of small configurations the fuzzer draws from: BFP-quantized at
 #: both Table IV mantissa widths, exact mode, a wider native dimension,
-#: and the Microscaling-style format family (sub-native scale blocks,
-#: E8M0 power-of-two scales, per-tile granularity). All are tiny so the
-#: pure-python reference stays fast.
+#: the Microscaling-style format family (sub-native scale blocks,
+#: E8M0 power-of-two scales, per-tile granularity) and one format too
+#: wide to pack (``fuzz16_m7``: a 16-wide block of 7-bit mantissas
+#: leaves room for two slots per float64 lane, so its ``mv_mul`` runs
+#: the unpacked mantissa GEMV). All are tiny so the pure-python
+#: reference stays fast.
 FUZZ_CONFIGS: Dict[str, NpuConfig] = {
     cfg.name: cfg for cfg in [
         _fuzz_config("fuzz8_m2", 8, 2),
@@ -57,8 +60,14 @@ FUZZ_CONFIGS: Dict[str, NpuConfig] = {
         _fuzz_config("fuzz16_tile_mx", 16, 5, exponent_bits=8,
                      bfp_block_size=4, scale_granularity="tile",
                      scale_encoding="e8m0"),
+        _fuzz_config("fuzz16_m7", 16, 7),
     ]
 }
+
+#: Configuration names a profile without a ``config_pool`` draws from:
+#: every configuration but ``fuzz16_m7``, which only the ``recurrent``
+#: profile draws, so that adding it moved no other profile's cases.
+DEFAULT_POOL = tuple(sorted(set(FUZZ_CONFIGS) - {"fuzz16_m7"}))
 
 #: Configuration names the format-family profile cycles through: every
 #: scale-block size, encoding, and granularity variant plus one classic
@@ -93,7 +102,7 @@ class FuzzProfile:
     min_events: int = 4
     max_events: int = 14
     #: Restrict the per-seed configuration draw to these
-    #: :data:`FUZZ_CONFIGS` names (``None`` = the whole pool).
+    #: :data:`FUZZ_CONFIGS` names (``None`` = :data:`DEFAULT_POOL`).
     config_pool: Optional[Sequence[str]] = None
     #: Probability the MRF window is pinned before the program runs
     #: (``ProgramCase.mrf_tiles``, the serving model's resident weights)
@@ -112,13 +121,22 @@ class FuzzProfile:
     #: pointwise ops over operand rows laid out in member order (the
     #: RNN gate pattern, whose shared ops batched replay fuses).
     p_fused_group: float = 0.0
+    #: Probability an initial VRF row or queued network-input vector is
+    #: all +0.0 or, with even odds, all -0.0: an ``mv_mul`` reading only
+    #: such rows (an RNN's first step on the zero state) is answered
+    #: without its weights by batched replay.
+    p_zero_row: float = 0.0
+    #: Probability a pinned MRF window holds one NaN weight, which makes
+    #: its output row NaN for any input, zero rows included.
+    p_nan_weight: float = 0.0
 
 
 #: Named opcode-weight profiles for the CLI.
 PROFILES: Dict[str, FuzzProfile] = {
     "default": FuzzProfile(),
     "mvm": FuzzProfile(name="mvm", p_mv_mul=0.95, w_matrix_chain=3.0,
-                       mean_pointwise=1.0, p_fused_group=0.3),
+                       mean_pointwise=1.0, p_fused_group=0.3,
+                       p_zero_row=0.15, p_nan_weight=0.25),
     "pointwise": FuzzProfile(name="pointwise", p_mv_mul=0.1,
                              w_matrix_chain=0.5, mean_pointwise=3.5,
                              p_multicast=0.35),
@@ -129,7 +147,9 @@ PROFILES: Dict[str, FuzzProfile] = {
                            config_pool=FORMAT_POOL),
     "recurrent": FuzzProfile(name="recurrent", w_matrix_chain=0.3,
                              p_netq=0.35, p_pinned_mrf=1.0,
-                             p_projection=0.35, p_fused_group=0.25),
+                             p_projection=0.35, p_fused_group=0.25,
+                             p_zero_row=0.15, p_nan_weight=0.25,
+                             config_pool=DEFAULT_POOL + ("fuzz16_m7",)),
 }
 
 #: Point-wise opcodes in the order ``pointwise_weights`` indexes them.
@@ -226,8 +246,7 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
     profile = profile or PROFILES["default"]
     rng = np.random.default_rng(seed)
     if config is None:
-        names = (list(profile.config_pool) if profile.config_pool
-                 else sorted(FUZZ_CONFIGS))
+        names = list(profile.config_pool or DEFAULT_POOL)
         config = FUZZ_CONFIGS[names[int(rng.integers(len(names)))]]
     state = _GenState(rng, config, profile)
 
@@ -262,7 +281,7 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
     depths = {MemId.InitialVrf: config.initial_vrf_depth,
               MemId.AddSubVrf: config.addsub_vrf_depth,
               MemId.MultiplyVrf: config.multiply_vrf_depth}
-    return ProgramCase(
+    case = ProgramCase(
         config=config,
         program=program,
         vrf_init={mem: state.rand_values((depth, config.native_dim))
@@ -280,6 +299,26 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
                                       config.native_dim))
                    if pinned else None),
     )
+    # Drawn last, so a profile without them keeps its cases, and one
+    # with them differs from that only in the rows and weights set here.
+    if profile.p_zero_row > 0:
+        for rows in (*case.vrf_init.values(), case.netq_vectors):
+            _zero_rows(rng, rows, profile.p_zero_row)
+    if (pinned and profile.p_nan_weight > 0
+            and rng.random() < profile.p_nan_weight):
+        tiles = case.mrf_tiles
+        at = tuple(int(rng.integers(size)) for size in tiles.shape)
+        tiles[at] = -np.nan if rng.random() < 0.5 else np.nan
+    return case
+
+
+def _zero_rows(rng: np.random.Generator, rows: np.ndarray,
+               p: float) -> None:
+    """Set each row of ``rows`` to all +0.0 or all -0.0 with odds ``p``."""
+    chosen = np.flatnonzero(rng.random(len(rows)) < p)
+    negative = rng.random(len(chosen)) < 0.5
+    rows[chosen] = np.where(negative, np.float32(-0.0),
+                            np.float32(0.0))[:, np.newaxis]
 
 
 # -- event emitters --------------------------------------------------------
