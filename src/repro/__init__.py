@@ -12,8 +12,8 @@ package provides:
   (hierarchical decode/dispatch, MVM/MFU pipelines, DRAM streaming);
 * :mod:`repro.criticalpath` — the UDM/SDM latency methodology
   (Section III);
-* :mod:`repro.compiler` — the toolflow: GIR, passes, register
-  allocation, model lowering, multi-FPGA partitioning;
+* :mod:`repro.compiler` — the toolflow: register allocation, model
+  lowering, multi-FPGA partitioning;
 * :mod:`repro.synthesis` — FPGA devices, the calibrated resource model,
   and the synthesis specializer (Section VI);
 * :mod:`repro.baselines` — GPU roofline baselines and the DeepBench

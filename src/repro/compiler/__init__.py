@@ -16,7 +16,6 @@ from .interleave import CompiledInterleaved, compile_lstm_interleaved
 from .stacked import compile_stacked_lstm, reference_stacked_run
 from .streaming import compile_lstm_streamed, compile_lstm_streamed_shape
 from .textcnn import CompiledTextCnn, compile_text_cnn
-from .girlower import CompiledGir, lower_gir
 
 __all__ = [
     "RegisterAllocator", "Slot", "CompiledModel", "CompiledConv",
@@ -25,5 +24,5 @@ __all__ = [
     "CompiledInterleaved", "compile_lstm_interleaved",
     "compile_stacked_lstm", "reference_stacked_run",
     "compile_lstm_streamed", "compile_lstm_streamed_shape",
-    "CompiledTextCnn", "compile_text_cnn", "CompiledGir", "lower_gir",
+    "CompiledTextCnn", "compile_text_cnn",
 ]

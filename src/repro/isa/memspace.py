@@ -30,16 +30,6 @@ class MemId(enum.IntEnum):
     #: Vector register file supplying Hadamard-product operands in the MFUs.
     MultiplyVrf = 5
 
-    @property
-    def is_vrf(self) -> bool:
-        """Whether this memory is a pipeline vector register file."""
-        return self in _VECTOR_REGISTER_FILES
-
-    @property
-    def holds_vectors(self) -> bool:
-        """Whether vectors can be stored here (``v_rd``/``v_wr`` legality)."""
-        return self is not MemId.MatrixRf
-
 
 #: Memory spaces that ``v_rd`` may name as a source.
 VECTOR_READ_SOURCES = frozenset(
@@ -54,10 +44,6 @@ MATRIX_READ_SOURCES = frozenset({MemId.NetQ, MemId.Dram})
 
 #: Memory spaces that ``m_wr`` may name as a destination (MRF or DRAM).
 MATRIX_WRITE_TARGETS = frozenset({MemId.MatrixRf, MemId.Dram})
-
-_VECTOR_REGISTER_FILES = frozenset(
-    {MemId.InitialVrf, MemId.AddSubVrf, MemId.MultiplyVrf}
-)
 
 
 class ScalarReg(enum.IntEnum):

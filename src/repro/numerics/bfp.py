@@ -202,10 +202,20 @@ def _steps(exponents: np.ndarray, fmt: BfpFormat,
     return np.ldexp(one, exponents - (fmt.mantissa_bits - 1))
 
 
-def _clamp(mantissas: np.ndarray, limit: int) -> None:
-    """Clamp to [-limit, limit] in place (NaN stays NaN, as np.clip)."""
-    np.maximum(mantissas, -limit, out=mantissas)
-    np.minimum(mantissas, limit, out=mantissas)
+def _round_blocks(blocks: np.ndarray, fmt: BfpFormat
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped mantissas, scales (value = mantissa * scale) and shared
+    exponents of pre-blocked data. A NaN block takes the minimum
+    exponent, an infinite one -1, so where the step is tiny its finite
+    values overflow the quotient before the clamp saturates them."""
+    exponents = _exponents_of(blocks, fmt)
+    scale = _steps(exponents, fmt, blocks.dtype)[..., np.newaxis]
+    with np.errstate(over="ignore"):
+        mantissas = np.rint(blocks / scale)
+    # In place; NaN stays NaN, as np.clip.
+    np.maximum(mantissas, -fmt.max_mantissa, out=mantissas)
+    np.minimum(mantissas, fmt.max_mantissa, out=mantissas)
+    return mantissas, scale, exponents
 
 
 def block_exponents(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
@@ -231,11 +241,7 @@ def quantize_with_info(
     """
     original_shape = np.asarray(x).shape
     blocks = _block_view(x, fmt.block_size)
-    exponents = _exponents_of(blocks, fmt)
-    # Element scale: value = mantissa * 2^(E - mantissa_bits + 1).
-    scale = _steps(exponents, fmt, blocks.dtype)[..., np.newaxis]
-    mantissas = np.rint(blocks / scale)
-    _clamp(mantissas, fmt.max_mantissa)
+    mantissas, scale, exponents = _round_blocks(blocks, fmt)
     values = (mantissas * scale).reshape(original_shape).astype(np.float32)
     return values, mantissas.astype(np.int64).reshape(original_shape), exponents
 
@@ -252,10 +258,7 @@ def decompose(x: np.ndarray, fmt: BfpFormat) -> Tuple[np.ndarray, np.ndarray]:
     """
     original_shape = np.asarray(x).shape
     blocks = _block_view(x, fmt.block_size)
-    exponents = _exponents_of(blocks, fmt)
-    scale = _steps(exponents, fmt, blocks.dtype)[..., np.newaxis]
-    mantissas = np.rint(blocks / scale)
-    _clamp(mantissas, fmt.max_mantissa)
+    mantissas, scale, exponents = _round_blocks(blocks, fmt)
     # Integer-valued, so exact in the block view's dtype.
     return (mantissas.astype(blocks.dtype, copy=False)
             .reshape(original_shape), exponents)
@@ -410,10 +413,7 @@ def quantize(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     """Quantize ``x`` to BFP and return the dequantized float32 array."""
     original_shape = np.asarray(x).shape
     blocks = _block_view(x, fmt.block_size)
-    exponents = _exponents_of(blocks, fmt)
-    scale = _steps(exponents, fmt, blocks.dtype)[..., np.newaxis]
-    mantissas = np.rint(blocks / scale)
-    _clamp(mantissas, fmt.max_mantissa)
+    mantissas, scale, exponents = _round_blocks(blocks, fmt)
     return (mantissas * scale).reshape(original_shape).astype(np.float32)
 
 

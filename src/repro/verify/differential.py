@@ -277,8 +277,9 @@ def check_batched_replay(case: ProgramCase
     network-input vectors scaled by :data:`_BATCH_SCALES` (all other
     initial state is shared), runs it, and demands every request's
     :meth:`~BatchedReplay.snapshot` be bit-identical to a sequential
-    vectorized-interpreter run of the correspondingly scaled case, and
-    a raising run to raise the interpreter's error type. The run
+    vectorized-interpreter run of the correspondingly scaled case (its
+    drained :meth:`~BatchedReplay.pop_outputs` too), and a raising run
+    to raise the interpreter's error type. The run
     takes any hoisted ``mv_mul`` groups (``ReplayPlan.hoists``); the
     rest check the per-step path. Unbatchable plans (a fallback tail
     from a statically invalid event or an MRF write) must be rejected
@@ -316,6 +317,7 @@ def check_batched_replay(case: ProgramCase
         replay.push_input(np.stack([vec * s for s in _BATCH_SCALES]))
     batched_err = _guarded(replay.run)
 
+    drained = {}
     for b, scale in enumerate(_BATCH_SCALES):
         scaled = dataclasses.replace(
             case, netq_vectors=case.netq_vectors * scale)
@@ -333,6 +335,13 @@ def check_batched_replay(case: ProgramCase
             continue
         _compare_snapshots(f"batched[{b}] vs sequential interpreted",
                            replay.snapshot(b), sim.snapshot(), out)
+        drained[b] = sim.netq.pop_outputs()
+    for b, vectors in enumerate(replay.pop_outputs()):
+        # Byte for byte: the sign of a zero and a NaN's payload too.
+        if b in drained and ([v.tobytes() for v in vectors]
+                             != [v.tobytes() for v in drained[b]]):
+            out.append(f"batched[{b}]: pop_outputs {vectors!r} != "
+                       f"interpreter {drained[b]!r}")
     return (out, plan.hoisted_groups,
             sum(1 for group in plan.groups if group.fused),
             sum(group.elided_rows for group in plan.groups))

@@ -41,7 +41,8 @@ def _fuzz_config(name: str, dim: int, mb: int, **kw) -> NpuConfig:
 #: wide to pack (``fuzz16_m7``: a 16-wide block of 7-bit mantissas
 #: leaves room for two slots per float64 lane, so its ``mv_mul`` runs
 #: the unpacked mantissa GEMV). All are tiny so the pure-python
-#: reference stays fast.
+#: reference stays fast, but ``fuzz128_m2``: the served format and
+#: native dimension, whose batched arrays reach the float16 kernel.
 FUZZ_CONFIGS: Dict[str, NpuConfig] = {
     cfg.name: cfg for cfg in [
         _fuzz_config("fuzz8_m2", 8, 2),
@@ -61,13 +62,14 @@ FUZZ_CONFIGS: Dict[str, NpuConfig] = {
                      bfp_block_size=4, scale_granularity="tile",
                      scale_encoding="e8m0"),
         _fuzz_config("fuzz16_m7", 16, 7),
+        _fuzz_config("fuzz128_m2", 128, 2),
     ]
 }
 
 #: Configuration names a profile without a ``config_pool`` draws from:
-#: every configuration but ``fuzz16_m7``, which only the ``recurrent``
-#: profile draws, so that adding it moved no other profile's cases.
-DEFAULT_POOL = tuple(sorted(set(FUZZ_CONFIGS) - {"fuzz16_m7"}))
+#: all but ``fuzz16_m7``, which only the ``recurrent`` profile draws,
+#: and ``fuzz128_m2``, which none does, so adding them moved no cases.
+DEFAULT_POOL = tuple(sorted(set(FUZZ_CONFIGS) - {"fuzz16_m7", "fuzz128_m2"}))
 
 #: Configuration names the format-family profile cycles through: every
 #: scale-block size, encoding, and granularity variant plus one classic

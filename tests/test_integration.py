@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_gru, compile_lstm
-from repro.compiler.frontend import lstm_to_gir
-from repro.compiler.passes import annotate_padding, pin_constants, \
-    validate_for_npu
 from repro.config import NpuConfig
 from repro.isa import (
     decode_stream,
@@ -78,24 +75,6 @@ class TestCompileSerializeExecute:
         outputs = compiled._collect_outputs(sim, 2)
         want = model.run(xs)
         assert np.allclose(outputs[-1], want[-1], atol=1e-5)
-
-
-class TestGirToNpuConsistency:
-    def test_gir_weight_footprint_matches_allocator(self, cfg):
-        model = LstmReference(20, 20, seed=23)
-        graph = lstm_to_gir(model, steps=1)
-        compiled = compile_lstm(model, cfg)
-        assert graph.weight_elements == \
-            compiled.allocator.mrf_elements_used
-
-    def test_gir_passes_agree_with_lowering(self, cfg):
-        model = LstmReference(20, 20, seed=24)
-        graph = lstm_to_gir(model, steps=1)
-        validate_for_npu(graph, cfg)
-        pinned, streamed = pin_constants(graph, cfg)
-        assert streamed == 0  # lowering pinned everything too
-        efficiency = annotate_padding(graph, cfg)
-        assert efficiency == pytest.approx((20 / 32) ** 2)
 
 
 class TestTimingFunctionalConsistency:

@@ -83,6 +83,9 @@ class TestLstmLowering:
         """input_dim != hidden_dim exercises the Cx != C path."""
         model = LstmReference(hidden_dim=32, input_dim=8, seed=10)
         compiled = compile_lstm(model, small_config)
+        # Four gates' W (h x x) and U (h x h), unpadded.
+        assert compiled.allocator.mrf_elements_used == \
+            4 * (32 * 8 + 32 * 32)
         xs = seq(rng, 3, 8)
         got = compiled.run_sequence(xs, exact=True)
         want = model.run(xs)

@@ -117,11 +117,23 @@ def test_every_profile_reaches_batched_replay(profile):
 
 
 @pytest.mark.tier1
-def test_committed_corpus_reaches_batched_replay():
+def test_committed_corpus_reaches_batched_replay(monkeypatch):
     """The corpus replay (a CI step) keeps batched replay covered: it
     holds batchable pinned-weight cases on a packed, an unpacked
-    mantissa and an exact configuration."""
-    modes = set()
+    mantissa and an exact configuration, and a ``fuzz128_m2`` case
+    whose batched check rounds through the magic-add float16 kernel
+    (arrays of ``F16_KERNEL_MIN_SIZE`` elements or more; the
+    interpreters' arrays there hold at most 3 x 128)."""
+    import repro.numerics.bfp as bfp
+    from repro.verify.differential import check_batched_replay
+    kernel, kernel_sizes = bfp._magic_round, []
+
+    def counting(x, magnitude=None):
+        kernel_sizes.append(x.size)
+        return kernel(x, magnitude)
+
+    monkeypatch.setattr(bfp, "_magic_round", counting)
+    modes, kernel_cases = set(), 0
     for path in sorted(CORPUS_DIR.glob("*.json")):
         case = load_corpus_case(path)
         sim = load_simulator(case)
@@ -129,7 +141,13 @@ def test_committed_corpus_reaches_batched_replay():
             assert case.mrf_tiles is not None, path.name
             modes.add("exact" if sim.exact else
                       "packed" if sim._pack_slots else "mantissa")
+        if case.config.name == "fuzz128_m2":
+            kernel_sizes.clear()
+            assert check_batched_replay(case)[0] == [], path.name
+            assert kernel_sizes, f"{path.name}: the kernel did not run"
+            kernel_cases += 1
     assert modes == {"packed", "mantissa", "exact"}
+    assert kernel_cases == 1
 
 
 @pytest.mark.tier1
@@ -282,6 +300,28 @@ def test_injected_compiled_path_bug_is_caught_and_shrunk(monkeypatch):
                for m in failure.mismatches), failure.mismatches
     assert failure.case.instruction_count() <= 4, \
         format_program(failure.case.program)
+
+
+@pytest.mark.tier1
+def test_batched_check_compares_drained_outputs_bit_for_bit(monkeypatch):
+    """The batched check drains ``BatchedReplay.pop_outputs`` and
+    compares each request's vectors with the interpreter's drained
+    queue to the bit: a drain that turns -0.0 into +0.0 and leaves the
+    snapshots alone is caught."""
+    from repro.functional.replay import BatchedReplay
+    from repro.verify.differential import check_batched_replay
+    case = generate_case(1083, profile=PROFILES["mvm"])
+    assert check_batched_replay(case)[0] == []
+    orig = BatchedReplay.pop_outputs
+
+    def unsigned_zeros(self):
+        return [[v + np.float32(0.0) for v in vectors]
+                for vectors in orig(self)]
+
+    monkeypatch.setattr(BatchedReplay, "pop_outputs", unsigned_zeros)
+    mismatches = check_batched_replay(case)[0]
+    assert mismatches
+    assert all("pop_outputs" in m for m in mismatches), mismatches
 
 
 @pytest.mark.tier1
