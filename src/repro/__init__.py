@@ -60,9 +60,7 @@ from .compiler import (
     compile_lstm,
     compile_lstm_interleaved,
     compile_lstm_streamed,
-    compile_mlp,
     compile_rnn_shape,
-    compile_stacked_lstm,
     compile_text_cnn,
 )
 from .functional import FunctionalSimulator
@@ -70,7 +68,6 @@ from .models import (
     ConvSpec,
     GruReference,
     LstmReference,
-    MlpReference,
 )
 from .numerics import BfpFormat, quantize
 from .timing import LatencyConstants, TimingSimulator
@@ -83,12 +80,10 @@ __all__ = [
     "STANDARD_CONFIGS", "ReproError", "IsaError", "ChainError",
     "ExecutionError", "CompileError", "CapacityError", "PartitionError",
     "SynthesisError", "ConfigError", "UnbatchablePlanError",
-    "CompiledModel", "compile_lstm",
-    "compile_gru", "compile_mlp", "compile_conv", "compile_rnn_shape",
-    "compile_lstm_interleaved", "compile_lstm_streamed",
-    "compile_stacked_lstm", "compile_text_cnn",
-    "FunctionalSimulator", "LstmReference", "GruReference",
-    "MlpReference", "ConvSpec", "BfpFormat", "quantize",
+    "CompiledModel", "compile_lstm", "compile_gru", "compile_conv",
+    "compile_rnn_shape", "compile_lstm_interleaved", "compile_lstm_streamed",
+    "compile_text_cnn", "FunctionalSimulator", "LstmReference",
+    "GruReference", "ConvSpec", "BfpFormat", "quantize",
     "TimingSimulator", "LatencyConstants", "MemId", "ScalarReg",
     "NpuProgram", "ProgramBuilder", "__version__",
 ]

@@ -9,20 +9,17 @@ from .lowering import (
     compile_conv,
     compile_gru,
     compile_lstm,
-    compile_mlp,
     compile_rnn_shape,
 )
 from .interleave import CompiledInterleaved, compile_lstm_interleaved
-from .stacked import compile_stacked_lstm, reference_stacked_run
 from .streaming import compile_lstm_streamed, compile_lstm_streamed_shape
 from .textcnn import CompiledTextCnn, compile_text_cnn
 
 __all__ = [
     "RegisterAllocator", "Slot", "CompiledModel", "CompiledConv",
-    "compile_conv", "compile_gru", "compile_lstm", "compile_mlp",
+    "compile_conv", "compile_gru", "compile_lstm",
     "compile_rnn_shape", "LstmShapeOnly", "GruShapeOnly",
     "CompiledInterleaved", "compile_lstm_interleaved",
-    "compile_stacked_lstm", "reference_stacked_run",
     "compile_lstm_streamed", "compile_lstm_streamed_shape",
     "CompiledTextCnn", "compile_text_cnn",
 ]

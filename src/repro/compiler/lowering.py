@@ -30,8 +30,7 @@ from ..isa.program import NpuProgram, ProgramBuilder
 from ..models.cnn import ConvSpec, im2col
 from ..models.gru import GruReference
 from ..models.lstm import LstmReference
-from ..models.mlp import MlpReference
-from .allocator import RegisterAllocator, Slot
+from .allocator import RegisterAllocator
 
 
 @dataclasses.dataclass
@@ -40,7 +39,7 @@ class CompiledModel:
 
     Attributes:
         name: Model name.
-        kind: One of ``"lstm"``, ``"gru"``, ``"mlp"``, ``"conv"``.
+        kind: One of ``"lstm"``, ``"gru"``, ``"conv"``.
         config: Target NPU configuration.
         program: The lowered NPU program.
         allocator: Memory layout (named slots in MRF and VRFs).
@@ -50,7 +49,6 @@ class CompiledModel:
         input_vectors_per_step: Native vectors read from NetQ per step.
         output_vectors_per_step: Native vectors written to NetQ per step.
         steps_binding: Name of the run-time loop-count binding.
-        is_recurrent: Whether the program loops over timesteps with state.
         ops_per_step: Nominal (unpadded) operations per step/invocation.
     """
 
@@ -65,7 +63,6 @@ class CompiledModel:
     input_vectors_per_step: int
     output_vectors_per_step: int
     steps_binding: str = "steps"
-    is_recurrent: bool = True
     ops_per_step: int = 0
 
     def new_simulator(self, exact: bool = False, tracer=None,
@@ -93,8 +90,6 @@ class CompiledModel:
         replay plan (bit-identical; see
         :mod:`repro.functional.replay`).
         """
-        if not self.is_recurrent:
-            raise CompileError(f"{self.name} is not a recurrent model")
         if sim is None:
             sim = self.new_simulator(exact=exact)
         for x in xs:
@@ -102,19 +97,6 @@ class CompiledModel:
         sim.run(self.program, bindings={self.steps_binding: len(xs)},
                 compiled=compiled)
         return self._collect_outputs(sim, len(xs))
-
-    def run_single(self, x: np.ndarray, exact: bool = False,
-                   sim: Optional[FunctionalSimulator] = None,
-                   compiled: bool = False) -> np.ndarray:
-        """Run a feed-forward (non-recurrent) model on one input."""
-        if self.is_recurrent:
-            raise CompileError(f"{self.name} is recurrent; use run_sequence")
-        if sim is None:
-            sim = self.new_simulator(exact=exact)
-        self._push_padded(sim, x)
-        sim.run(self.program, bindings={self.steps_binding: 1},
-                compiled=compiled)
-        return self._collect_outputs(sim, 1)[0]
 
     def run_sequence_batched(self, xs_batch: List[List[np.ndarray]],
                              sim: Optional[FunctionalSimulator] = None
@@ -131,8 +113,6 @@ class CompiledModel:
         call starts from the same state and a long-lived simulator can
         serve any number of calls.
         """
-        if not self.is_recurrent:
-            raise CompileError(f"{self.name} is not a recurrent model")
         batch = len(xs_batch)
         if batch == 0:
             return []
@@ -475,75 +455,6 @@ def compile_gru(model: GruReference, config: NpuConfig,
 
 
 # ---------------------------------------------------------------------------
-# MLP
-# ---------------------------------------------------------------------------
-
-_ACTIVATION_EMIT = {
-    "relu": lambda b: b.v_relu(),
-    "sigmoid": lambda b: b.v_sigm(),
-    "tanh": lambda b: b.v_tanh(),
-    "linear": lambda b: None,
-}
-
-
-def compile_mlp(model: MlpReference, config: NpuConfig,
-                name: str = "mlp") -> CompiledModel:
-    """Lower a dense MLP: one fused chain per layer."""
-    n = config.native_dim
-    dims_list = model.layer_dims
-    alloc = RegisterAllocator(config)
-    for i in range(len(dims_list) - 1):
-        alloc.alloc_matrix(dims_list[i + 1], dims_list[i], f"W{i}")
-    act_slots: List[Slot] = []
-    for i, dim in enumerate(dims_list[1:-1]):
-        act_slots.append(alloc.alloc(
-            MemId.InitialVrf, _vector_count(dim, n), f"act{i}"))
-    bias_slots = [alloc.alloc(MemId.AddSubVrf,
-                              _vector_count(dims_list[i + 1], n), f"b{i}")
-                  for i in range(len(dims_list) - 1)]
-
-    b = ProgramBuilder(name)
-    dims = _DimTracker(b)
-    with b.loop("steps"):
-        last = len(model.weights) - 1
-        for i in range(len(model.weights)):
-            rows_i = _vector_count(dims_list[i + 1], n)
-            cols_i = _vector_count(dims_list[i], n)
-            dims.set(rows=rows_i, cols=cols_i)
-            if i == 0:
-                b.v_rd(MemId.NetQ)
-            else:
-                b.v_rd(MemId.InitialVrf, act_slots[i - 1].base)
-            b.mv_mul(alloc.slot(f"W{i}").base)
-            b.vv_add(bias_slots[i].base)
-            activation = (model.output_activation if i == last
-                          else model.activation)
-            _ACTIVATION_EMIT[activation](b)
-            if i == last:
-                b.v_wr(MemId.NetQ)
-            else:
-                b.v_wr(MemId.InitialVrf, act_slots[i].base)
-    program = b.build()
-
-    def loader(sim: FunctionalSimulator) -> None:
-        for i, (w, bias) in enumerate(zip(model.weights, model.biases)):
-            sim.load_matrix(alloc.slot(f"W{i}").base, w)
-            rows_i = _vector_count(dims_list[i + 1], n)
-            sim.vrfs[MemId.AddSubVrf].write(
-                bias_slots[i].base, _padded(bias, rows_i, n))
-
-    return CompiledModel(
-        name=name, kind="mlp", config=config, program=program,
-        allocator=alloc, loader=loader,
-        input_length=dims_list[0], output_length=dims_list[-1],
-        input_vectors_per_step=_vector_count(dims_list[0], n),
-        output_vectors_per_step=_vector_count(dims_list[-1], n),
-        is_recurrent=False,
-        ops_per_step=model.shape().total_ops,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Convolution (im2col-linearized, Section IV-B)
 # ---------------------------------------------------------------------------
 
@@ -592,7 +503,6 @@ def compile_conv(spec: ConvSpec, weights: np.ndarray, config: NpuConfig,
         allocator=alloc, loader=loader,
         input_length=patch, output_length=k,
         input_vectors_per_step=cols, output_vectors_per_step=rows,
-        is_recurrent=True,  # loops over output pixels
         ops_per_step=2 * k * patch,
     )
     compiled.spec = spec

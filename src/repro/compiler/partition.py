@@ -8,9 +8,9 @@ on-chip memory."
 The partitioner packs a model's weight matrices into per-accelerator
 bins under the packed MRF capacity, preserving layer order so that a
 pipeline of accelerators evaluates the model with vectors flowing over
-the datacenter network between stages. A helper splits bidirectional
-RNNs into independent forward/backward halves (the paper's production
-example).
+the datacenter network between stages. The paper's production
+bidirectional-RNN split runs as two services
+(:class:`repro.system.runtime.BidirectionalRnnService`).
 """
 
 from __future__ import annotations
@@ -124,16 +124,3 @@ def rnn_weight_blocks(kind: str, hidden_dim: int, input_dim: int = None,
             blocks.append(WeightBlock(f"L{layer}.U_{gate}", hidden_dim,
                                       hidden_dim, stage=layer))
     return blocks
-
-
-def bidirectional_split(kind: str, hidden_dim: int,
-                        input_dim: int = None
-                        ) -> Tuple[List[WeightBlock], List[WeightBlock]]:
-    """Split a bidirectional RNN into independent forward/backward halves
-    for two accelerators invoked separately (Section II-A: "the server
-    invoking the forward and backward RNN FPGAs separately and
-    concatenating their outputs")."""
-    forward = rnn_weight_blocks(kind, hidden_dim, input_dim)
-    backward = [dataclasses.replace(b, name="bwd." + b.name)
-                for b in rnn_weight_blocks(kind, hidden_dim, input_dim)]
-    return forward, backward

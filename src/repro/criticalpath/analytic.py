@@ -50,31 +50,6 @@ def gru_ops_per_step(n: int, input_dim: Optional[int] = None) -> int:
     return 2 * 3 * (n * x + n * n) + 14 * n
 
 
-def gru_udm_cycles_per_step(n: int) -> int:
-    """UDM latency of one steady-state GRU timestep (classic variant).
-
-    The reset gate gates the recurrent matmul, so the serial path crosses
-    two dot products: ``2 ceil(log2 N) + 9`` — 31 for N=2800 (Table I).
-    """
-    if n < 2:
-        raise ValueError("GRU dimension must be >= 2")
-    return 2 * math.ceil(math.log2(n)) + 7
-
-
-def gru_sdm_cycles_per_step(n: int, num_fus: int,
-                            input_dim: Optional[int] = None) -> float:
-    """SDM latency of one GRU timestep with ``num_fus`` MAC units."""
-    x = input_dim if input_dim is not None else n
-    macs = 3 * (n * x + n * n)
-    return math.ceil(macs / num_fus) + gru_udm_cycles_per_step(n)
-
-
 def conv_udm_cycles(patch_length: int) -> int:
     """UDM latency of a conv layer: one dot product depth plus bias."""
     return 1 + math.ceil(math.log2(patch_length)) + 1
-
-
-def conv_sdm_cycles(total_macs: int, patch_length: int,
-                    num_fus: int) -> float:
-    """SDM latency of a conv layer on ``num_fus`` MAC units."""
-    return math.ceil(total_macs / num_fus) + conv_udm_cycles(patch_length)

@@ -245,21 +245,6 @@ def conv_layer_dfg(spec: ConvSpec, include_bias: bool = True) -> Dfg:
     return g
 
 
-def mlp_dfg(layer_dims: Sequence[int], activation: str = "relu") -> Dfg:
-    """A dense MLP: one dot + bias + activation per layer."""
-    g = Dfg("mlp")
-    g.add_input("x")
-    prev = "x"
-    for i in range(len(layer_dims) - 1):
-        g.add_dot(f"dot{i}", layer_dims[i], layer_dims[i + 1], deps=[prev])
-        g.add_pointwise(f"bias{i}", "add", layer_dims[i + 1],
-                        deps=[f"dot{i}"])
-        g.add_pointwise(f"act{i}", activation, layer_dims[i + 1],
-                        deps=[f"bias{i}"])
-        prev = f"act{i}"
-    return g
-
-
 def recurrent_cycle_depth(step_dfg: Dfg, output: str = "h_t",
                           state_inputs: Sequence[str] = ("h_prev",)) -> int:
     """Critical path from the recurrent state inputs to the step output —

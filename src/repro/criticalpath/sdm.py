@@ -79,13 +79,6 @@ def sdm_cycles_scheduled(dfg: Dfg, num_macs: int) -> float:
     return max(finish.values(), default=0.0)
 
 
-def analyze(dfg: Dfg, num_macs: int) -> SdmResult:
-    """SDM analysis (Graham bound) of one graph evaluation."""
-    return SdmResult(name=dfg.name, num_macs=num_macs,
-                     cycles=sdm_cycles_bound(dfg, num_macs),
-                     total_ops=dfg.total_ops)
-
-
 def analyze_recurrent(step_dfg: Dfg, steps: int, num_macs: int,
                       output: str = "h_t",
                       state_inputs: Sequence[str] = ("h_prev",)

@@ -23,21 +23,10 @@ class UdmResult:
     total_ops: int
     total_macs: int
 
-    @property
-    def parallelism(self) -> float:
-        """Average exploitable ops per cycle on infinite hardware."""
-        return self.total_ops / self.cycles if self.cycles else 0.0
-
 
 def udm_cycles(dfg: Dfg) -> int:
     """Critical-path cycles of one graph evaluation."""
     return dfg.critical_path()
-
-
-def analyze(dfg: Dfg) -> UdmResult:
-    """Full UDM analysis of a single graph evaluation."""
-    return UdmResult(name=dfg.name, cycles=udm_cycles(dfg),
-                     total_ops=dfg.total_ops, total_macs=dfg.total_macs)
 
 
 def analyze_recurrent(step_dfg: Dfg, steps: int, output: str = "h_t",

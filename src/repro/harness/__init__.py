@@ -9,7 +9,6 @@ from .experiments import (
     fig8,
     power_efficiency,
     rnn_compiled,
-    run_all,
     sdm_gap,
     sdm_latency_ms,
     table1,
@@ -20,7 +19,7 @@ from .experiments import (
 )
 
 __all__ = [
-    "ExperimentTable", "fmt", "fmt_ratio", "ALL_EXPERIMENTS", "run_all",
+    "ExperimentTable", "fmt", "fmt_ratio", "ALL_EXPERIMENTS",
     "table1", "fig2", "table3", "table4", "table5", "fig7", "fig8",
     "table6", "sdm_gap", "power_efficiency", "bw_rnn_report",
     "rnn_compiled", "sdm_latency_ms",

@@ -729,8 +729,3 @@ ALL_EXPERIMENTS = {
     "chaos": chaos,
     "monitoring": monitoring,
 }
-
-
-def run_all() -> Dict[str, ExperimentTable]:
-    """Run every experiment driver; returns tables by identifier."""
-    return {name: driver() for name, driver in ALL_EXPERIMENTS.items()}

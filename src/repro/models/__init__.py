@@ -2,7 +2,6 @@
 
 from .lstm import LstmReference, LstmShape
 from .gru import GruReference, GruShape
-from .mlp import MlpReference, MlpShape
 from .cnn import (
     TABLE1_CNN_1X1,
     TABLE1_CNN_3X3,
@@ -15,7 +14,7 @@ from .resnet import NetworkLayer, resnet50_featurizer, total_ops, total_paramete
 
 __all__ = [
     "LstmReference", "LstmShape", "GruReference", "GruShape",
-    "MlpReference", "MlpShape", "ConvSpec", "conv2d_reference", "im2col",
-    "random_conv_weights", "TABLE1_CNN_3X3", "TABLE1_CNN_1X1",
+    "ConvSpec", "conv2d_reference", "im2col", "random_conv_weights",
+    "TABLE1_CNN_3X3", "TABLE1_CNN_1X1",
     "NetworkLayer", "resnet50_featurizer", "total_ops", "total_parameters",
 ]

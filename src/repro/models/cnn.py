@@ -81,11 +81,6 @@ class ConvSpec:
     def input_elements(self) -> int:
         return self.in_height * self.in_width * self.in_channels
 
-    def data_bytes(self, bits_per_element: float) -> float:
-        """Working-set bytes: weights plus input activations (Table I)."""
-        return ((self.parameter_count + self.input_elements)
-                * bits_per_element / 8)
-
     def as_matrix_shape(self) -> Tuple[int, int]:
         """The GEMV matrix shape this layer lowers to: K x (R*S*C)."""
         return (self.kernels, self.patch_length)

@@ -54,9 +54,6 @@ class GruShape:
         h, x = self.hidden_dim, self.input_dim
         return 3 * (h * x + h * h + h)
 
-    def data_bytes(self, bits_per_element: float) -> float:
-        return self.parameter_count * bits_per_element / 8
-
 
 class GruReference:
     """A concrete GRU with materialized weights."""

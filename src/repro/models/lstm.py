@@ -54,10 +54,6 @@ class LstmShape:
         h, x = self.hidden_dim, self.input_dim
         return 4 * (h * x + h * h + h)
 
-    def data_bytes(self, bits_per_element: float) -> float:
-        """Model weight footprint at the given storage precision."""
-        return self.parameter_count * bits_per_element / 8
-
 
 class LstmReference:
     """A concrete LSTM with materialized weights."""

@@ -2,14 +2,12 @@
 
 Supports the Section VI claim that mantissas can be trimmed to 2-5 bits
 with small accuracy impact: quantify signal-to-noise ratio and error
-statistics of BFP quantization and of BFP matrix-vector products, and
-sweep mantissa widths.
+statistics of BFP quantization.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -60,40 +58,3 @@ def error_stats(exact: np.ndarray, approx: np.ndarray) -> ErrorStats:
 def quantization_stats(x: np.ndarray, fmt: BfpFormat) -> ErrorStats:
     """Error statistics of quantizing ``x`` to ``fmt``."""
     return error_stats(x, quantize(x, fmt))
-
-
-def matvec_stats(matrix: np.ndarray, vector: np.ndarray,
-                 fmt: BfpFormat) -> ErrorStats:
-    """Error statistics of a BFP matrix-vector product vs float64."""
-    exact = np.asarray(matrix, dtype=np.float64) @ np.asarray(
-        vector, dtype=np.float64)
-    approx = quantize(matrix, fmt).astype(np.float64) @ quantize(
-        vector, fmt).astype(np.float64)
-    return error_stats(exact, approx)
-
-
-def mantissa_sweep(
-        x: np.ndarray,
-        mantissa_widths: Optional[List[int]] = None,
-        exponent_bits: int = 5,
-        block_size: int = 128,
-) -> Dict[int, ErrorStats]:
-    """Quantization stats across mantissa widths (paper: 2-5 bits)."""
-    widths = mantissa_widths if mantissa_widths is not None else [2, 3, 4, 5]
-    results: Dict[int, ErrorStats] = {}
-    for m in widths:
-        fmt = BfpFormat(mantissa_bits=m, exponent_bits=exponent_bits,
-                        block_size=block_size)
-        results[m] = quantization_stats(x, fmt)
-    return results
-
-
-def expected_snr_db(fmt: BfpFormat) -> float:
-    """Rough analytic SNR bound for uniform-in-block data.
-
-    Quantization noise of a b-bit uniform quantizer gives ~6.02 dB per
-    mantissa bit; the shared exponent costs a few dB because small
-    elements in a block with a large maximum lose precision. This bound is
-    used by property tests as a sanity floor (with generous margin).
-    """
-    return 6.02 * fmt.mantissa_bits - 6.0

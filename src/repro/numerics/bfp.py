@@ -218,34 +218,6 @@ def _round_blocks(blocks: np.ndarray, fmt: BfpFormat
     return mantissas, scale, exponents
 
 
-def block_exponents(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
-    """Shared exponent chosen for each block of ``x``.
-
-    The exponent is ``floor(log2(max |x|))`` clamped to the format's
-    exponent range; all-zero blocks use the minimum exponent.
-    """
-    return _exponents_of(_block_view(x, fmt.block_size), fmt)
-
-
-def quantize_with_info(
-        x: np.ndarray, fmt: BfpFormat) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize ``x`` to BFP, returning (values, mantissas, exponents).
-
-    ``values`` are the dequantized float32 numbers (exactly representable),
-    ``mantissas`` the signed integer mantissas, and ``exponents`` the
-    per-block shared exponents. Blocking, exponent selection, and rounding
-    happen in one pass over the block view, in the input's working
-    precision: float32 arrays quantize without a float64 round-trip (all
-    the intermediate steps — power-of-two scaling, rint, clip — are exact
-    in either precision, so the results are bit-identical).
-    """
-    original_shape = np.asarray(x).shape
-    blocks = _block_view(x, fmt.block_size)
-    mantissas, scale, exponents = _round_blocks(blocks, fmt)
-    values = (mantissas * scale).reshape(original_shape).astype(np.float32)
-    return values, mantissas.astype(np.int64).reshape(original_shape), exponents
-
-
 def decompose(x: np.ndarray, fmt: BfpFormat) -> Tuple[np.ndarray, np.ndarray]:
     """BFP decomposition without materializing the dequantized values.
 
@@ -253,8 +225,8 @@ def decompose(x: np.ndarray, fmt: BfpFormat) -> Tuple[np.ndarray, np.ndarray]:
     block view's working dtype (float32 for float32 input — exactly
     integer-valued, ready for the executor's mantissa-GEMV path) and
     ``exponents`` are the per-block shared exponents. The mantissa and
-    exponent arithmetic is identical to :func:`quantize_with_info`; only
-    the value reconstruction and int64 conversion are skipped.
+    exponent arithmetic is identical to :func:`quantize`'s; only the
+    value reconstruction is skipped.
     """
     original_shape = np.asarray(x).shape
     blocks = _block_view(x, fmt.block_size)
@@ -415,24 +387,6 @@ def quantize(x: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     blocks = _block_view(x, fmt.block_size)
     mantissas, scale, exponents = _round_blocks(blocks, fmt)
     return (mantissas * scale).reshape(original_shape).astype(np.float32)
-
-
-def quantization_step(fmt: BfpFormat, exponent: int) -> float:
-    """The representable spacing for a block with the given exponent."""
-    return math.ldexp(1.0, exponent - fmt.mantissa_bits + 1)
-
-
-def bfp_dot(a: np.ndarray, b: np.ndarray, fmt: BfpFormat) -> np.ndarray:
-    """Dot product with both operands quantized to ``fmt``.
-
-    Models the MVM datapath: operands are BFP-quantized, products and the
-    accumulation tree are exact (integer mantissa arithmetic in hardware;
-    float64 here), and the result is delivered to the vector pipeline as
-    float16 — the paper's "secondary operations still execute as float16".
-    """
-    qa = quantize(a, fmt).astype(np.float64)
-    qb = quantize(b, fmt).astype(np.float64)
-    return np.float16(qa @ qb)
 
 
 #: Arrays with fewer elements round through numpy's float16 cast, which

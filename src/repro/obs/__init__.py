@@ -58,7 +58,6 @@ from .slo import (
     SloMonitor,
     availability_series,
     default_burn_rules,
-    error_budget_remaining,
     merge_alerts,
 )
 from .scorecard import (
@@ -86,7 +85,7 @@ __all__ = [
     "Alert", "BacklogRule", "BurnRateRule", "CapacityRule",
     "LatencyRule", "SloMonitor",
     "availability_series", "default_burn_rules",
-    "error_budget_remaining", "merge_alerts",
+    "merge_alerts",
     "DetectionScorecard", "FaultInterval", "score_detection",
     "scorecard_table",
     "render_prometheus", "write_prometheus",

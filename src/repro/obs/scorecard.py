@@ -127,10 +127,6 @@ class DetectionScorecard:
             return float("nan")
         return sum(ttds) / len(ttds)
 
-    @property
-    def domain_matches(self) -> int:
-        return sum(1 for m in self.matches if m.domain_match)
-
     def render(self) -> str:
         lines = [f"detection scorecard: {self.scenario} "
                  f"[{self.stack}]  span={self.span_s:.3f}s "

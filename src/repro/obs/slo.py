@@ -450,15 +450,3 @@ def merge_alerts(alerts: Sequence[Alert],
                 cur, rule="+".join(sorted(set(rules)))))
     out.sort(key=lambda a: (a.start_s, a.scope))
     return out
-
-
-def error_budget_remaining(store: TimeSeriesStore, target: float,
-                           scope: str = "fleet") -> float:
-    """Fraction of the run's error budget left (can go negative)."""
-    good, total = request_series(store, scope)
-    n = float(total.sum())
-    if n == 0:
-        return 1.0
-    err = (n - float(good.sum())) / n
-    budget = 1.0 - target
-    return 1.0 - err / budget

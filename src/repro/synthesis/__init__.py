@@ -12,7 +12,6 @@ from .resources import (
     FAMILY_COEFFICIENTS,
     FamilyCoefficients,
     ResourceEstimate,
-    check_fits,
     estimate,
     exponent_groups_per_row,
     mrf_m20ks,
@@ -20,11 +19,9 @@ from .resources import (
 )
 from .specializer import (
     Candidate,
-    FormatCandidate,
     ModelRequirements,
     best_config,
     candidate_space,
-    format_pareto,
     rnn_requirements,
     specialize,
 )
@@ -32,8 +29,8 @@ from .specializer import (
 __all__ = [
     "FpgaDevice", "DEVICES", "STRATIX_V_D5", "ARRIA_10_1150",
     "STRATIX_10_280", "device_by_name", "FamilyCoefficients",
-    "FAMILY_COEFFICIENTS", "ResourceEstimate", "estimate", "check_fits",
+    "FAMILY_COEFFICIENTS", "ResourceEstimate", "estimate",
     "exponent_groups_per_row", "mrf_m20ks", "weight_storage_bits",
-    "Candidate", "FormatCandidate", "ModelRequirements", "best_config",
-    "candidate_space", "format_pareto", "rnn_requirements", "specialize",
+    "Candidate", "ModelRequirements", "best_config", "candidate_space",
+    "rnn_requirements", "specialize",
 ]

@@ -159,14 +159,3 @@ def estimate(config: NpuConfig,
     m20ks = mrf_m20ks(config, device) + coeff.m20k_overhead
     return ResourceEstimate(config=config, device=device, alms=alms,
                             m20ks=m20ks, dsps=dsps)
-
-
-def check_fits(config: NpuConfig,
-               device: Optional[FpgaDevice] = None) -> ResourceEstimate:
-    """Estimate and raise :class:`SynthesisError` if over budget."""
-    result = estimate(config, device)
-    if not result.fits:
-        raise SynthesisError(
-            f"{config.name} does not fit {result.device.name}: "
-            f"{result.summary()}")
-    return result

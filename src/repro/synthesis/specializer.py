@@ -156,51 +156,3 @@ def best_config(requirements: ModelRequirements, device: FpgaDevice,
     """The highest-effective-throughput feasible instance."""
     return specialize(requirements, device,
                       mantissa_bits=mantissa_bits)[0]
-
-
-@dataclasses.dataclass(frozen=True)
-class FormatCandidate:
-    """Best feasible instance for one weight format, with its accuracy
-    point from the numerics sweep."""
-
-    format_key: str
-    candidate: Candidate
-    bits_per_element: float
-    matvec_snr_db: float
-
-    @property
-    def m20ks(self) -> int:
-        return self.candidate.resources.m20ks
-
-
-def format_pareto(requirements: ModelRequirements, device: FpgaDevice,
-                  formats=None, seed: int = 0) -> List[FormatCandidate]:
-    """Sweep the format family for a model on a device.
-
-    For each format, specialize the instance grid under that format and
-    pair the best candidate with the format's accuracy point from
-    :func:`repro.numerics.sweep_formats` — the accuracy-vs-resource
-    trade the synthesis flow ranks when choosing a per-model data type
-    (Section VI). Formats with no feasible instance are dropped. Results
-    are sorted by storage cost (ascending bits per element).
-    """
-    from ..numerics import FORMAT_FAMILY, sweep_formats
-    formats = dict(formats) if formats else dict(FORMAT_FAMILY)
-    accuracy = {p.key: p for p in sweep_formats(formats, seed=seed)}
-    out: List[FormatCandidate] = []
-    for key, fmt in formats.items():
-        try:
-            cand = specialize(requirements, device, fmt=fmt)[0]
-        except SynthesisError:
-            continue
-        point = accuracy[key]
-        out.append(FormatCandidate(
-            format_key=key, candidate=cand,
-            bits_per_element=point.bits_per_element,
-            matvec_snr_db=point.matvec_snr_db))
-    if not out:
-        raise SynthesisError(
-            f"no format-family instance for {requirements.name} fits "
-            f"{device.name}")
-    out.sort(key=lambda f: (f.bits_per_element, f.format_key))
-    return out

@@ -332,10 +332,6 @@ class BatchServeResult:
     def p99_ms(self) -> float:
         return self.percentile_latency(99) * 1e3
 
-    def percentile_queue_wait(self, q: float) -> float:
-        return percentile_or_nan(
-            [r.queue_wait for r in self.requests], q)
-
     @property
     def span_s(self) -> float:
         if self.empty:

@@ -134,28 +134,6 @@ class CorrelatedFaultInjector(FaultInjector):
         return [ClusterEvent(at_s, "partition", rack),
                 ClusterEvent(at_s + duration_s, "heal", rack)]
 
-    def node_crashes(self, duration_s: float,
-                     crashes_per_hour: float) -> List[ClusterEvent]:
-        """Independent node crashes as a Poisson process over the
-        fleet, each repaired after a drawn time."""
-        if duration_s <= 0 or crashes_per_hour < 0:
-            raise ClusterError(
-                "duration_s must be positive and crashes_per_hour >= 0")
-        rate = crashes_per_hour / 3600.0
-        events: List[ClusterEvent] = []
-        t = 0.0
-        rng = self._np_rng
-        while True:
-            t += float(rng.exponential(1.0 / rate)) if rate > 0 else \
-                float("inf")
-            if t >= duration_s:
-                break
-            node = int(rng.integers(self.spec.num_nodes))
-            repair = self.repair_dist.draw(rng)
-            events.append(ClusterEvent(t, "crash", node))
-            events.append(ClusterEvent(t + repair, "repair", node))
-        return events
-
     def rolling_slowdown(self, factor: float, start_s: float,
                          dwell_s: float,
                          nodes: Optional[List[int]] = None

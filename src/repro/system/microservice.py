@@ -143,11 +143,6 @@ class BatchedInvocationResult:
     def total_ms(self) -> float:
         return self.total_s * 1e3
 
-    @property
-    def per_request_s(self) -> float:
-        """Aggregate service time amortized per request."""
-        return self.total_s / self.batch
-
 
 class HardwareMicroservice:
     """A published model-serving endpoint backed by one FPGA node.

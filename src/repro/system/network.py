@@ -91,7 +91,3 @@ class NetworkFabric:
     def connected(self, a: str, b: str) -> bool:
         """Whether ``a`` can currently reach ``b`` (symmetric)."""
         return frozenset((a, b)) not in self._cuts
-
-    @property
-    def cuts(self) -> Set[FrozenSet[str]]:
-        return set(self._cuts)

@@ -10,7 +10,6 @@ from .timeline import (
     occupancy,
     occupancy_from_trace,
     records_from_trace,
-    render_timeline,
     render_trace_timeline,
 )
 
@@ -19,6 +18,6 @@ __all__ = [
     "TimingReport", "TimingSimulator", "steady_state_cycles_per_step",
     "DecoderNode", "HddTree", "build_hdd_tree",
     "OccupancySummary", "occupancy", "occupancy_from_trace",
-    "records_from_trace", "render_timeline", "render_trace_timeline",
+    "records_from_trace", "render_trace_timeline",
     "serial_lower_bound",
 ]

@@ -3,13 +3,11 @@
 Renders chain schedules as an ASCII timeline, one row per chain, so the
 two performance regimes are visible at a glance: back-to-back MVM
 occupancy for large models, and the chain-setup spacing floor for small
-ones. The renderer consumes :class:`~repro.timing.report.ChainRecord`
-rows from either source of schedule data — a
-:class:`~repro.timing.report.TimingReport` recorded with
-``record_chains=True``, or the chain spans a
-:class:`~repro.obs.Tracer` captured from the same run
-(:func:`records_from_trace` / :func:`render_trace_timeline`) — so the
-trace and the report are two views over one schedule.
+ones. The renderer reads the chain spans a :class:`~repro.obs.Tracer`
+captured from a :class:`~repro.timing.scheduler.TimingSimulator` run
+(:func:`records_from_trace`); :func:`occupancy` and
+:func:`occupancy_from_trace` summarize the same schedule from the
+:class:`~repro.timing.report.TimingReport` and from the trace.
 """
 
 from __future__ import annotations
@@ -106,9 +104,18 @@ def occupancy_from_trace(tracer: Tracer) -> OccupancySummary:
         chains=chains, mvm_chains=mvm_chains)
 
 
-def _render(records: List[ChainRecord], total_records: int,
-            summary: OccupancySummary, width: int,
-            labels: Optional[List[str]]) -> str:
+def render_trace_timeline(tracer: Tracer, width: int = 72,
+                          max_chains: int = 48,
+                          labels: Optional[List[str]] = None) -> str:
+    """Render a scheduler trace's chain schedule as an ASCII Gantt chart.
+
+    ``M`` marks an ``mv_mul`` chain's issue window, ``=`` a point-wise
+    chain's, and ``-`` the pipeline drain to completion. At most
+    ``max_chains`` rows are drawn; ``labels`` names rows by chain index.
+    """
+    all_records = records_from_trace(tracer)
+    records = all_records[:max_chains]
+    summary = occupancy_from_trace(tracer)
     if not records:
         return "(no chains executed)"
     t0 = min(r.start for r in records)
@@ -132,41 +139,14 @@ def _render(records: List[ChainRecord], total_records: int,
         for x in range(b, min(c, width)):
             row[x] = "-"
         # Labels are addressed by the record's chain index, not its row
-        # position: a report truncated to max_chains (or with matrix
+        # position: a timeline truncated to max_chains (or with matrix
         # chains interleaved) must still pair each row with its own
         # label.
         label = labels[rec.index] if labels and rec.index < len(labels) \
             else f"#{rec.index}"
         lines.append(f"{label:>10} |{''.join(row)}|")
-    if total_records > len(records):
-        lines.append(f"... {total_records - len(records)} more "
+    if len(all_records) > len(records):
+        lines.append(f"... {len(all_records) - len(records)} more "
                      "chains not shown")
     lines.append(summary.render())
     return "\n".join(lines)
-
-
-def render_timeline(report: TimingReport, width: int = 72,
-                    max_chains: int = 48,
-                    labels: Optional[List[str]] = None) -> str:
-    """Render the chain schedule as an ASCII Gantt chart.
-
-    ``M`` marks an ``mv_mul`` chain's issue window, ``=`` a point-wise
-    chain's, and ``-`` the pipeline drain to completion. Requires the
-    report to carry chain records (``TimingSimulator(record_chains=
-    True)``).
-    """
-    if report.records is None:
-        raise ExecutionError(
-            "timeline requires a report recorded with record_chains=True")
-    return _render(report.records[:max_chains], len(report.records),
-                   occupancy(report), width, labels)
-
-
-def render_trace_timeline(tracer: Tracer, width: int = 72,
-                          max_chains: int = 48,
-                          labels: Optional[List[str]] = None) -> str:
-    """Render the same Gantt chart from a scheduler trace instead of a
-    recorded report — one renderer, two data sources."""
-    records = records_from_trace(tracer)
-    return _render(records[:max_chains], len(records),
-                   occupancy_from_trace(tracer), width, labels)

@@ -2,11 +2,12 @@
 
 The vectorized executor relies on two numerics contracts: quantizing a
 batch of vectors in one call is element-wise identical to quantizing
-each vector alone (blocks are independent), and :func:`decompose`
-produces exactly the mantissas/exponents of :func:`quantize_with_info`
-without materializing values. A final property drives the whole stack:
-the vectorized ``mv_mul`` matches the reference interpreter bit for bit
-on random windows in both Table IV formats.
+each vector alone (blocks are independent), and :func:`decompose`'s
+mantissas and exponents rebuild, bit for bit, the values of
+:func:`quantize` and of the scalar oracle :func:`quantize_reference`. A
+final property drives the whole stack: the vectorized ``mv_mul`` matches
+the reference interpreter bit for bit on random windows in both Table IV
+formats.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ from repro.numerics.bfp import (
     BfpFormat,
     decompose,
     quantize,
-    quantize_with_info,
+    quantize_reference,
+    scales_of,
 )
 from repro.verify import ReferenceInterpreter
 
@@ -57,24 +59,32 @@ def test_batched_quantize_equals_scalar(fmt, data):
         assert np.array_equal(batched[r], alone)
 
 
+def _words(x):
+    return np.asarray(x, dtype=np.float32).view(np.uint32)
+
+
+def _rebuilt(mantissas, exponents, fmt):
+    """Values from a decomposition: mantissa times its block's step."""
+    blocks = mantissas.reshape(exponents.shape + (fmt.block_size,))
+    return (blocks * scales_of(exponents, fmt)[..., np.newaxis]).reshape(
+        mantissas.shape).astype(np.float32)
+
+
 @given(fmt=formats, data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_decompose_matches_quantize_with_info(fmt, data):
+def test_decompose_rebuilds_quantize_and_oracle_bit_for_bit(fmt, data):
     rows = data.draw(st.integers(1, 4))
     flat = data.draw(st.lists(finite32,
                               min_size=rows * fmt.block_size,
                               max_size=rows * fmt.block_size))
     batch = _batch(flat, fmt)
-    values, mantissas, exponents = quantize_with_info(batch, fmt)
     d_mant, d_exp = decompose(batch, fmt)
     assert d_mant.dtype == np.float32  # working dtype preserved
-    assert np.array_equal(d_mant.astype(np.int64), mantissas)
-    assert np.array_equal(d_exp, exponents)
-    # Reconstruction from the decomposition reproduces the values.
-    scale = np.exp2((d_exp - fmt.mantissa_bits + 1).astype(np.float32))
-    rebuilt = (d_mant.reshape(rows, -1, fmt.block_size)
-               * scale[..., np.newaxis]).reshape(batch.shape)
-    assert np.array_equal(rebuilt.astype(np.float32), values)
+    assert np.all(np.abs(d_mant) <= fmt.max_mantissa)
+    rebuilt = _rebuilt(d_mant, d_exp, fmt)
+    assert np.array_equal(_words(rebuilt), _words(quantize(batch, fmt)))
+    assert np.array_equal(_words(rebuilt),
+                          _words(quantize_reference(batch, fmt)))
 
 
 @given(fmt=formats, data=st.data())
@@ -91,12 +101,15 @@ def test_all_zero_blocks_quantize_to_zero_at_min_exponent():
     fmt = BfpFormat(mantissa_bits=3, exponent_bits=5, block_size=8)
     batch = np.zeros((3, 8), dtype=np.float32)
     batch[1] = 1.0  # one live block between two dead ones
-    values, mantissas, exponents = quantize_with_info(batch, fmt)
     d_mant, d_exp = decompose(batch, fmt)
-    assert np.array_equal(d_exp, exponents)
-    assert exponents[0] == exponents[2] == fmt.min_exponent
-    assert np.all(values[0] == 0) and np.all(mantissas[0] == 0)
-    assert np.all(d_mant[0] == 0)
+    assert d_exp[0] == d_exp[2] == fmt.min_exponent
+    assert np.all(d_mant[0] == 0) and np.all(d_mant[2] == 0)
+    values = quantize(batch, fmt)
+    assert np.array_equal(_words(values), _words(_rebuilt(d_mant, d_exp,
+                                                          fmt)))
+    assert np.array_equal(_words(values),
+                          _words(quantize_reference(batch, fmt)))
+    assert np.array_equal(_words(values[0]), np.zeros(8, np.uint32))
     assert np.array_equal(values[1], np.ones(8, dtype=np.float32))
 
 

@@ -86,21 +86,6 @@ class TestCorrelatedFaultInjector:
             self._injector().tor_partition(0, at_s=1.0,
                                            duration_s=0.0)
 
-    def test_node_crashes_poisson(self):
-        events = self._injector().node_crashes(
-            duration_s=3600.0, crashes_per_hour=20.0)
-        crashes = [e for e in events if e.action == "crash"]
-        repairs = [e for e in events if e.action == "repair"]
-        assert len(crashes) == len(repairs) > 0
-        assert all(0 <= e.target < SPEC.num_nodes for e in crashes)
-        assert all(r.time_s > c.time_s
-                   for c, r in zip(crashes, repairs))
-
-    def test_node_crashes_zero_rate(self):
-        assert self._injector().node_crashes(10.0, 0.0) == []
-        with pytest.raises(ClusterError):
-            self._injector().node_crashes(0.0, 1.0)
-
     def test_rolling_slowdown(self):
         events = self._injector().rolling_slowdown(
             4.0, start_s=1.0, dwell_s=0.5)
@@ -114,14 +99,15 @@ class TestCorrelatedFaultInjector:
             self._injector().rolling_slowdown(2.0, 0.0, 0.0)
 
     def test_deterministic_event_streams(self):
-        a = CorrelatedFaultInjector(SPEC, seed=5).node_crashes(
-            3600.0, 10.0)
-        b = CorrelatedFaultInjector(SPEC, seed=5).node_crashes(
-            3600.0, 10.0)
-        assert a == b
-        c = CorrelatedFaultInjector(SPEC, seed=6).node_crashes(
-            3600.0, 10.0)
-        assert a != c
+        def events(seed):
+            inj = CorrelatedFaultInjector(SPEC, seed=seed)
+            return [e for rack in range(SPEC.racks)
+                    for e in inj.rack_outage(rack, at_s=10.0)
+                    + inj.tor_partition(rack, at_s=20.0)]
+
+        a = events(5)
+        assert a == events(5)
+        assert a != events(6)
 
 
 class TestScenarioCatalog:

@@ -8,8 +8,8 @@ from repro.cli import main
 from repro.compiler.lowering import compile_rnn_shape
 from repro.config import BW_S10
 from repro.errors import ExecutionError
-from repro.timing import TimingSimulator, occupancy, render_timeline
-from repro.timing.report import ChainRecord, TimingReport
+from repro.obs import Tracer
+from repro.timing import TimingSimulator, occupancy, render_trace_timeline
 
 
 class TestCli:
@@ -55,29 +55,38 @@ class TestCli:
             main([])
 
 
+def _chain(tracer, index, start, completion, mv_mul):
+    """One scheduler ``chain`` span as :class:`TimingSimulator` records
+    it."""
+    tracer.span("chain", start, completion, index=index, mv_mul=mv_mul,
+                issue=4.0, depth_first=2.0, rows=1, cols=1)
+
+
 class TestTimeline:
-    def make_report(self):
+    def make_report(self, tracer=None):
         compiled = compile_rnn_shape("gru", 1024, BW_S10)
-        sim = TimingSimulator(BW_S10, record_chains=True)
+        sim = TimingSimulator(BW_S10, record_chains=True, tracer=tracer)
         return sim.run(compiled.program, bindings={"steps": 3},
                        include_invocation_overhead=False)
 
+    def make_trace(self):
+        tracer = Tracer()
+        self.make_report(tracer)
+        return tracer
+
     def test_render_contains_rows_and_summary(self):
-        text = render_timeline(self.make_report())
+        text = render_trace_timeline(self.make_trace())
         assert "timeline:" in text
         assert "M" in text          # mv_mul chains
         assert "=" in text          # point-wise chains
         assert "MVM busy" in text
 
     def test_requires_records(self):
-        compiled = compile_rnn_shape("gru", 512, BW_S10)
-        report = TimingSimulator(BW_S10).run(compiled.program,
-                                             bindings={"steps": 1})
-        with pytest.raises(ExecutionError):
-            render_timeline(report)
+        with pytest.raises(ExecutionError, match="no 'run' span"):
+            render_trace_timeline(Tracer())
 
     def test_max_chains_truncation(self):
-        text = render_timeline(self.make_report(), max_chains=5)
+        text = render_trace_timeline(self.make_trace(), max_chains=5)
         assert "more chains not shown" in text
 
     def test_occupancy_summary(self):
@@ -88,9 +97,8 @@ class TestTimeline:
         assert "chains" in summary.render()
 
     def test_labels(self):
-        report = self.make_report()
-        text = render_timeline(report, max_chains=3,
-                               labels=["alpha", "beta"])
+        text = render_trace_timeline(self.make_trace(), max_chains=3,
+                                     labels=["alpha", "beta"])
         assert "alpha" in text and "beta" in text
 
     def test_labels_follow_chain_index_not_row_position(self):
@@ -98,26 +106,19 @@ class TestTimeline:
         # index, not its row position — records with gaps in their
         # index sequence (matrix chains interleaved, truncated views)
         # used to shift every following label up by one.
-        records = [
-            ChainRecord(index=0, start=0.0, issue=4.0, depth_first=2.0,
-                        completion=10.0, has_mv_mul=True, rows=1, cols=1),
-            ChainRecord(index=2, start=10.0, issue=4.0, depth_first=2.0,
-                        completion=20.0, has_mv_mul=False, rows=1,
-                        cols=1),
-        ]
-        report = TimingReport(config=BW_S10, total_cycles=20.0,
-                              nominal_ops=0.0, mvm_busy_cycles=4.0,
-                              chains_executed=3,
-                              instructions_dispatched=6,
-                              records=records)
+        tracer = Tracer()
+        run = tracer.begin("run", 0.0, track="scheduler")
+        _chain(tracer, 0, 0.0, 10.0, mv_mul=True)
+        _chain(tracer, 2, 10.0, 20.0, mv_mul=False)
+        tracer.end(run, 20.0)
         labels = ["gates", "SKIPPED", "pointwise"]
-        text = render_timeline(report, labels=labels)
+        text = render_trace_timeline(tracer, labels=labels)
         rows = [line for line in text.splitlines() if "|" in line]
         assert "gates" in rows[0]
         assert "pointwise" in rows[1]
         assert "SKIPPED" not in text
         # Records beyond the label list fall back to their index.
-        assert "#2" in render_timeline(report, labels=["gates"])
+        assert "#2" in render_trace_timeline(tracer, labels=["gates"])
 
 
 class TestTraceCli:

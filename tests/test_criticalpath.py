@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.criticalpath import Dfg, analytic, conv_layer_dfg, dot_depth, gru_step_dfg, lstm_step_dfg, mlp_dfg, recurrent_cycle_depth, sdm_analyze_recurrent, sdm_cycles_bound, sdm_cycles_scheduled, udm_analyze_recurrent, \
+from repro.criticalpath import Dfg, analytic, conv_layer_dfg, dot_depth, gru_step_dfg, lstm_step_dfg, recurrent_cycle_depth, sdm_analyze_recurrent, sdm_cycles_bound, sdm_cycles_scheduled, udm_analyze_recurrent, \
     udm_cycles
 from repro.models.cnn import TABLE1_CNN_1X1, TABLE1_CNN_3X3
 
@@ -154,7 +154,7 @@ class TestSdmProperties:
         assert cycles == sorted(cycles, reverse=True)
 
     def test_scheduled_between_floor_and_bound(self):
-        g = mlp_dfg([64, 128, 64, 10])
+        g = conv_layer_dfg(TABLE1_CNN_1X1)
         macs = 500
         scheduled = sdm_cycles_scheduled(g, macs)
         assert scheduled >= g.total_macs / macs
@@ -162,7 +162,7 @@ class TestSdmProperties:
         assert scheduled <= sdm_cycles_bound(g, macs) + udm_cycles(g)
 
     def test_invalid_mac_count(self):
-        g = mlp_dfg([8, 8])
+        g = lstm_step_dfg(8)
         with pytest.raises(ValueError):
             sdm_cycles_bound(g, 0)
         with pytest.raises(ValueError):
@@ -172,8 +172,8 @@ class TestSdmProperties:
 @given(st.integers(2, 4096), st.integers(100, 200000))
 @settings(max_examples=40)
 def test_sdm_bound_dominates_schedule_property(dim, macs):
-    """Graham bound >= greedy schedule >= work/units for MLP graphs."""
-    g = mlp_dfg([dim, max(2, dim // 2)])
+    """Graham bound >= greedy schedule >= work/units for LSTM steps."""
+    g = lstm_step_dfg(dim)
     bound = sdm_cycles_bound(g, macs)
     scheduled = sdm_cycles_scheduled(g, macs)
     assert scheduled <= bound + 1e-9
@@ -192,9 +192,6 @@ class TestAnalytic:
                                           96000).cycles
             assert analytic.lstm_sdm_cycles_per_step(n, 96000) == \
                 pytest.approx(graph, abs=2)
-
-    def test_gru_udm_31_at_2800(self):
-        assert analytic.gru_udm_cycles_per_step(2800) == 31
 
     def test_ops_formulas_match_model_shapes(self):
         from repro.models import GruShape, LstmShape

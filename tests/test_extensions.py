@@ -1,5 +1,5 @@
 """Tests for the extension features: batch interleaving, weight
-streaming, stacked LSTMs, and the text CNN."""
+streaming, and the text CNN."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from repro.compiler import (
     compile_lstm_streamed,
     compile_lstm_streamed_shape,
     compile_rnn_shape,
-    compile_stacked_lstm,
     compile_text_cnn,
-    reference_stacked_run,
 )
 from repro.config import BW_S10, NpuConfig
 from repro.errors import CompileError
@@ -130,45 +128,6 @@ class TestStreaming:
         compiled = compile_lstm_streamed_shape(256, BW_S10)
         with pytest.raises(CompileError, match="shapes only"):
             compiled.new_simulator()
-
-
-class TestStacked:
-    def test_matches_reference(self, cfg, rng):
-        models = [LstmReference(24, 16, seed=41),
-                  LstmReference(16, 24, seed=42)]
-        compiled = compile_stacked_lstm(models, cfg)
-        xs = [rng.uniform(-1, 1, 16).astype(np.float32)
-              for _ in range(5)]
-        got = compiled.run_sequence(xs, exact=True)
-        want = reference_stacked_run(models, xs)
-        assert np.allclose(got[-1], want[-1], atol=1e-5)
-
-    def test_three_layer_stack(self, cfg, rng):
-        models = [LstmReference(20, 20, seed=43),
-                  LstmReference(28, 20, seed=44),
-                  LstmReference(20, 28, seed=45)]
-        compiled = compile_stacked_lstm(models, cfg)
-        xs = [rng.uniform(-1, 1, 20).astype(np.float32)
-              for _ in range(3)]
-        got = compiled.run_sequence(xs, exact=True)
-        want = reference_stacked_run(models, xs)
-        assert np.allclose(got[-1], want[-1], atol=1e-5)
-
-    def test_dimension_mismatch_rejected(self, cfg):
-        with pytest.raises(CompileError, match="input dim"):
-            compile_stacked_lstm([LstmReference(24, 16, seed=1),
-                                  LstmReference(16, 20, seed=2)], cfg)
-
-    def test_empty_stack_rejected(self, cfg):
-        with pytest.raises(CompileError):
-            compile_stacked_lstm([], cfg)
-
-    def test_output_dimension_is_top_layer(self, cfg):
-        models = [LstmReference(24, 16, seed=46),
-                  LstmReference(32, 24, seed=47)]
-        compiled = compile_stacked_lstm(models, cfg)
-        assert compiled.output_length == 32
-        assert compiled.input_length == 16
 
 
 class TestTextCnn:

@@ -8,17 +8,15 @@ from repro.compiler import (
     compile_conv,
     compile_gru,
     compile_lstm,
-    compile_mlp,
 )
 from repro.compiler.lowering import compile_rnn_shape
 from repro.config import NpuConfig
 from repro.errors import CapacityError, CompileError
-from repro.isa import Opcode
+from repro.isa import MemId, Opcode
 from repro.models import (
     ConvSpec,
     GruReference,
     LstmReference,
-    MlpReference,
     conv2d_reference,
     random_conv_weights,
 )
@@ -109,6 +107,27 @@ class TestGruLowering:
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=1e-5)
 
+    def test_sigmoid_padding_lanes_do_not_corrupt(self, small_config,
+                                                  rng):
+        """sigmoid(0) = 0.5 on the padded lanes of a hidden size that is
+        not a multiple of the native dimension must not leak into the
+        state: the padded lanes of h stay +0.0 step after step."""
+        model = GruReference(hidden_dim=20, input_dim=20, seed=5)
+        compiled = compile_gru(model, small_config)
+        sim = compiled.new_simulator(exact=True)
+        xs = seq(rng, 5, 20)
+        got = compiled.run_sequence(xs, exact=True, sim=sim)
+        for g, w in zip(got, model.run(xs)):
+            assert np.allclose(g, w, atol=1e-5)
+        padded = 2 * small_config.native_dim
+        r_gate = sim.read_vector(MemId.MultiplyVrf,
+                                 compiled.allocator.slot("rt").base, padded)
+        assert np.all(r_gate[20:] == 0.5)
+        h = sim.read_vector(MemId.InitialVrf,
+                            compiled.allocator.slot("h_prev").base, padded)
+        assert np.array_equal(h[20:], np.zeros(padded - 20, np.float32))
+        assert not np.signbit(h[20:]).any()
+
     def test_chains_per_step(self, small_config):
         """Nine chains: xt, 3 xW, r, z, zbar, zh, fused h."""
         model = compile_rnn_shape("gru", 24, small_config)
@@ -133,45 +152,6 @@ class TestGruLowering:
     def test_unknown_kind_rejected(self, small_config):
         with pytest.raises(CompileError):
             compile_rnn_shape("rnn", 24, small_config)
-
-
-class TestMlpLowering:
-    def test_matches_reference(self, small_config, rng):
-        model = MlpReference([20, 48, 32, 12], seed=4)
-        compiled = compile_mlp(model, small_config)
-        x = rng.uniform(-1, 1, 20).astype(np.float32)
-        assert np.allclose(compiled.run_single(x, exact=True),
-                           model.forward(x), atol=1e-5)
-
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
-    def test_activations(self, small_config, rng, activation):
-        model = MlpReference([16, 16, 16], activation=activation, seed=5)
-        compiled = compile_mlp(model, small_config)
-        x = rng.uniform(-1, 1, 16).astype(np.float32)
-        assert np.allclose(compiled.run_single(x, exact=True),
-                           model.forward(x), atol=1e-5)
-
-    def test_one_chain_per_layer(self, small_config):
-        model = MlpReference([16, 16, 16, 16], seed=6)
-        compiled = compile_mlp(model, small_config)
-        assert len(list(compiled.program.chains({"steps": 1}))) == 3
-
-    def test_run_sequence_rejected_for_feedforward(self, small_config,
-                                                   rng):
-        model = MlpReference([16, 16], seed=6)
-        compiled = compile_mlp(model, small_config)
-        with pytest.raises(CompileError):
-            compiled.run_sequence([rng.uniform(-1, 1, 16)])
-
-    def test_sigmoid_padding_lanes_do_not_corrupt(self, small_config,
-                                                  rng):
-        """sigmoid(0)=0.5 on padded lanes must not leak into the next
-        layer (its weight columns are zero-padded)."""
-        model = MlpReference([20, 20, 20], activation="sigmoid", seed=7)
-        compiled = compile_mlp(model, small_config)
-        x = rng.uniform(-1, 1, 20).astype(np.float32)
-        assert np.allclose(compiled.run_single(x, exact=True),
-                           model.forward(x), atol=1e-5)
 
 
 class TestConvLowering:

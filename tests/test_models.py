@@ -9,8 +9,6 @@ from repro.models import (
     GruShape,
     LstmReference,
     LstmShape,
-    MlpReference,
-    MlpShape,
     conv2d_reference,
     im2col,
     random_conv_weights,
@@ -92,28 +90,6 @@ class TestGruReference:
                           + model.b["h"])
         want = (1 - z) * h_tilde + z * h
         assert np.allclose(got, want, atol=1e-6)
-
-
-class TestMlpReference:
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            MlpReference([4, 4], activation="swish")
-
-    def test_too_few_layers_rejected(self):
-        with pytest.raises(ValueError):
-            MlpReference([4])
-
-    def test_linear_output_layer(self, rng):
-        model = MlpReference([8, 8], activation="relu",
-                             output_activation="linear", seed=8)
-        x = rng.uniform(-1, 1, 8).astype(np.float32)
-        want = model.weights[0] @ x + model.biases[0]
-        assert np.allclose(model.forward(x), want, atol=1e-6)
-
-    def test_shape_metadata(self):
-        shape = MlpShape((4, 8, 2))
-        assert shape.matmul_ops == 2 * (4 * 8 + 8 * 2)
-        assert shape.parameter_count == 4 * 8 + 8 + 8 * 2 + 2
 
 
 class TestConv:

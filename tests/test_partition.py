@@ -5,7 +5,6 @@ import pytest
 from repro.compiler.partition import (
     WeightBlock,
     accelerators_needed,
-    bidirectional_split,
     capacity_elements,
     partition_blocks,
     rnn_weight_blocks,
@@ -83,15 +82,3 @@ class TestPartitioning:
     def test_unknown_kind(self):
         with pytest.raises(PartitionError):
             rnn_weight_blocks("rnn", 16)
-
-
-class TestBidirectionalSplit:
-    def test_split_produces_independent_halves(self):
-        fwd, bwd = bidirectional_split("lstm", 64)
-        assert len(fwd) == len(bwd) == 8
-        assert all(b.name.startswith("bwd.") for b in bwd)
-
-    def test_halves_have_equal_footprint(self):
-        fwd, bwd = bidirectional_split("gru", 48)
-        assert sum(b.elements for b in fwd) == \
-            sum(b.elements for b in bwd)

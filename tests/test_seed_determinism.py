@@ -109,7 +109,7 @@ def test_correlated_fault_injector_is_seed_deterministic():
     def events(seed):
         inj = CorrelatedFaultInjector(spec, seed=seed)
         return (inj.rack_outage(0, 1.0)
-                + inj.node_crashes(600.0, 30.0)
+                + inj.tor_partition(1, 2.0)
                 + inj.rolling_slowdown(4.0, 0.0, 1.0))
 
     assert events(21) == events(21)
@@ -118,7 +118,8 @@ def test_correlated_fault_injector_is_seed_deterministic():
     # per-invocation fault sampling (separate streams).
     plain = CorrelatedFaultInjector(spec, seed=21)
     drawn = CorrelatedFaultInjector(spec, seed=21)
-    drawn.node_crashes(600.0, 30.0)
+    drawn.rack_outage(0, 1.0)
+    drawn.tor_partition(1, 2.0)
     assert [plain.sample("n0") for _ in range(20)] == \
         [drawn.sample("n0") for _ in range(20)]
 

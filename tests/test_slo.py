@@ -6,8 +6,7 @@ import pytest
 from repro.obs.slo import (Alert, BacklogRule, BurnRateRule,
                            CapacityRule, LatencyRule, SloMonitor,
                            availability_series, default_burn_rules,
-                           error_budget_remaining, merge_alerts,
-                           rolling_sum)
+                           merge_alerts, rolling_sum)
 from repro.obs.timeseries import TimeSeriesStore
 
 pytestmark = pytest.mark.tier1
@@ -90,15 +89,6 @@ class TestAvailability:
         store.counter("cluster.requests", scope="fleet",
                       status="brownout").add_events([0.5])
         assert availability_series(store)[0] == 1.0
-
-    def test_error_budget_remaining(self):
-        store = _store(windows=10)
-        _fill_requests(store, "fleet", good_per_window=99,
-                       bad_per_window=1)
-        # 1% errors against a 2% budget: half the budget left.
-        left = error_budget_remaining(store, target=0.98)
-        assert left == pytest.approx(0.5)
-        assert error_budget_remaining(_store(), 0.99) == 1.0
 
 
 class TestBurnRateAlerts:

@@ -11,11 +11,9 @@ from repro.synthesis import (
     STRATIX_V_D5,
     ModelRequirements,
     best_config,
-    check_fits,
     device_by_name,
     estimate,
     exponent_groups_per_row,
-    format_pareto,
     mrf_m20ks,
     rnn_requirements,
     specialize,
@@ -62,7 +60,7 @@ class TestResourceModel:
     @pytest.mark.parametrize("config", [BW_S5, BW_A10, BW_S10],
                              ids=lambda c: c.name)
     def test_all_instances_fit_their_devices(self, config):
-        assert check_fits(config).fits
+        assert estimate(config).fits
 
     def test_limiting_resources(self):
         assert estimate(BW_A10).limiting_resource == "DSPs"
@@ -70,8 +68,7 @@ class TestResourceModel:
 
     def test_scaling_up_tiles_eventually_overflows(self):
         big = BW_S10.replace(tile_engines=24)
-        with pytest.raises(SynthesisError):
-            check_fits(big)
+        assert not estimate(big).fits
 
     def test_mrf_m20ks_structural_scaling(self):
         """Doubling lanes (wider banks) needs more width slices."""
@@ -192,15 +189,3 @@ class TestSpecializer:
         # every candidate's native dim is a multiple of the MX block.
         assert cands[0].config.bfp_format == MX_INT8
         assert all(c.config.native_dim % 32 == 0 for c in cands)
-
-    def test_format_pareto_trades_accuracy_for_resources(self):
-        req = rnn_requirements("gru", 1024)
-        fcs = format_pareto(req, STRATIX_10_280)
-        assert len(fcs) >= 6
-        bits = [f.bits_per_element for f in fcs]
-        assert bits == sorted(bits)
-        # The widest format buys the most accuracy and every candidate
-        # fits its device.
-        assert max(fcs, key=lambda f: f.matvec_snr_db).format_key == \
-            "mx_int8"
-        assert all(f.candidate.resources.fits for f in fcs)

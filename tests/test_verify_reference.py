@@ -9,8 +9,7 @@ from repro.isa import (InstructionChain, MemId, ScalarReg, m_rd, m_wr,
                        mv_mul, v_rd, v_sigm, v_tanh, v_wr, vv_add, vv_mul)
 from repro.isa.program import NpuProgram, SetScalar
 from repro.numerics.bfp import (BfpFormat, decode, decompose, encode,
-                                quantize, quantize_reference,
-                                quantize_with_info)
+                                quantize, quantize_reference)
 from repro.verify import FUZZ_CONFIGS, ReferenceInterpreter
 from repro.verify.differential import load_reference, load_simulator
 from repro.verify.generator import generate_case
@@ -41,13 +40,12 @@ def _bits(x):
 
 
 def _every_path(x, fmt):
-    """The float32 words of quantize, quantize_with_info and decode of
-    encode, and decompose's mantissas times the exact float64 steps."""
+    """The float32 words of quantize and decode of encode, and
+    decompose's mantissas times the exact float64 steps."""
     mant, exponents = decompose(x, fmt)
     steps = np.ldexp(1.0, exponents - fmt.mantissa_bits + 1)
     blocks = mant.astype(np.float64).reshape(exponents.shape + (-1,))
     return {"quantize": quantize(x, fmt),
-            "quantize_with_info": quantize_with_info(x, fmt)[0],
             "decode": decode(*encode(x, fmt), fmt),
             "decompose": (blocks * steps[..., np.newaxis]).reshape(x.shape)}
 
