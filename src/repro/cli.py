@@ -14,6 +14,8 @@ Commands:
 * ``serve-batch`` — calibrate a batch service-time curve from the real
   batched replay path, then sweep goodput at a fixed p99 SLO: batch-1
   vs SLO-aware dynamic batching (docs/SERVING.md);
+* ``chaos <scenario|all>`` — run cluster chaos scenarios, mitigated vs
+  ablated, with an optional availability gate;
 * ``monitor <scenario|all>`` — run a chaos scenario with the fleet
   monitoring plane attached: text/HTML dashboard, SLO burn-rate
   alerts, Prometheus export, and a detection scorecard with optional

@@ -31,7 +31,10 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
   occurrence reads a known slot of the network input queue, like an
   RNN's ``x_t * W`` — marked for *hoisting* (``ReplayPlan.hoists``,
   :func:`_plan_hoists`): they run for all timesteps in one GEMM per
-  segment before the first step.
+  segment before the first step;
+* a group's stacked operands kept without the all-zero lanes and, per
+  segment, the all-zero columns that native-tile padding leaves,
+  when what remains fits one core's L2 (:func:`_trim`).
 
 :class:`BatchedReplay` is the one executor. It runs B independent
 requests through a plan by stacking every piece of architectural state
@@ -112,6 +115,19 @@ _EPILOGUE_ROWS = 8
 #: lost at B=3 (81.0 against 75.9 ms).
 _GEMV_MAX_ROWS = 3
 
+#: Bytes up to which a group's packed or mantissa weight stack is kept
+#: without its all-zero lanes and per-segment all-zero columns
+#: (:func:`_trim`): one core's L2, 2 MiB on the 2-vCPU Xeon the
+#: end-to-end benchmark runs on. Measured there, BLAS threads unset,
+#: medians of 400 back-to-back float64 GEMV sets: GRU h=512's x*W stack
+#: on BW_S10 (2 x 600 x 400 lanes, 3.84 MB) took 180-182 us, trimmed
+#: to 384 x (400 + 112) (1.57 MB, L2-resident) 43-46 us. Past the bound
+#: trimming loses: OpenBLAS runs a dgemv of fewer than 460,800 elements
+#: on one thread (1,151 x 400 in 163-169 us, 1,152 x 400 in 56-63 us),
+#: so LSTM h=1024's U stack (3 x 1,200 x 400, 11.52 MB) went from
+#: 288-290 us padded to 396-404 us trimmed to 1,024 lanes (8.39 MB).
+_TRIM_MAX_BYTES = 2 << 20
+
 
 class _MvGroup:
     """One stacked mega-SIMD MVM shared by one or more fused chains.
@@ -131,7 +147,8 @@ class _MvGroup:
     :meth:`~repro.functional.FunctionalSimulator.load_matrix` or an
     interpreted ``m_wr`` between compiled runs rebinds the weights on
     the next compute — the plan-cache invalidation required when matrix
-    registers are rewritten.
+    registers are rewritten. A stack small enough to fit one core's L2
+    once its padding is gone is kept without it (:func:`_trim`).
 
     ``fused`` holds the pointwise pieces that member 0's step runs over
     the stacked output for a leading run of members at once
@@ -141,10 +158,10 @@ class _MvGroup:
 
     __slots__ = ("mode", "members", "key", "cols", "segs", "seg_width",
                  "nb", "n", "offsets", "padded_offsets", "starts",
-                 "row_offsets", "groups_total", "total_rows",
-                 "width", "elided_rows", "_generation", "_operands",
-                 "_nan_columns", "_scratch_generation", "_scratch",
-                 "outputs", "fused", "values")
+                 "row_offsets", "groups_total", "width", "elided_rows",
+                 "_generation", "_operands", "_nan_columns",
+                 "_scratch_generation", "_scratch", "outputs", "fused",
+                 "values")
 
     def __init__(self, sim, members: List[Tuple[int, int]], cols: int):
         self.members = tuple(members)  # (mrf_base, rows) per member
@@ -176,7 +193,6 @@ class _MvGroup:
             poff += -(-(rows * n) // k) * k
             row_offsets.append(row_offsets[-1] + rows)
         self.offsets = tuple(offsets)
-        self.total_rows = off
         self.padded_offsets = tuple(padded_offsets)
         #: Column where each member's values start in :attr:`outputs`.
         self.starts = self.padded_offsets if self.mode == _MODE_PACKED \
@@ -201,19 +217,34 @@ class _MvGroup:
         self.fused = ()
         self.values = None
 
+    @property
+    def trimmed(self) -> Tuple[int, int]:
+        """(lanes, columns) of padding the current operand stack
+        dropped (:func:`_trim`; lanes of k output rows when packed, and
+        columns counted per segment); (0, 0) before the first compute."""
+        if self.mode == _MODE_F64 or self._operands is None \
+                or self._operands[3] is None:
+            return 0, 0
+        w_stack = self._operands[0]
+        return (self.groups_total - w_stack[0].shape[0],
+                self.segs * self.seg_width
+                - sum(w.shape[1] for w in w_stack))
+
     # -- operand binding ---------------------------------------------------
 
     def _refresh(self, sim, operands):
         """(Re)derive the members' weight operands straight from the MRF
         codes with the interpreter's own :func:`window_operands`, each
-        member into its rows of one stack (``operands``, or a new one),
-        or in float64/exact mode the one member's
-        :func:`window_blocks_f64` of its float32 tiles.
+        member into its rows of one stack, or in float64/exact mode the
+        one member's :func:`window_blocks_f64` of its float32 tiles.
 
         Packed members start at their padded offsets; padding rows carry
-        zero scales, so their terms vanish exactly. Returns the operands
-        and the output columns of the members' NaN-weight rows (``None``
-        in float64/exact mode, whose blocks keep the NaNs).
+        zero scales, so their terms vanish exactly. The stack is then
+        trimmed (:func:`_trim`). A previous padded stack (``operands``)
+        takes the new one in place; a trimmed one does when the live
+        shape is unchanged. Returns the operands and the output columns
+        of the members' NaN-weight rows (``None`` in float64/exact mode,
+        whose blocks keep the NaNs).
         """
         mrf, cols = sim.mrf, self.cols
         if self.mode == _MODE_F64:
@@ -222,14 +253,14 @@ class _MvGroup:
                                                     copy=False),
                                      cols, self.seg_width), None
         k = sim._pack_slots or 1
-        if operands is None:
+        if operands is None or operands[3] is not None:
             w_stack = np.empty(
                 (self.segs, self.groups_total, self.seg_width),
                 dtype=np.float64 if self.mode == _MODE_PACKED
                 else np.float32)
             scales = np.zeros((self.segs, self.groups_total * k))
         else:
-            w_stack, scales = operands
+            w_stack, scales = operands[:2]
         nan_columns = []
         for (base, rows), start in zip(self.members, self.padded_offsets):
             r = rows * self.n
@@ -238,7 +269,8 @@ class _MvGroup:
                 sim._pack_slots, sim._pack_width,
                 w_stack[:, start // k:(start + r + k - 1) // k],
                 scales[:, start:start + r]))
-        return (w_stack, scales), np.concatenate(nan_columns)
+        return (_trim(w_stack, scales, k, operands),
+                np.concatenate(nan_columns))
 
     def _bound_operands(self, sim):
         """Stacked operands for the current MRF generation, from the
@@ -275,7 +307,7 @@ class _MvGroup:
         """
         if self._scratch_generation != self._generation:
             segs = self.segs
-            gp = self.groups_total
+            gp = w_scales.shape[1] // k  # live lanes
             rows = _EPILOGUE_ROWS
             # Scale layout matching the unpack layout: slot t of packed
             # group g is unpadded row g*k + t.
@@ -378,23 +410,22 @@ class _MvGroup:
         the reference makes them for any input. Packed/mantissa modes
         only.
         """
-        w_stack, w_scales = self._bound_operands(sim)
+        operands = self._bound_operands(sim)
         live = value.any(axis=(1, 2))
         count = int(np.count_nonzero(live))
         if count == len(value):
-            out = self._multiply(sim, value, w_stack, w_scales)
+            out = self._multiply(sim, value, operands)
         else:
             self.elided_rows += len(value) - count
             out = np.zeros((len(value), self.width), dtype=np.float32)
             if count:
-                out[live] = self._multiply(sim, value[live], w_stack,
-                                           w_scales)
+                out[live] = self._multiply(sim, value[live], operands)
         if self._nan_columns.size:
             out[:, self._nan_columns] = np.nan
         return out
 
-    def _multiply(self, sim, value: np.ndarray, w_stack: np.ndarray,
-                  w_scales: np.ndarray) -> np.ndarray:
+    def _multiply(self, sim, value: np.ndarray, operands: tuple
+                  ) -> np.ndarray:
         """:meth:`apply_rows` for rows that are not all zero.
 
         One decomposition covers all R rows, then one GEMM per segment —
@@ -405,26 +436,35 @@ class _MvGroup:
         through fixed scratch. Every dot product is an exact integer, so
         the results equal per-row GEMVs bit for bit; scale products and
         the segment summation keep the reference operation order.
+
+        Over a trimmed stack (:func:`_trim`) the GEMMs read each
+        segment's live input columns and the epilogue runs over the live
+        lanes. A trimmed row's reference dots sum ``0 * x`` terms to
+        +0.0, or to NaN where an input mantissa is NaN; such an input
+        makes every dot of its request row NaN, so the row is NaN
+        throughout.
         """
+        w_stack, w_scales, selectors, live_rows = operands
         mant, exps = decompose(value, sim._bfp)
         total = value.shape[0]
         segs = self.segs
         mant = mant.reshape(total, segs, self.seg_width)
         x_scales = scales_of(exps, sim._bfp).reshape(total, segs, 1)
+        lanes = w_stack[0].shape[0]
         chunk = _EPILOGUE_ROWS
         if self.mode == _MODE_PACKED:
             scratch = self._packed_scratch(w_scales, sim._pack_slots,
                                            sim._pack_width)
             gemm = scratch[1][:, :total] if total <= chunk else \
-                np.empty((segs, total, self.groups_total))
-            _gemm(mant.astype(np.float64), w_stack, gemm)
+                np.empty((segs, total, lanes))
+            _gemm(mant.astype(np.float64), selectors, w_stack, gemm)
             parts = [self._unpack_chunk(gemm[:, r0:r0 + chunk],
                                         x_scales[r0:r0 + chunk], scratch,
                                         sim._pack_width)
                      for r0 in range(0, total, chunk)]
         else:
-            gemm = np.empty((segs, total, self.total_rows), dtype=np.float32)
-            _gemm(mant, w_stack, gemm)
+            gemm = np.empty((segs, total, lanes), dtype=np.float32)
+            _gemm(mant, selectors, w_stack, gemm)
             parts = []
             for r0 in range(0, total, chunk):
                 part, xs = gemm[:, r0:r0 + chunk], x_scales[r0:r0 + chunk]
@@ -433,7 +473,20 @@ class _MvGroup:
                     acc += (part[s].astype(np.float64)
                             * (w_scales[s] * xs[:, s]))
                 parts.append(round_float16(acc.astype(np.float32)))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if live_rows is None:
+            return out
+        full = np.zeros((total, self.width), dtype=np.float32)
+        full[:, live_rows] = out
+        nan = np.isnan(mant).reshape(total, -1)
+        bad = np.flatnonzero(nan.any(axis=1))
+        if bad.size:
+            # Each dot of such a row carries the input's NaN to the
+            # output, as the interpreter's do: its first NaN mantissa,
+            # rounded like every output.
+            first = mant.reshape(total, -1)[bad, nan[bad].argmax(axis=1)]
+            full[bad] = round_float16(first)[:, np.newaxis]
+        return full
 
     def _unpack_chunk(self, gemm: np.ndarray, x_scales: np.ndarray,
                       scratch: tuple, width: int) -> np.ndarray:
@@ -473,18 +526,64 @@ class _MvGroup:
             acc.transpose(0, 2, 1).astype(np.float32).reshape(c, -1))
 
 
-def _gemm(x: np.ndarray, w_stack: np.ndarray, out: np.ndarray) -> None:
-    """``out[s] = x[:, s] @ w_stack[s].T`` for every segment ``s``: one
-    GEMM per segment, or one GEMV per row and segment for at most
-    :data:`_GEMV_MAX_ROWS` rows (exact integer dots either way)."""
+def _gemm(x: np.ndarray, selectors: tuple, w_stack,
+          out: np.ndarray) -> None:
+    """``out[s] = x[:, s, selectors[s]] @ w_stack[s].T`` for every
+    segment ``s``: one GEMM per segment, or one GEMV per row and segment
+    for at most :data:`_GEMV_MAX_ROWS` rows (exact integer dots either
+    way)."""
     rows = x.shape[0]
-    if rows <= _GEMV_MAX_ROWS:
-        for s in range(x.shape[1]):
+    for s, (sel, w, o) in enumerate(zip(selectors, w_stack, out)):
+        xs = x[:, s, sel]
+        if rows <= _GEMV_MAX_ROWS:
             for r in range(rows):
-                np.matmul(w_stack[s], x[r, s], out=out[s, r])
+                np.matmul(w, xs[r], out=o[r])
+        else:
+            np.matmul(xs, w.T, out=o)
+
+
+def _trim(w_stack: np.ndarray, scales: np.ndarray, k: int,
+          previous: Optional[tuple]) -> tuple:
+    """A group's operands, ``(w_stack, scales, selectors, live_rows)``,
+    from its padded (segs, lanes, block) stack and (segs, lanes*k)
+    scales.
+
+    Native-tile padding leaves weight lanes (k output rows each) that
+    are zero in every segment, and per segment input columns that are
+    zero in every lane. Their dot terms are ``0 * x``, so dropping them
+    changes no live dot. When that leaves at most
+    :data:`_TRIM_MAX_BYTES` of weights, the stack becomes one
+    (live lanes, live columns) array per segment, the scales keep the
+    live lanes' rows, ``selectors`` picks each segment's live input
+    columns (a slice where they are contiguous) and ``live_rows`` are
+    the output columns the live lanes fill. Otherwise the padded stack
+    stays whole: ``selectors`` take every column and ``live_rows`` is
+    ``None``. A ``previous`` trimmed stack of the same shape takes the
+    new values in place.
+    """
+    segs, lanes_total, width = w_stack.shape
+    lanes = np.flatnonzero(w_stack.any(axis=(0, 2)))
+    columns = [np.flatnonzero(c) for c in w_stack.any(axis=1)]
+    live = len(lanes) * sum(len(c) for c in columns)
+    if (live == lanes_total * segs * width
+            or live * w_stack.itemsize > _TRIM_MAX_BYTES):
+        return w_stack, scales, (slice(None),) * segs, None
+    live_rows = (lanes[:, np.newaxis] * k + np.arange(k)).reshape(-1)
+    shapes = [(len(lanes), len(c)) for c in columns]
+    if (previous is not None and previous[3] is not None
+            and [w.shape for w in previous[0]] == shapes):
+        w_live, s_live = previous[:2]
     else:
-        for s in range(x.shape[1]):
-            np.matmul(x[:, s], w_stack[s].T, out=out[s])
+        w_live = tuple(np.empty(shape, dtype=w_stack.dtype)
+                       for shape in shapes)
+        s_live = np.empty((segs, len(live_rows)))
+    for w, seg, c in zip(w_live, w_stack, columns):
+        w[...] = seg[lanes][:, c]
+    np.take(scales, live_rows, axis=1, out=s_live)
+    selectors = tuple(
+        slice(int(c[0]), int(c[-1]) + 1)
+        if len(c) and c[-1] - c[0] + 1 == len(c) else c for c in columns)
+    return w_live, s_live, selectors, live_rows
 
 
 # ---------------------------------------------------------------------------

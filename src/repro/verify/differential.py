@@ -77,6 +77,11 @@ class DiffResult:
     #: without reading weights (``_MvGroup.elided_rows``; 0 when
     #: unbatchable).
     elided_rows: int = 0
+    #: Padding lanes and columns the batched replay's operand stacks
+    #: dropped (``_MvGroup.trimmed``, summed over groups; 0 when
+    #: unbatchable).
+    trimmed_lanes: int = 0
+    trimmed_columns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -257,21 +262,22 @@ def run_differential(case: ProgramCase,
         mismatches.append(f"metrics counters vectorized vs compiled: "
                           f"{vec_counts} != {comp_counts}")
 
-    batched, hoisted, fused, elided = check_batched_replay(case)
+    batched, reach = check_batched_replay(case)
     mismatches.extend(batched)
 
     if check_timing:
         mismatches.extend(check_timing_invariants(case, ref))
-    return DiffResult(case, mismatches, hoisted_groups=hoisted,
-                      fused_groups=fused, elided_rows=elided)
+    return DiffResult(case, mismatches, **reach)
 
 
 def check_batched_replay(case: ProgramCase
-                         ) -> Tuple[List[str], int, int, int]:
+                         ) -> Tuple[List[str], Dict[str, int]]:
     """Batched replay vs per-request interpreted runs; returns the
-    mismatches, the plan's hoisted ``mv_mul`` group count, its count
-    of groups with fused pointwise ops and the all-zero input rows its
-    groups elided.
+    mismatches and what the run reached, as :class:`DiffResult`'s
+    count fields (none for an unbatchable plan): the plan's hoisted
+    ``mv_mul`` groups, its groups with fused pointwise ops, the
+    all-zero input rows its groups elided and the padding lanes and
+    columns their operand stacks dropped.
 
     Builds a :class:`BatchedReplay` whose requests see the case's
     network-input vectors scaled by :data:`_BATCH_SCALES` (all other
@@ -306,13 +312,13 @@ def check_batched_replay(case: ProgramCase
                        f"instead of UnbatchablePlanError: {exc}")
         else:
             out.append("unbatchable plan accepted by BatchedReplay")
-        return out, 0, 0, 0
+        return out, {}
 
     try:
         replay = BatchedReplay(base, case.program, batch)
     except ReproError as exc:
         return [f"batched: BatchedReplay rejected a batchable plan: "
-                f"{type(exc).__name__}: {exc}"], 0, 0, 0
+                f"{type(exc).__name__}: {exc}"], {}
     for vec in case.netq_vectors:
         replay.push_input(np.stack([vec * s for s in _BATCH_SCALES]))
     batched_err = _guarded(replay.run)
@@ -342,9 +348,13 @@ def check_batched_replay(case: ProgramCase
                              != [v.tobytes() for v in drained[b]]):
             out.append(f"batched[{b}]: pop_outputs {vectors!r} != "
                        f"interpreter {drained[b]!r}")
-    return (out, plan.hoisted_groups,
-            sum(1 for group in plan.groups if group.fused),
-            sum(group.elided_rows for group in plan.groups))
+    groups = plan.groups
+    return out, {
+        "hoisted_groups": plan.hoisted_groups,
+        "fused_groups": sum(1 for group in groups if group.fused),
+        "elided_rows": sum(group.elided_rows for group in groups),
+        "trimmed_lanes": sum(group.trimmed[0] for group in groups),
+        "trimmed_columns": sum(group.trimmed[1] for group in groups)}
 
 
 def check_timing_invariants(case: ProgramCase,

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 from ..config import NpuConfig
 from ..errors import ReproError
 from .corpus import corpus_files, load_corpus_case, save_case
-from .differential import CaseInvalid, run_differential
+from .differential import CaseInvalid, DiffResult, run_differential
 from .generator import FuzzProfile, ProgramCase, generate_case
 from .shrink import shrink_case
 
@@ -59,17 +59,31 @@ class FuzzReport:
     #: All-zero ``mv_mul`` input rows the cases' batched replays
     #: answered without reading weights, summed over the cases.
     elided_rows: int = 0
+    #: Padding lanes and columns the cases' batched replays dropped
+    #: from their ``mv_mul`` operand stacks, summed over the cases.
+    trimmed_lanes: int = 0
+    trimmed_columns: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def count(self, result: DiffResult) -> None:
+        """Add one compared case's reach to the tallies."""
+        self.hoisted_plans += result.hoisted_groups > 0
+        self.fused_plans += result.fused_groups > 0
+        self.elided_rows += result.elided_rows
+        self.trimmed_lanes += result.trimmed_lanes
+        self.trimmed_columns += result.trimmed_columns
 
     def render(self) -> str:
         head = (f"{self.label}: {self.cases_run} case(s), "
                 f"{len(self.failures)} failure(s), "
                 f"{self.hoisted_plans} with hoisted mv_mul groups, "
                 f"{self.fused_plans} with fused pointwise ops, "
-                f"{self.elided_rows} zero mv_mul rows elided")
+                f"{self.elided_rows} zero mv_mul rows elided, "
+                f"{self.trimmed_lanes} padding lanes and "
+                f"{self.trimmed_columns} columns trimmed")
         if self.invalid:
             head += f", {self.invalid} invalid"
         if self.ok:
@@ -101,29 +115,25 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
         progress: Optional ``(done, total)`` callback per case.
     """
     profile_name = profile.name if profile else "default"
-    failures: List[FuzzFailure] = []
-    invalid = hoisted = fused = elided = 0
+    report = FuzzReport(cases_run=iterations, failures=[],
+                        label=f"fuzz(seed={seed}, profile={profile_name})")
     for i in range(iterations):
         case_seed = seed + i
         case = generate_case(case_seed, profile=profile, config=config)
         try:
             result = run_differential(case, check_timing=check_timing)
         except CaseInvalid:
-            invalid += 1  # generator regression; surfaced in the report
+            # A generator regression; surfaced in the report.
+            report.invalid += 1
             continue
-        hoisted += result.hoisted_groups > 0
-        fused += result.fused_groups > 0
-        elided += result.elided_rows
+        report.count(result)
         if not result.ok:
-            failures.append(_handle_failure(
+            report.failures.append(_handle_failure(
                 case, case_seed, result.mismatches, corpus_dir, shrink,
                 check_timing))
         if progress is not None:
             progress(i + 1, iterations)
-    return FuzzReport(cases_run=iterations, failures=failures,
-                      invalid=invalid, hoisted_plans=hoisted,
-                      fused_plans=fused, elided_rows=elided,
-                      label=f"fuzz(seed={seed}, profile={profile_name})")
+    return report
 
 
 def _handle_failure(case: ProgramCase, seed: Optional[int],
@@ -155,28 +165,20 @@ def replay_corpus(directory, check_timing: bool = True) -> FuzzReport:
     """
     if not pathlib.Path(directory).is_dir():
         raise ReproError(f"corpus directory not found: {directory}")
-    failures: List[FuzzFailure] = []
-    hoisted = fused = elided = 0
     files = corpus_files(directory)
+    report = FuzzReport(cases_run=len(files), failures=[],
+                        label=f"replay({directory})")
     for path in files:
         case = load_corpus_case(path)
         try:
             result = run_differential(case, check_timing=check_timing)
         except CaseInvalid:
-            result_mismatches = [f"corpus case no longer executes: {path}"]
-            failures.append(FuzzFailure(
+            mismatches = [f"corpus case no longer executes: {path}"]
+        else:
+            report.count(result)
+            mismatches = result.mismatches
+        if mismatches:
+            report.failures.append(FuzzFailure(
                 seed=None, note=case.note or path.name,
-                mismatches=result_mismatches, case=case,
-                corpus_path=str(path)))
-            continue
-        hoisted += result.hoisted_groups > 0
-        fused += result.fused_groups > 0
-        elided += result.elided_rows
-        if not result.ok:
-            failures.append(FuzzFailure(
-                seed=None, note=case.note or path.name,
-                mismatches=result.mismatches, case=case,
-                corpus_path=str(path)))
-    return FuzzReport(cases_run=len(files), failures=failures,
-                      hoisted_plans=hoisted, fused_plans=fused,
-                      elided_rows=elided, label=f"replay({directory})")
+                mismatches=mismatches, case=case, corpus_path=str(path)))
+    return report

@@ -131,6 +131,15 @@ class FuzzProfile:
     #: Probability a pinned MRF window holds one NaN weight, which makes
     #: its output row NaN for any input, zero rows included.
     p_nan_weight: float = 0.0
+    #: Probability a pinned MRF window takes the compiler's padding
+    #: pattern: the trailing rows and columns of every tile all zero
+    #: (a NaN weight there kept), so batched replay keeps its operand
+    #: stacks without those lanes and columns.
+    p_padded_window: float = 0.0
+    #: Probability an initial VRF row or queued network-input vector
+    #: holds a NaN, which makes every ``mv_mul`` output of a row reading
+    #: it NaN, trimmed lanes included.
+    p_nan_input: float = 0.0
 
 
 #: Named opcode-weight profiles for the CLI.
@@ -138,7 +147,8 @@ PROFILES: Dict[str, FuzzProfile] = {
     "default": FuzzProfile(),
     "mvm": FuzzProfile(name="mvm", p_mv_mul=0.95, w_matrix_chain=3.0,
                        mean_pointwise=1.0, p_fused_group=0.3,
-                       p_zero_row=0.15, p_nan_weight=0.25),
+                       p_zero_row=0.15, p_nan_weight=0.25,
+                       p_padded_window=0.5, p_nan_input=0.02),
     "pointwise": FuzzProfile(name="pointwise", p_mv_mul=0.1,
                              w_matrix_chain=0.5, mean_pointwise=3.5,
                              p_multicast=0.35),
@@ -151,6 +161,7 @@ PROFILES: Dict[str, FuzzProfile] = {
                              p_netq=0.35, p_pinned_mrf=1.0,
                              p_projection=0.35, p_fused_group=0.25,
                              p_zero_row=0.15, p_nan_weight=0.25,
+                             p_padded_window=0.5, p_nan_input=0.02,
                              config_pool=DEFAULT_POOL + ("fuzz16_m7",)),
 }
 
@@ -311,7 +322,24 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
         tiles = case.mrf_tiles
         at = tuple(int(rng.integers(size)) for size in tiles.shape)
         tiles[at] = -np.nan if rng.random() < 0.5 else np.nan
+    if (pinned and profile.p_padded_window > 0
+            and rng.random() < profile.p_padded_window):
+        _pad_tiles(rng, case.mrf_tiles)
+    if profile.p_nan_input > 0:
+        for rows in (*case.vrf_init.values(), case.netq_vectors):
+            _nan_rows(rng, rows, profile.p_nan_input)
     return case
+
+
+def _pad_tiles(rng: np.random.Generator, tiles: np.ndarray) -> None:
+    """Zero the trailing rows and columns of every (N, N) tile, as
+    padding a smaller matrix to whole tiles does, keeping NaN weights."""
+    n = tiles.shape[-1]
+    live_rows, live_cols = (int(v) for v in rng.integers(1, n, size=2))
+    pad = np.zeros(tiles.shape[1:], dtype=bool)
+    pad[live_rows:] = True
+    pad[:, live_cols:] = True
+    tiles[pad & ~np.isnan(tiles)] = 0.0
 
 
 def _zero_rows(rng: np.random.Generator, rows: np.ndarray,
@@ -321,6 +349,16 @@ def _zero_rows(rng: np.random.Generator, rows: np.ndarray,
     negative = rng.random(len(chosen)) < 0.5
     rows[chosen] = np.where(negative, np.float32(-0.0),
                             np.float32(0.0))[:, np.newaxis]
+
+
+def _nan_rows(rng: np.random.Generator, rows: np.ndarray, p: float) -> None:
+    """Put a NaN at one position of each row of ``rows`` with odds
+    ``p``. Always +NaN, which every kernel keeps as it is: ``tanh``
+    and ``sigm`` turn a -NaN into +NaN, and where the two meet in one
+    ``vv_*`` op the batched and the per-request numpy loops may keep
+    different ones."""
+    chosen = np.flatnonzero(rng.random(len(rows)) < p)
+    rows[chosen, rng.integers(rows.shape[1], size=len(chosen))] = np.nan
 
 
 # -- event emitters --------------------------------------------------------

@@ -288,7 +288,9 @@ def test_sequence_lengths_share_one_operand_stack():
     stacks = {}
     for plan in sim._plans.values():
         for group in plan.groups:
-            w_stack, scales = group._operands
+            w_stack, scales, selectors, live_rows = group._operands
+            # Padded: 1,024 live lanes would still miss L2 (replay._trim).
+            assert live_rows is None and group.trimmed == (0, 0)
             stacks[id(w_stack)] = w_stack.nbytes + scales.nbytes
     assert len(stacks) == len(sim._operand_stacks) == 2
     assert 23_040_000 <= sum(stacks.values()) < 24_000_000

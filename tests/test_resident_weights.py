@@ -5,8 +5,10 @@ serves every request from them. Besides the MRF tiles, the only copy of
 the weights the compiled path keeps is each fused ``mv_mul`` group's
 stacked operands, derived straight from the tiles on the first compute
 after an MRF write: no assembled window, no per-member operand, no
-interpreter cache entry. A rebind (``load_matrix`` between runs)
-re-derives that stack in place.
+interpreter cache entry. A stack small enough to fit one core's L2
+without its tile padding is kept without it, in place of the padded
+one. A rebind (``load_matrix`` between runs) re-derives that stack in
+place while its live shape holds.
 """
 
 import tracemalloc
@@ -68,7 +70,11 @@ def test_node_keeps_one_derived_copy_of_its_weights():
     assert [len(g.members) for g in groups] == [4, 4]
     operand_bytes = 0
     for g in groups:
-        w_stack, scales = g._operands
+        w_stack, scales, selectors, live_rows = g._operands
+        # Trimmed to its 1,024 live lanes the stack would still miss L2,
+        # so it keeps its padding (replay._trim).
+        assert g.trimmed == (0, 0)
+        assert live_rows is None and selectors == (slice(None),) * 3
         assert w_stack.base is None and scales.base is None
         assert w_stack.dtype == np.float64
         # 4 gates x 1200 padded rows, 4 rows per lane, 3 column blocks
@@ -84,14 +90,22 @@ def test_node_keeps_one_derived_copy_of_its_weights():
 
 
 @pytest.mark.tier1
-@pytest.mark.parametrize("kind,cfg,hidden", [
-    ("lstm", MB2, 200), ("gru", MB2, 130), ("lstm", MB7, 20)],
+@pytest.mark.parametrize("kind,cfg,hidden,trimmed", [
+    # (lanes, columns) of padding the group drops: with its members' own
+    # (hidden x hidden) weights, then with member 1 filled to its whole
+    # tile window, whose lanes and columns are then all live.
+    ("lstm", MB2, 200, [(56, 56), (42, 0)]),
+    ("gru", MB2, 130, [(93, 126), (62, 0)]),
+    ("lstm", MB7, 20, [(16, 12), (12, 0)])],
     ids=["lstm-packed", "gru-packed", "lstm-mantissa"])
-def test_rebinding_one_member_rederives_its_group(kind, cfg, hidden):
+def test_rebinding_one_member_rederives_its_group(kind, cfg, hidden,
+                                                   trimmed):
     """``load_matrix`` on one member of a fused multi-member group
     between two compiled runs: the second run serves the new weights,
-    bit-equal to a fresh simulator loaded with them, and re-derives
-    into the group's existing stack."""
+    bit-equal to a fresh simulator loaded with them. Weights of the
+    member's own shape re-derive into the group's existing trimmed
+    stack; weights that fill its padding change the live shape, so the
+    group derives a stack of the new shape."""
     model_cls, compile_fn = ((LstmReference, compile_lstm)
                              if kind == "lstm"
                              else (GruReference, compile_gru))
@@ -101,24 +115,29 @@ def test_rebinding_one_member_rederives_its_group(kind, cfg, hidden):
     sim = compiled.new_simulator()
     before = compiled.run_sequence_batched(xb, sim=sim)
     group = next(g for g in _groups(sim) if len(g.members) > 1)
+    assert group.trimmed == trimmed[0]
     stack = group._operands[0]
     base, rows = group.members[1]
     n = cfg.native_dim
-    weights = np.random.default_rng(7).uniform(
-        -1, 1, (rows * n, group.cols * n)).astype(np.float32)
-    sim.load_matrix(base, weights)
-    after = compiled.run_sequence_batched(xb, sim=sim)
-    assert group._operands[0] is stack
+    rng = np.random.default_rng(7)
+    for shape, layout in zip([(hidden, hidden),
+                              (rows * n, group.cols * n)], trimmed):
+        weights = rng.uniform(-1, 1, shape).astype(np.float32)
+        sim.load_matrix(base, weights)
+        after = compiled.run_sequence_batched(xb, sim=sim)
+        assert group.trimmed == layout
+        assert (group._operands[0] is stack) == (layout == trimmed[0])
 
-    fresh = compiled.new_simulator()
-    fresh.load_matrix(base, weights)
-    expected = compiled.run_sequence_batched(xb, sim=fresh)
-    for b, xs in enumerate(xb):
-        single = compiled.new_simulator()
-        single.load_matrix(base, weights)
-        interpreted = compiled.run_sequence(xs, sim=single)
-        for got, want, interp in zip(after[b], expected[b], interpreted):
-            assert np.array_equal(got, want)
-            assert np.array_equal(got, interp)
-    assert any(not np.array_equal(x, y)
-               for x, y in zip(before[0], after[0]))
+        fresh = compiled.new_simulator()
+        fresh.load_matrix(base, weights)
+        expected = compiled.run_sequence_batched(xb, sim=fresh)
+        for b, xs in enumerate(xb):
+            single = compiled.new_simulator()
+            single.load_matrix(base, weights)
+            interpreted = compiled.run_sequence(xs, sim=single)
+            for got, want, interp in zip(after[b], expected[b],
+                                         interpreted):
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, interp)
+        assert any(not np.array_equal(x, y)
+                   for x, y in zip(before[0], after[0]))

@@ -35,13 +35,19 @@ def test_small_campaign_per_profile(profile):
     assert report.cases_run == 8
 
 
+@functools.lru_cache(maxsize=None)
+def _reach_report(profile):
+    """A small campaign (seeds 300-311) of ``profile``, run once for
+    the reach tests that read it."""
+    return run_fuzz(seed=300, iterations=12, profile=PROFILES[profile])
+
+
 @pytest.mark.tier1
 def test_recurrent_profile_reaches_hoisted_replay():
     """The ``recurrent`` profile pins the MRF and emits looped input
     projections, so the batched-vs-sequential check covers plans whose
     mv_mul groups batched replay hoists out of the loop."""
-    report = run_fuzz(seed=300, iterations=12,
-                      profile=PROFILES["recurrent"])
+    report = _reach_report("recurrent")
     assert report.ok, report.render()
     assert report.hoisted_plans > 0
     assert f"{report.hoisted_plans} with hoisted" in report.render()
@@ -52,7 +58,7 @@ def test_mvm_profile_reaches_fused_pointwise():
     """The ``mvm`` profile emits mv_mul groups on one VRF head whose
     members share pointwise ops over row-aligned operands, so the
     batched-vs-sequential check covers plans that fuse them."""
-    report = run_fuzz(seed=300, iterations=12, profile=PROFILES["mvm"])
+    report = _reach_report("mvm")
     assert report.ok, report.render()
     assert report.fused_plans > 0
     assert f"{report.fused_plans} with fused pointwise" in report.render()
@@ -66,7 +72,7 @@ def test_profiles_reach_zero_rows_and_nan_weights(profile):
     the differential check covers mv_mul rows batched replay answers
     without the weights, and NaN-weight rows; ``recurrent`` also draws
     the unpacked mantissa-mode config."""
-    report = run_fuzz(seed=300, iterations=12, profile=PROFILES[profile])
+    report = _reach_report(profile)
     assert report.ok, report.render()
     assert report.elided_rows > 0
     assert f"{report.elided_rows} zero mv_mul rows elided" in report.render()
@@ -80,6 +86,32 @@ def test_profiles_reach_zero_rows_and_nan_weights(profile):
     assert {bool(np.signbit(row).all()) for row in zero} == {False, True}
     if profile == "recurrent":
         assert any(c.config.name == "fuzz16_m7" for c in cases)
+
+
+@pytest.mark.tier1
+@pytest.mark.parametrize("profile", ["mvm", "recurrent"])
+def test_profiles_reach_trimmed_stacks_and_nan_inputs(profile):
+    """The ``mvm`` and ``recurrent`` profiles pin windows whose tiles
+    end in all-zero rows and columns (the compiler's padding, NaN
+    weights kept) and draw NaNs into VRF and network-input rows, so the
+    differential check covers operand stacks batched replay keeps
+    without those lanes and columns, and NaN input rows read against
+    them."""
+    report = _reach_report(profile)
+    assert report.ok, report.render()
+    assert report.trimmed_lanes > 0 and report.trimmed_columns > 0
+    assert (f"{report.trimmed_lanes} padding lanes and "
+            f"{report.trimmed_columns} columns trimmed") in report.render()
+    cases = [generate_case(seed, profile=PROFILES[profile])
+             for seed in range(300, 340)]
+    assert any(c.mrf_tiles is not None and not c.mrf_tiles[:, -1].any()
+               and not c.mrf_tiles[:, :, -1].any() for c in cases)
+    rows = [r for c in cases
+            for r in (*c.vrf_init.values(), c.netq_vectors)]
+    assert any(np.isnan(row).any() for r in rows for row in r)
+    # Profiles without the draws keep their cases.
+    assert not any(np.isnan(c.netq_vectors).any()
+                   for c in (generate_case(seed) for seed in range(40)))
 
 
 @pytest.mark.tier1
@@ -174,6 +206,8 @@ def test_committed_corpus_replays_clean():
     assert report.hoisted_plans > 0, report.render()
     # Zero rows read against a NaN weight, packed and mantissa mode.
     assert report.elided_rows > 0, report.render()
+    # The fuzz128_m2 case's third tile row is unpinned, so all zero.
+    assert report.trimmed_lanes > 0, report.render()
 
 
 @pytest.mark.tier1
@@ -422,6 +456,16 @@ def test_fuzz_gate_checks_elided_rows():
     report = _mvm_gate_report()
     assert report.ok, report.render()
     assert report.elided_rows > 0, report.render()
+
+
+@pytest.mark.fuzz
+def test_fuzz_gate_checks_trimmed_stacks():
+    """The same campaign must reach operand stacks batched replay keeps
+    without their padding lanes and columns."""
+    report = _mvm_gate_report()
+    assert report.ok, report.render()
+    assert report.trimmed_lanes > 0, report.render()
+    assert report.trimmed_columns > 0, report.render()
 
 
 @pytest.mark.fuzz
