@@ -10,7 +10,6 @@ keeps a symbol table so generated programs remain debuggable.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict
 
 from ..config import NpuConfig
@@ -72,13 +71,6 @@ class RegisterAllocator:
         slot = Slot(name, mem, base, count)
         self._slots[name] = slot
         return slot
-
-    def alloc_vector(self, mem: MemId, logical_length: int,
-                     name: str) -> Slot:
-        """Allocate enough native vectors to hold ``logical_length``
-        elements."""
-        count = max(1, math.ceil(logical_length / self.config.native_dim))
-        return self.alloc(mem, count, name)
 
     def alloc_matrix(self, rows: int, cols: int, name: str) -> Slot:
         """Allocate MRF tiles for a ``rows x cols`` matrix (row-major by

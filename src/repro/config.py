@@ -188,11 +188,6 @@ class NpuConfig:
         return fmt.storage_bits_per_element(self.native_dim)
 
     @property
-    def mrf_capacity_bytes(self) -> float:
-        """On-chip weight capacity in bytes."""
-        return self.mrf_capacity_elements * self.weight_bits_per_element / 8
-
-    @property
     def precision_name(self) -> str:
         """Format string like ``"BFP (1s.5e.2m)"`` (Table IV notation)."""
         fmt = self.bfp_format
@@ -211,10 +206,6 @@ class NpuConfig:
         """Native tile slots needed to pin a ``rows x cols`` matrix."""
         return (math.ceil(rows / self.native_dim)
                 * math.ceil(cols / self.native_dim))
-
-    def cycles_to_ms(self, cycles: float) -> float:
-        """Convert a cycle count to milliseconds at the configured clock."""
-        return cycles * self.cycle_time_s * 1e3
 
     def replace(self, **changes) -> "NpuConfig":
         """Return a copy with the given fields replaced."""

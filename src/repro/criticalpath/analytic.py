@@ -44,12 +44,6 @@ def lstm_sdm_cycles_per_step(n: int, num_fus: int,
     return math.ceil(macs / num_fus) + lstm_udm_cycles_per_step(n)
 
 
-def gru_ops_per_step(n: int, input_dim: Optional[int] = None) -> int:
-    """Operations per GRU timestep (6 GEMVs plus point-wise tail)."""
-    x = input_dim if input_dim is not None else n
-    return 2 * 3 * (n * x + n * n) + 14 * n
-
-
 def conv_udm_cycles(patch_length: int) -> int:
     """UDM latency of a conv layer: one dot product depth plus bias."""
     return 1 + math.ceil(math.log2(patch_length)) + 1

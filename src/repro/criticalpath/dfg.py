@@ -112,10 +112,6 @@ class Dfg:
         return sum(n.macs for n in self.nodes())
 
     @property
-    def total_pointwise_ops(self) -> int:
-        return sum(n.pointwise_ops for n in self.nodes())
-
-    @property
     def total_ops(self) -> int:
         return sum(n.total_ops for n in self.nodes())
 

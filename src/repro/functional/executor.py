@@ -59,10 +59,6 @@ class ExecutionStats:
     #: FLOPs from point-wise vector operations.
     pointwise_flops: int = 0
 
-    @property
-    def total_flops(self) -> int:
-        return 2 * self.macs + self.pointwise_flops
-
 
 class FunctionalSimulator:
     """Architecturally accurate executor for NPU programs."""
@@ -125,8 +121,7 @@ class FunctionalSimulator:
         }
         self._bfp = None if self.exact else config.bfp_format
         self.mrf = MatrixRegisterFile("MatrixRf", config.mrf_address_space,
-                                      n, tile_engines=config.tile_engines,
-                                      fmt=self._bfp)
+                                      n, fmt=self._bfp)
         self.dram = Dram(native_dim=n)
         self.netq = NetworkQueues(native_dim=n)
         self.scalar_regs: Dict[ScalarReg, int] = {

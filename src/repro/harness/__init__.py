@@ -1,6 +1,6 @@
 """Experiment harness: table rendering and per-table/figure drivers."""
 
-from .tables import ExperimentTable, fmt, fmt_ratio
+from .tables import ExperimentTable, fmt
 from .experiments import (
     ALL_EXPERIMENTS,
     bw_rnn_report,
@@ -19,7 +19,7 @@ from .experiments import (
 )
 
 __all__ = [
-    "ExperimentTable", "fmt", "fmt_ratio", "ALL_EXPERIMENTS",
+    "ExperimentTable", "fmt", "ALL_EXPERIMENTS",
     "table1", "fig2", "table3", "table4", "table5", "fig7", "fig8",
     "table6", "sdm_gap", "power_efficiency", "bw_rnn_report",
     "rnn_compiled", "sdm_latency_ms",

@@ -36,17 +36,6 @@ class ExperimentTable:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """Render as a GitHub-flavored markdown table."""
-        lines = [f"### {self.title}", ""]
-        lines.append("| " + " | ".join(self.headers) + " |")
-        lines.append("|" + "|".join("---" for _ in self.headers) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
-        for note in self.notes:
-            lines.append(f"\n*{note}*")
-        return "\n".join(lines)
-
     def column(self, header: str) -> List[str]:
         """Extract one column by header name."""
         idx = self.headers.index(header)
@@ -62,10 +51,3 @@ def fmt(value: float, digits: int = 2) -> str:
     if abs(value) >= 100:
         return f"{value:.0f}"
     return f"{value:.{digits}f}"
-
-
-def fmt_ratio(model: float, paper: float) -> str:
-    """Model-vs-paper ratio cell."""
-    if paper == 0:
-        return "-"
-    return f"{model / paper:.2f}x"

@@ -128,8 +128,3 @@ def _format_items(items, lines: List[str], indent: int) -> None:
             lines.append(f"{pad}end_chain")
         else:  # pragma: no cover - defensive
             raise AssemblerError(f"unknown program item {item!r}")
-
-
-def roundtrip(program: NpuProgram) -> NpuProgram:
-    """Format then re-parse a program (useful for tests)."""
-    return parse_program(format_program(program), name=program.name)

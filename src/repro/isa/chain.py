@@ -24,7 +24,6 @@ import dataclasses
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ChainCapacityError, ChainError
-from .memspace import MemId
 from .opcodes import ChainType, FuCategory, Opcode
 from .instructions import Instruction
 
@@ -111,31 +110,6 @@ class InstructionChain:
     def source(self) -> Instruction:
         return self._instructions[0]
 
-    def operand_reads(self) -> List[Tuple[MemId, int]]:
-        """All (memory, index) pairs this chain reads.
-
-        Includes the head read (when indexed) and the secondary VRF operands
-        of the point-wise ops. Used for hazard tracking by the timing model.
-        """
-        pairs: List[Tuple[MemId, int]] = []
-        head = self.source
-        if head.mem_id is not None and head.index is not None:
-            pairs.append((head.mem_id, head.index))
-        for instr in self._instructions:
-            if instr.opcode in (Opcode.VV_ADD, Opcode.VV_A_SUB_B,
-                                Opcode.VV_B_SUB_A, Opcode.VV_MAX):
-                pairs.append((MemId.AddSubVrf, instr.index))
-            elif instr.opcode is Opcode.VV_MUL:
-                pairs.append((MemId.MultiplyVrf, instr.index))
-            elif instr.opcode is Opcode.MV_MUL:
-                pairs.append((MemId.MatrixRf, instr.index))
-        return pairs
-
-    def operand_writes(self) -> List[Tuple[MemId, int]]:
-        """All (memory, index) pairs this chain writes (indexed only)."""
-        return [(w.mem_id, w.index) for w in self.writes
-                if w.mem_id is not None and w.index is not None]
-
     # -- validation ----------------------------------------------------------
 
     def _validate(self) -> None:
@@ -213,14 +187,6 @@ class InstructionChain:
             used.add(category)
             slots.append(FuSlot(mfu, category, instr))
         return slots
-
-    def mfus_required(self) -> int:
-        """Minimum number of MFUs needed to route this chain."""
-        slots = self.assign_function_units(num_mfus=1 << 20)
-        if not slots:
-            return 0
-        return slots[-1].mfu_index + 1
-
 
 def chains_from_instructions(
         instructions: Iterable[Instruction]) -> List[InstructionChain]:

@@ -84,12 +84,6 @@ class OpcodeInfo:
         """Whether this op executes on a multifunction unit."""
         return self.fu_category is not None
 
-    @property
-    def num_operands(self) -> int:
-        return sum(
-            1 for kind in (self.operand1, self.operand2) if kind is not OperandKind.NONE
-        )
-
 
 _INFOS = [
     OpcodeInfo(Opcode.V_RD, "v_rd", "Vector read", ChainType.NONE, ChainType.VECTOR,

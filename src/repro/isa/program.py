@@ -103,28 +103,6 @@ class NpuProgram:
         return sum(1 for _ in _walk_static(self._items)
                    if isinstance(_, InstructionChain))
 
-    def static_instruction_count(self) -> int:
-        """ISA instructions in the program text, counting each chain's
-        instructions plus one ``end_chain`` and each ``s_wr``."""
-        count = 0
-        for item in _walk_static(self._items):
-            if isinstance(item, InstructionChain):
-                count += len(item) + 1  # + end_chain
-            else:
-                count += 1
-        return count
-
-    def dynamic_instruction_count(
-            self, bindings: Optional[Dict[str, int]] = None) -> int:
-        """ISA instructions issued by the scalar core at run time."""
-        count = 0
-        for event in self.events(bindings):
-            if isinstance(event, InstructionChain):
-                count += len(event) + 1
-            else:
-                count += 1
-        return count
-
     def instruction_stream(
             self, bindings: Optional[Dict[str, int]] = None
     ) -> Iterator[Instruction]:
@@ -285,12 +263,6 @@ class ProgramBuilder:
             self._flush_chain()
             body = tuple(self._frames.pop())
             self._frames[-1].append(Loop(count, body))
-
-    def add_chain(self, chain: InstructionChain) -> "ProgramBuilder":
-        """Append an already-built chain."""
-        self._flush_chain()
-        self._frames[-1].append(chain)
-        return self
 
     def build(self) -> NpuProgram:
         """Finalize and return the program."""

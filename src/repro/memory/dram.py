@@ -20,17 +20,13 @@ class Dram:
     """Sparse DRAM with separate vector and matrix-tile address spaces."""
 
     def __init__(self, native_dim: int,
-                 bandwidth_gbps: float = 76.8,
                  capacity_bytes: Optional[int] = None):
         """
         Args:
             native_dim: Native vector dimension (element counts per entry).
-            bandwidth_gbps: Peak bandwidth in GB/s (default: four DDR4-2400
-                channels as on the Catapult-style boards).
             capacity_bytes: Optional capacity cap; ``None`` = unbounded.
         """
         self.native_dim = native_dim
-        self.bandwidth_gbps = bandwidth_gbps
         self.capacity_bytes = capacity_bytes
         self._vectors: Dict[int, np.ndarray] = {}
         self._tiles: Dict[int, np.ndarray] = {}
@@ -94,7 +90,3 @@ class Dram:
         self._charge_write(tiles.nbytes)
         for i, tile in enumerate(tiles):
             self._tiles[index + i] = tile.copy()
-
-    def transfer_seconds(self, nbytes: int) -> float:
-        """Time to move ``nbytes`` at peak bandwidth."""
-        return nbytes / (self.bandwidth_gbps * 1e9)

@@ -57,10 +57,6 @@ class NetworkQueues:
     def pending_inputs(self) -> int:
         return len(self._in_vectors)
 
-    @property
-    def pending_outputs(self) -> int:
-        return len(self._out_vectors)
-
     # -- NPU side ----------------------------------------------------------
 
     def pop_input(self, count: int = 1) -> np.ndarray:

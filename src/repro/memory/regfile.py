@@ -76,11 +76,6 @@ class VectorRegisterFile:
 class MatrixRegisterFile:
     """The MRF: ``capacity`` native N x N tiles of model weights.
 
-    Section V-A: the MRF is banked by native tiles across tile engines and
-    sub-banked by rows; :meth:`bank_of` and :meth:`subbank_of` expose that
-    geometry for the timing model and for tests of the port-scaling
-    property (one SRAM read port per multiplier).
-
     With a BFP format ``fmt`` the MRF holds what the hardware pins: each
     written tile is quantized on write and kept as one sign-magnitude
     code per weight plus one biased exponent per block
@@ -94,14 +89,12 @@ class MatrixRegisterFile:
     """
 
     def __init__(self, name: str, capacity: int, native_dim: int,
-                 tile_engines: int = 1, fmt: Optional[BfpFormat] = None):
-        if capacity <= 0 or native_dim <= 0 or tile_engines <= 0:
-            raise MemoryError_(
-                "capacity, native_dim and tile_engines must be positive")
+                 fmt: Optional[BfpFormat] = None):
+        if capacity <= 0 or native_dim <= 0:
+            raise MemoryError_("capacity and native_dim must be positive")
         self.name = name
         self.capacity = capacity
         self.native_dim = native_dim
-        self.tile_engines = tile_engines
         self.fmt = fmt
         shape = (capacity, native_dim, native_dim)
         if fmt is None:
@@ -175,23 +168,6 @@ class MatrixRegisterFile:
         if self.fmt is None:
             return self._tiles.copy()
         return decode(self._codes, self._exponents, self.fmt)
-
-    def bank_of(self, index: int) -> int:
-        """Tile-engine bank holding tile ``index`` (round-robin banking)."""
-        self._check(index)
-        return index % self.tile_engines
-
-    def subbank_of(self, index: int, row: int) -> int:
-        """Row sub-bank: row ``row`` of every tile lives in sub-bank
-        ``row`` of its bank (feeding dot-product engine ``row``)."""
-        self._check(index)
-        if not 0 <= row < self.native_dim:
-            raise MemoryError_(f"{self.name}: row {row} out of range")
-        return row
-
-    def read_ports(self, lanes: int) -> int:
-        """Total dedicated SRAM read ports: one per multiplier."""
-        return self.tile_engines * self.native_dim * lanes
 
     def clear(self) -> None:
         self.generation += 1

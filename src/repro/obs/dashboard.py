@@ -82,16 +82,6 @@ def _live_nodes_series(store: TimeSeriesStore) -> np.ndarray:
     return np.full(store.windows, np.nan)
 
 
-def _batch_occupancy_series(store: TimeSeriesStore
-                            ) -> Optional[np.ndarray]:
-    """Mean dispatch size per window, recorded by
-    :func:`repro.system.batching.record_batch_series` from a
-    batched cluster run; ``None`` when the run was not batched."""
-    for g in store.find("cluster.batch_occupancy", scope="fleet"):
-        return g.aligned(store.windows)
-    return None
-
-
 def _error_rate(store: TimeSeriesStore, scope: str) -> np.ndarray:
     good, total = request_series(store, scope)
     out = np.full(store.windows, np.nan)
@@ -121,12 +111,6 @@ def render_text_dashboard(store: TimeSeriesStore,
              f"  peak={np.nanmax(p99) if np.isfinite(p99).any() else float('nan'):.3g}ms",
              f"live nodes    |{sparkline(live, width)}|"
              f"  last={live[np.isfinite(live)][-1] if np.isfinite(live).any() else float('nan'):.0f}"]
-    occupancy = _batch_occupancy_series(store)
-    if occupancy is not None:
-        peak = (np.nanmax(occupancy)
-                if np.isfinite(occupancy).any() else float("nan"))
-        lines.append(f"batch size    |{sparkline(occupancy, width)}|"
-                     f"  peak={peak:.1f}")
     racks = [s for s in store.label_values("cluster.requests", "scope")
              if s.startswith("rack")]
     if racks:
@@ -250,11 +234,6 @@ def render_html_dashboard(store: TimeSeriesStore,
     parts.append(_svg_chart("live nodes", times,
                             _live_nodes_series(store), span,
                             incidents, faults, lo=0.0))
-    occupancy = _batch_occupancy_series(store)
-    if occupancy is not None:
-        parts.append(_svg_chart("batch occupancy (requests/dispatch)",
-                                times, occupancy, span, incidents,
-                                faults, lo=0.0))
     racks = [s for s in store.label_values("cluster.requests", "scope")
              if s.startswith("rack")]
     for rack in racks:

@@ -35,9 +35,8 @@ def percentile_or_nan(samples: Sequence[float], q: float) -> float:
     """Like :func:`percentile`, but ``nan`` for an empty sample set.
 
     Degenerate result sets (nothing served, everything shed) are
-    expected in chaos scenarios; callers pair this with an explicit
-    flag (e.g. ``has_latencies``) instead of raising mid-report or
-    returning a misleading ``0.0``.
+    expected in chaos scenarios; a report shows ``nan`` for them
+    instead of raising mid-report or returning a misleading ``0.0``.
     """
     if len(samples) == 0:
         return float("nan")
@@ -179,35 +178,6 @@ class LatencyHistogram:
         for i in np.flatnonzero(hits):
             self.counts[i] += int(hits[i])
 
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold ``other`` into this histogram (same bounds required).
-
-        Bucket counts and scalar aggregates always merge exactly;
-        retained samples carry over only up to ``max_samples``, so a
-        rack/fleet rollup histogram stays bounded no matter how many
-        per-node histograms fold in.
-        """
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge {other.name} into {self.name}: "
-                f"bucket bounds differ")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self._n += other._n
-        self._sum += other._sum
-        if other._max > self._max:
-            self._max = other._max
-        self.dropped_samples += other.dropped_samples
-        room = (None if self.max_samples is None
-                else self.max_samples - len(self.samples))
-        if room is None:
-            self.samples.extend(other.samples)
-        else:
-            take = max(0, min(room, len(other.samples)))
-            self.samples.extend(other.samples[:take])
-            self.dropped_samples += len(other.samples) - take
-        return self
-
     @property
     def count(self) -> int:
         return self._n
@@ -231,12 +201,6 @@ class LatencyHistogram:
         if self.exact:
             return percentile(self.samples, q)
         return bucket_quantile(self.bounds, self.counts, q)
-
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Non-empty ``(upper_bound, count)`` pairs; the final bound is
-        ``inf`` (overflow)."""
-        edges = list(self.bounds) + [float("inf")]
-        return [(edge, n) for edge, n in zip(edges, self.counts) if n]
 
     def render(self) -> str:
         if not self.count:

@@ -8,15 +8,15 @@ storage layer a monitoring plane sits on:
 
 * :class:`CounterSeries` / :class:`GaugeSeries` — fixed-interval
   ring-buffer series.  Counters store per-window increments with
-  vectorized bulk ingestion (:meth:`CounterSeries.add_events` is one
-  ``bincount`` over a whole run's event timestamps) and vectorized
+  vectorized bulk ingestion (:meth:`CounterSeries.add_increments`
+  takes the output of one ``bincount`` over a whole run) and vectorized
   counter→rate conversion; gauges are last-write-wins samples taken at
   scrape instants.
-* :class:`QuantileWindow` — a mergeable streaming latency-quantile
-  estimator: per-window bucket counts over shared log-spaced bounds.
-  Windows from different nodes merge by summing counts, so per-node
-  histograms roll up into rack and fleet views without retaining
-  samples (bounded memory by construction).
+* :class:`QuantileWindow` — a streaming latency-quantile estimator:
+  per-window bucket counts over shared log-spaced bounds.  Count grids
+  over the same windows and bounds add exactly, so rack grids sum into
+  the fleet view without retaining samples (bounded memory by
+  construction).
 * :class:`TimeSeriesStore` — a labeled get-or-create registry of the
   above, sharing one window grid so every series in a run is aligned.
 
@@ -91,9 +91,6 @@ class RingSeries:
                 f"time {t} precedes series start {self.start_s}")
         return k
 
-    def window_start(self, k: int) -> float:
-        return self.start_s + k * self.interval_s
-
     def _slot(self, k: int) -> int:
         return k % self.capacity
 
@@ -119,10 +116,6 @@ class RingSeries:
     @property
     def first_window(self) -> int:
         return self._first
-
-    @property
-    def last_window(self) -> int:
-        return self._last
 
     def times(self) -> np.ndarray:
         """Start time of each retained window, oldest first."""
@@ -201,9 +194,8 @@ class GaugeSeries(RingSeries):
 class CounterSeries(RingSeries):
     """Monotonic event counts bucketed per window.
 
-    Slots hold per-window *increments*; :meth:`cumulative` and
-    :meth:`rates` are the vectorized counter→rate conversions the SLO
-    evaluator and exporters consume.
+    Slots hold per-window *increments*; :meth:`rates` is the vectorized
+    counter→rate conversion the SLO evaluator and exporters consume.
     """
 
     kind = "counter"
@@ -218,30 +210,6 @@ class CounterSeries(RingSeries):
         if np.isnan(self._values[slot]):
             self._values[slot] = 0.0
         self._values[slot] += amount
-
-    def add_events(self, times: Sequence[float],
-                   weights: Optional[Sequence[float]] = None) -> None:
-        """Bulk-ingest event timestamps in one vectorized pass."""
-        times = np.asarray(times, dtype=np.float64)
-        if times.size == 0:
-            return
-        ks = np.floor((times - self.start_s)
-                      / self.interval_s).astype(np.int64)
-        if np.any(ks < 0):
-            raise ValueError("event precedes series start")
-        self._advance(int(ks.max()))
-        live = ks >= self._first
-        self.dropped_writes += int(np.count_nonzero(~live))
-        ks = ks - self._first
-        w = None if weights is None else \
-            np.asarray(weights, dtype=np.float64)[live]
-        binc = np.bincount(ks[live], weights=w,
-                           minlength=self._last - self._first + 1)
-        idx = np.arange(self._first, self._last + 1) % self.capacity
-        vals = self._values[idx]
-        vals = np.nan_to_num(vals, nan=0.0)
-        vals[:binc.size] += binc
-        self._values[idx] = vals
 
     def add_increments(self, counts: Sequence[float],
                        first_window: int = 0) -> None:
@@ -267,10 +235,6 @@ class CounterSeries(RingSeries):
         """Per-window increments, oldest first (no-write windows = 0)."""
         return np.nan_to_num(self.values(), nan=0.0)
 
-    def cumulative(self) -> np.ndarray:
-        """Running total at the end of each retained window."""
-        return np.cumsum(self.increments())
-
     def total(self) -> float:
         return float(self.increments().sum())
 
@@ -280,13 +244,13 @@ class CounterSeries(RingSeries):
 
 
 class QuantileWindow:
-    """Mergeable streaming quantiles: per-window bucket counts.
+    """Streaming quantiles: per-window bucket counts.
 
     Unlike :class:`~repro.obs.metrics.LatencyHistogram` this never
     retains samples — memory is ``windows x (len(bounds)+1)`` counts
-    regardless of traffic — and two windows over the same grid and
-    bounds merge by summing counts, which is what makes per-node
-    latency roll up into rack and fleet views.
+    regardless of traffic — and count grids over the same windows and
+    bounds add exactly, which is what lets per-rack latency sum into
+    the fleet view.
     """
 
     kind = "quantile"
@@ -342,21 +306,6 @@ class QuantileWindow:
         self.counts += counts
         self.sums += sums
 
-    def same_grid(self, other: "QuantileWindow") -> bool:
-        return (self.interval_s == other.interval_s
-                and self.start_s == other.start_s
-                and self.windows == other.windows
-                and self.bounds == other.bounds)
-
-    def merge(self, other: "QuantileWindow") -> "QuantileWindow":
-        """Sum ``other`` into this window set (same grid + bounds)."""
-        if not self.same_grid(other):
-            raise ValueError(
-                f"cannot merge {other.name}: grid/bounds mismatch")
-        self.counts += other.counts
-        self.sums += other.sums
-        return self
-
     @property
     def count(self) -> int:
         return int(self.counts.sum())
@@ -364,10 +313,6 @@ class QuantileWindow:
     @property
     def total(self) -> float:
         return float(self.sums.sum())
-
-    def window_counts(self) -> np.ndarray:
-        """Observations per window."""
-        return self.counts.sum(axis=1)
 
     def quantile(self, q: float, lo: int = 0,
                  hi: Optional[int] = None) -> float:

@@ -20,7 +20,6 @@ from .batching import (
     SloComparison,
     calibrate_batch_curve,
     compare_under_load,
-    record_batch_series,
     render_slo_sweep,
     slo_sweep,
 )
@@ -41,7 +40,6 @@ from .loadgen import (
     heavy_tailed_arrivals,
     poisson_arrivals,
     run_fault_scenario,
-    uniform_arrivals,
 )
 from .cluster import (
     AutoscalePolicy,
@@ -87,7 +85,7 @@ __all__ = [
     "ServiceError",
     "AdaptiveBatchPolicy", "BatchPolicy", "BatchServeResult",
     "BatchingError", "DynamicBatcher", "ServiceTimeCurve",
-    "calibrate_batch_curve", "record_batch_series",
+    "calibrate_batch_curve",
     "render_slo_sweep", "slo_sweep",
     "AutoscalePolicy", "NodeBatching",
     "FaultInjector", "FaultProfile", "FaultSample", "InvocationOutcome",
@@ -97,7 +95,7 @@ __all__ = [
     "FaultEvent", "FaultScenarioResult", "ServedRequest",
     "SloComparison", "bursty_arrivals", "compare_under_load",
     "diurnal_arrivals", "heavy_tailed_arrivals", "poisson_arrivals",
-    "run_fault_scenario", "uniform_arrivals",
+    "run_fault_scenario",
     "BrownoutPolicy", "ClusterError", "ClusterEvent", "ClusterResult",
     "ClusterSimulator", "ClusterSpec", "PhiAccrualDetector",
     "TokenBucket",

@@ -122,18 +122,6 @@ class ServiceTimeCurve:
         slope = (ts[-1] - ts[-2]) / (bs[-1] - bs[-2])
         return ts[-1] + slope * (batch - bs[-1])
 
-    def throughput_rps(self, batch: int) -> float:
-        """Steady-state throughput at a fixed dispatch size."""
-        return batch / self(batch)
-
-    def best_batch(self, max_batch: Optional[int] = None) -> int:
-        """The measured dispatch size with the highest throughput."""
-        candidates = [b for b in self.batches
-                      if max_batch is None or b <= max_batch]
-        if not candidates:
-            candidates = [1]
-        return max(candidates, key=self.throughput_rps)
-
     def to_json(self) -> Dict:
         return {"batches": list(self.batches),
                 "times_s": list(self.times_s)}
@@ -338,13 +326,6 @@ class BatchServeResult:
             return float("nan")
         return (max(r.finish for r in self.requests)
                 - self.requests[0].arrival)
-
-    @property
-    def throughput_rps(self) -> float:
-        span = self.span_s
-        if np.isnan(span):
-            return float("nan")
-        return len(self.requests) / span if span > 0 else float("inf")
 
     def slo_attainment(self, slo_s: float) -> float:
         """Fraction of requests finishing within ``slo_s``."""
@@ -605,31 +586,6 @@ def compare_under_load(bw_service_s: float,
         out.append(SloComparison(rate_rps=rate, bw=bw.run(arrivals),
                                  gpu=gpu.run(arrivals)))
     return out
-
-
-def record_batch_series(batch_log: Sequence[Tuple[float, int]],
-                        store) -> None:
-    """Fold a batched run's dispatch log into a
-    :class:`~repro.obs.timeseries.TimeSeriesStore`.
-
-    Records the fleet-scoped ``cluster.batch_occupancy`` gauge (mean
-    dispatch size per store window) that the dashboard renderers plot
-    as the batch-size strip; pass
-    :attr:`~repro.system.cluster.ClusterResult.batch_log`.
-    """
-    if not batch_log:
-        return
-    gauge = store.gauge("cluster.batch_occupancy", scope="fleet")
-    times = np.asarray([t for t, _ in batch_log], dtype=np.float64)
-    sizes = np.asarray([b for _, b in batch_log], dtype=np.float64)
-    idx = np.clip(((times - store.start_s)
-                   // store.interval_s).astype(int),
-                  0, store.windows - 1)
-    sums = np.bincount(idx, weights=sizes, minlength=store.windows)
-    counts = np.bincount(idx, minlength=store.windows)
-    for w in np.nonzero(counts)[0]:
-        gauge.record(store.start_s + (w + 0.5) * store.interval_s,
-                     sums[w] / counts[w])
 
 
 def render_slo_sweep(payload: Dict) -> str:

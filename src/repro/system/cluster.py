@@ -391,9 +391,8 @@ class ClusterEvent:
 class ClusterResult:
     """Per-request outcomes and summary statistics of one run.
 
-    Percentiles follow NaN-with-flag semantics: when there are no
-    served requests (``has_latencies`` is ``False``) they return
-    ``nan`` rather than raising or reporting a misleading ``0.0``.
+    Percentiles are ``nan`` when no request completed, rather than
+    raising or reporting a misleading ``0.0``.
     """
 
     spec: ClusterSpec
@@ -453,12 +452,6 @@ class ClusterResult:
         return self.count(FAILED)
 
     @property
-    def has_latencies(self) -> bool:
-        """At least one request completed — latency percentiles are
-        real numbers rather than ``nan``."""
-        return bool(np.isfinite(self.latency_s).any())
-
-    @property
     def deadline_met(self) -> int:
         return self.served
 
@@ -489,7 +482,7 @@ class ClusterResult:
 
     def percentile_latency_ms(self, q: float) -> float:
         """Latency percentile over completed requests (ms); ``nan``
-        when nothing completed (``has_latencies`` flags it)."""
+        when nothing completed."""
         samples = self.latency_s[np.isfinite(self.latency_s)]
         return percentile_or_nan(samples, q) * 1e3
 

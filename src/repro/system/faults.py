@@ -111,13 +111,6 @@ class FaultInjector:
         """Bring a crashed node back."""
         self._down.discard(node_name)
 
-    def is_down(self, node_name: str) -> bool:
-        return node_name in self._down
-
-    @property
-    def down_nodes(self) -> List[str]:
-        return sorted(self._down)
-
     # -- per-invocation draws ---------------------------------------------
 
     def sample(self, node_name: str) -> FaultSample:

@@ -74,13 +74,6 @@ def poisson_arrivals(rate_rps: float, count: int,
     return list(np.cumsum(gaps))
 
 
-def uniform_arrivals(rate_rps: float, count: int) -> List[float]:
-    """Deterministic equally-spaced arrivals (for tests)."""
-    if rate_rps <= 0 or count < 1:
-        raise LoadError("rate and count must be positive")
-    return [(i + 1) / rate_rps for i in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # Open-loop arrival traces (vectorized)
 #
@@ -224,12 +217,6 @@ class FaultScenarioResult:
         return self.total - self.served
 
     @property
-    def has_successes(self) -> bool:
-        """At least one request succeeded — latency percentiles are
-        real numbers rather than ``nan``."""
-        return any(o.ok for o in self.outcomes)
-
-    @property
     def availability(self) -> float:
         """Fraction of requests that produced a result at all; ``nan``
         for an empty scenario (see :attr:`empty`)."""
@@ -262,7 +249,7 @@ class FaultScenarioResult:
     def percentile_latency_ms(self, q: float) -> float:
         """Latency percentile over *successful* requests (ms), via the
         shared :func:`repro.obs.percentile_or_nan` helper; ``nan`` when
-        every request failed (:attr:`has_successes` is the flag)."""
+        every request failed."""
         lat = [o.latency_s for o in self.outcomes if o.ok]
         return percentile_or_nan(lat, q) * 1e3
 

@@ -342,12 +342,6 @@ class MicroserviceRegistry:
         replicas.append(_ReplicaState(service))
         return service.node.ip_address
 
-    def unpublish(self, name: str) -> None:
-        """Withdraw a service name and all its replicas."""
-        if name not in self._services:
-            raise ServiceError(f"cannot unpublish {name!r}: not published")
-        del self._services[name]
-
     def __contains__(self, name: object) -> bool:
         return name in self._services
 
@@ -423,8 +417,3 @@ class MicroserviceRegistry:
                 r.consecutive_failures >= self.failure_threshold:
             r.open_until = now + self.recovery_timeout_s
         self._note_state(name, r, now)
-
-    def breaker_state(self, name: str, service: HardwareMicroservice,
-                      now: float = 0.0) -> str:
-        """``"closed"``, ``"open"``, or ``"half_open"`` for a replica."""
-        return self._replica_state(name, service).state(now)

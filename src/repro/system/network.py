@@ -52,12 +52,6 @@ class NetworkModel:
         """One-way message latency for a payload of ``nbytes``."""
         return self.propagation_us(locality) + self.serialization_us(nbytes)
 
-    def round_trip_us(self, request_bytes: float, response_bytes: float,
-                      locality: Locality = Locality.SAME_RACK) -> float:
-        """Request/response round trip."""
-        return (self.transfer_us(request_bytes, locality)
-                + self.transfer_us(response_bytes, locality))
-
 
 class NetworkFabric:
     """Mutable reachability overlay on a :class:`NetworkModel`.

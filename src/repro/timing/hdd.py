@@ -76,14 +76,6 @@ class HddTree:
         n = self.config.native_dim
         return rows * cols * n * n
 
-    def dispatch_sustains(self, issue_cycles_per_chain: float,
-                          instructions_per_chain: float) -> bool:
-        """Whether scalar dispatch keeps the pipeline fed: the chain's
-        issue occupancy must cover its own dispatch time."""
-        from .latency import LatencyConstants
-        dispatch = instructions_per_chain * LatencyConstants().dispatch_interval
-        return issue_cycles_per_chain >= dispatch
-
     def annotate(self, metrics, rows: int = 1, cols: int = 1) -> None:
         """Publish the tree's structural facts into a
         :class:`~repro.obs.Metrics` registry: node counts, data-plane

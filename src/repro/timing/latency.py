@@ -161,8 +161,3 @@ class LatencyModel:
         nbytes = tiles * n * n * bytes_per_element
         # Model the DRAM/network port at 64 bytes per cycle.
         return nbytes / 64.0
-
-    def dispatch_cycles(self, instruction_count: int) -> float:
-        """Scalar-core dispatch time for ``instruction_count``
-        instructions."""
-        return instruction_count * self.constants.dispatch_interval

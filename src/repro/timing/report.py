@@ -21,10 +21,6 @@ class ChainRecord:
     rows: int
     cols: int
 
-    @property
-    def first_output(self) -> float:
-        return self.start + self.depth_first
-
 
 @dataclasses.dataclass
 class TimingReport:

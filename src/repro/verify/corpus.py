@@ -3,10 +3,11 @@
 A corpus entry is one JSON file: the NPU configuration, the program in
 assembler text (round-tripped through
 :func:`~repro.isa.assembler.parse_program`, loops included), and the
-initial architectural state as nested float lists. Float32 values
-survive exactly — each is exactly representable as the float64 that
-``json`` emits with ``repr`` precision — so replaying a corpus file
-reproduces the original run bit-for-bit.
+initial architectural state as nested lists of float32 bit patterns.
+Bit patterns keep what ``json`` floats lose: ``json`` writes every NaN
+as a bare ``NaN``, which reloads as +NaN without its payload. So
+replaying a corpus file reproduces the original run bit-for-bit.
+Format-1 files, which hold plain float lists, still load.
 
 Shrunk failures land in ``tests/corpus/`` (committed), where the tier-1
 suite replays them as regression tests; see docs/TESTING.md.
@@ -27,15 +28,20 @@ from ..isa.assembler import format_program, parse_program
 from ..isa.memspace import MemId
 from .generator import ProgramCase
 
-#: Corpus file schema version.
-CORPUS_FORMAT = 1
+#: Corpus file schema version: 2 stores float32 bit patterns, 1 floats.
+CORPUS_FORMAT = 2
 
 _VRF_ORDER = (MemId.InitialVrf, MemId.AddSubVrf, MemId.MultiplyVrf)
 
 
+def _bits(array: np.ndarray) -> List:
+    return np.ascontiguousarray(array, dtype=np.float32) \
+        .view(np.uint32).tolist()
+
+
 def case_to_json(case: ProgramCase) -> Dict[str, object]:
     """Serialize ``case`` to a JSON-compatible dict (``mrf_tiles`` only
-    when the case pins them, so older files stay byte-identical)."""
+    when the case pins them)."""
     data = {
         "format": CORPUS_FORMAT,
         "note": case.note,
@@ -43,34 +49,39 @@ def case_to_json(case: ProgramCase) -> Dict[str, object]:
         "program_name": case.program.name,
         "program": format_program(case.program),
         "state": {
-            "vrf": {mem.name: case.vrf_init[mem].tolist()
+            "vrf": {mem.name: _bits(case.vrf_init[mem])
                     for mem in _VRF_ORDER},
-            "dram_vectors": case.dram_vectors.tolist(),
-            "dram_tiles": case.dram_tiles.tolist(),
-            "netq_vectors": case.netq_vectors.tolist(),
-            "netq_tiles": case.netq_tiles.tolist(),
+            "dram_vectors": _bits(case.dram_vectors),
+            "dram_tiles": _bits(case.dram_tiles),
+            "netq_vectors": _bits(case.netq_vectors),
+            "netq_tiles": _bits(case.netq_tiles),
         },
     }
     if case.mrf_tiles is not None:
-        data["state"]["mrf_tiles"] = case.mrf_tiles.tolist()
+        data["state"]["mrf_tiles"] = _bits(case.mrf_tiles)
     return data
 
 
 def case_from_json(data: Dict[str, object]) -> ProgramCase:
     """Rebuild a :class:`ProgramCase` from :func:`case_to_json` output."""
-    if data.get("format") != CORPUS_FORMAT:
+    if data.get("format") not in (1, CORPUS_FORMAT):
         raise ReproError(
             f"unsupported corpus format {data.get('format')!r} "
-            f"(expected {CORPUS_FORMAT})")
+            f"(expected 1 or {CORPUS_FORMAT})")
     config = NpuConfig(**data["config"])
     n = config.native_dim
     state = data["state"]
 
+    def floats(raw: List) -> np.ndarray:
+        if data["format"] == 1:
+            return np.asarray(raw, dtype=np.float32)
+        return np.asarray(raw, dtype=np.uint32).view(np.float32)
+
     def vectors(raw: List) -> np.ndarray:
-        return np.asarray(raw, dtype=np.float32).reshape(-1, n)
+        return floats(raw).reshape(-1, n)
 
     def tiles(raw: List) -> np.ndarray:
-        return np.asarray(raw, dtype=np.float32).reshape(-1, n, n)
+        return floats(raw).reshape(-1, n, n)
 
     return ProgramCase(
         config=config,

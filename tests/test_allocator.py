@@ -61,10 +61,6 @@ class TestBasicAllocation:
 
 
 class TestVectorAndMatrixHelpers:
-    def test_alloc_vector_rounds_up(self, alloc, small_config):
-        slot = alloc.alloc_vector(MemId.InitialVrf, 20, "v")
-        assert slot.count == 2  # 20 elements over native 16
-
     def test_alloc_matrix_row_major_layout(self, alloc):
         slot = alloc.alloc_matrix(30, 40, "W")  # 2x3 tile grid at N=16
         assert slot.count == 6

@@ -6,9 +6,11 @@ serving loop in both discrete-event (curve) and real-execution
 (service) modes — including the central serving-stack contract: every
 request served through a batched dispatch produces outputs
 bit-identical to invoking that request alone, with tracing and metrics
-attached. The SLO sweep payload, the batch-occupancy observability
-path, and the batched microservice latency model ride along.
+attached. The SLO sweep payload, the batch-occupancy metric, and the
+batched microservice latency model ride along.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +18,6 @@ import pytest
 from repro.compiler import compile_lstm
 from repro.models import LstmReference
 from repro.obs import Metrics, Tracer, render_prometheus
-from repro.obs.dashboard import (render_html_dashboard,
-                                 render_text_dashboard)
-from repro.obs.timeseries import TimeSeriesStore
 from repro.system import (
     AdaptiveBatchPolicy,
     BatchPolicy,
@@ -28,7 +27,6 @@ from repro.system import (
     HardwareMicroservice,
     ServiceError,
     ServiceTimeCurve,
-    record_batch_series,
     render_slo_sweep,
     slo_sweep,
 )
@@ -72,11 +70,6 @@ class TestServiceTimeCurve:
     def test_single_point_extrapolates_serially(self):
         c = ServiceTimeCurve((1,), (2e-3,))
         assert c(4) == pytest.approx(8e-3)
-
-    def test_best_batch_maximizes_throughput(self):
-        assert CURVE.best_batch() == 16
-        assert CURVE.best_batch(max_batch=5) == 4
-        assert CURVE.throughput_rps(16) == pytest.approx(16 / 2.5e-3)
 
     def test_json_round_trip(self):
         assert ServiceTimeCurve.from_json(CURVE.to_json()) == CURVE
@@ -228,8 +221,8 @@ class TestDynamicBatcherCurveMode:
         batcher = DynamicBatcher(BatchPolicy(max_batch=16), curve=CURVE)
         saturated = batcher.run([0.0] * 64)
         assert saturated.batch_sizes == [16] * 4
-        assert saturated.throughput_rps == pytest.approx(
-            CURVE.throughput_rps(16))
+        assert saturated.goodput_rps(math.inf) == pytest.approx(
+            16 / CURVE(16))
         DynamicBatcher(BatchPolicy(), curve=lambda b: 1e-3 * b)
         with pytest.raises(BatchingError, match="callable"):
             DynamicBatcher(BatchPolicy(), curve=3.0)
@@ -362,19 +355,3 @@ class TestSloSweep:
         with pytest.raises(BatchingError):
             slo_sweep(CURVE, slo_s=1.0, rates_rps=[])
 
-
-class TestBatchObservability:
-    def test_record_batch_series_feeds_dashboards(self):
-        store = TimeSeriesStore(interval_s=1.0, windows=8)
-        log = [(0.5, 4), (0.6, 8), (3.5, 2), (7.9, 16)]
-        record_batch_series(log, store)
-        text = render_text_dashboard(store)
-        assert "batch size" in text
-        assert "peak=16.0" in text
-        html = render_html_dashboard(store)
-        assert "batch occupancy (requests/dispatch)" in html
-
-    def test_unbatched_store_has_no_batch_strip(self):
-        store = TimeSeriesStore(interval_s=1.0, windows=8)
-        record_batch_series([], store)
-        assert "batch size" not in render_text_dashboard(store)

@@ -112,7 +112,7 @@ class TestPrometheus:
     def test_golden_store_document(self):
         store = TimeSeriesStore(interval_s=1.0, windows=4)
         store.counter("cluster.requests", scope="fleet",
-                      status="served").add_events([0.5, 1.5, 1.6])
+                      status="served").add_increments([1.0, 2.0])
         store.gauge("cluster.nodes_up", scope="fleet").record(0.5, 24)
         store.quantile("cluster.latency_ms", bounds=(1.0, 8.0),
                        scope="fleet").add_many([0.5, 2.5], [0.4, 9.0])
@@ -138,9 +138,9 @@ class TestPrometheus:
 
     def test_deterministic_and_sorted(self):
         store = TimeSeriesStore(interval_s=1.0, windows=4)
-        store.counter("b", scope="rack1").add_events([0.5])
-        store.counter("b", scope="rack0").add_events([0.5])
-        store.counter("a", scope="fleet").add_events([0.5])
+        store.counter("b", scope="rack1").record(0.5)
+        store.counter("b", scope="rack0").record(0.5)
+        store.counter("a", scope="fleet").record(0.5)
         one = render_prometheus(store=store)
         two = render_prometheus(store=store)
         assert one == two

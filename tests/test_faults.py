@@ -24,7 +24,6 @@ from repro.system import (
     RetryPolicy,
     ServiceError,
     run_fault_scenario,
-    uniform_arrivals,
 )
 from repro.system.loadgen import LoadError
 
@@ -86,12 +85,9 @@ class TestFaultInjector:
     def test_crash_and_repair(self):
         inj = FaultInjector()
         inj.crash("node-a")
-        assert inj.is_down("node-a")
-        assert inj.down_nodes == ["node-a"]
         assert inj.sample("node-a").fail_kind == "node_down"
         assert inj.sample("node-b").fail_kind is None
         inj.repair("node-a")
-        assert not inj.is_down("node-a")
         assert inj.sample("node-a").fail_kind is None
 
     def test_crash_draw_is_permanent(self):
@@ -188,15 +184,11 @@ class TestReplicaRegistry:
         with pytest.raises(ServiceError, match="already serves"):
             reg.publish_replica(make_service(compiled, node="n0"))
 
-    def test_unpublish_and_contains(self, compiled):
+    def test_contains_and_len(self, compiled):
         reg = MicroserviceRegistry()
+        assert "svc" not in reg and len(reg) == 0
         reg.publish(make_service(compiled))
-        assert "svc" in reg
-        reg.unpublish("svc")
-        assert "svc" not in reg
-        assert len(reg) == 0
-        with pytest.raises(ServiceError, match="not published"):
-            reg.unpublish("svc")
+        assert "svc" in reg and len(reg) == 1
 
     def test_lookup_empty_registry_message(self):
         with pytest.raises(ServiceError, match="registry is empty"):
@@ -225,9 +217,9 @@ class TestCircuitBreaker:
         primary = reg.replicas("svc")[0]
         for _ in range(2):
             reg.record_failure("svc", primary, now=0.0)
-        assert reg.breaker_state("svc", primary, now=0.0) == "closed"
+        assert reg._replica_state("svc", primary).state(0.0) == "closed"
         reg.record_failure("svc", primary, now=0.0)
-        assert reg.breaker_state("svc", primary, now=0.0) == "open"
+        assert reg._replica_state("svc", primary).state(0.0) == "open"
         assert [s.node.name for s in reg.healthy("svc", now=0.5)] == \
             ["svc-1"]
 
@@ -237,7 +229,7 @@ class TestCircuitBreaker:
         primary = reg.replicas("svc")[0]
         reg.record_failure("svc", primary, now=0.0)
         assert reg.healthy("svc", now=0.5) == [reg.replicas("svc")[1]]
-        assert reg.breaker_state("svc", primary, now=1.5) == "half_open"
+        assert reg._replica_state("svc", primary).state(1.5) == "half_open"
         assert reg.healthy("svc", now=1.5)[0] is primary
 
     def test_lifecycle_emits_transition_events(self, compiled):
@@ -276,9 +268,9 @@ class TestCircuitBreaker:
         reg.record_failure("svc", svc, now=0.0)
         # Failed half-open probe re-opens immediately (one strike).
         reg.record_failure("svc", svc, now=1.5)
-        assert reg.breaker_state("svc", svc, now=2.0) == "open"
+        assert reg._replica_state("svc", svc).state(2.0) == "open"
         reg.record_success("svc", svc, now=2.6)
-        assert reg.breaker_state("svc", svc, now=2.6) == "closed"
+        assert reg._replica_state("svc", svc).state(2.6) == "closed"
 
     def test_record_failure_unknown_replica(self, compiled):
         reg = replicated_registry(compiled, n=1)
@@ -303,10 +295,10 @@ class TestHalfOpenInterleavings:
                                   recovery_timeout_s=1.0)
         svc = reg.replicas("svc")[0]
         self._open_breaker(reg, svc, 0.0)
-        assert reg.breaker_state("svc", svc, now=1.5) == "half_open"
+        assert reg._replica_state("svc", svc).state(1.5) == "half_open"
         reg.record_failure("svc", svc, now=1.5)
-        assert reg.breaker_state("svc", svc, now=1.5) == "open"
-        assert reg.breaker_state("svc", svc, now=2.4) == "open"
+        assert reg._replica_state("svc", svc).state(1.5) == "open"
+        assert reg._replica_state("svc", svc).state(2.4) == "open"
 
     def test_straggler_success_after_probe_failure_closes(self, compiled):
         """Two requests race against a half-open replica: the probe
@@ -317,9 +309,9 @@ class TestHalfOpenInterleavings:
         svc = reg.replicas("svc")[0]
         reg.record_failure("svc", svc, now=0.0)
         reg.record_failure("svc", svc, now=1.5)   # failed probe
-        assert reg.breaker_state("svc", svc, now=1.6) == "open"
+        assert reg._replica_state("svc", svc).state(1.6) == "open"
         reg.record_success("svc", svc, now=1.6)   # straggler
-        assert reg.breaker_state("svc", svc, now=1.6) == "closed"
+        assert reg._replica_state("svc", svc).state(1.6) == "closed"
         assert reg.healthy("svc", now=1.6) == [svc]
 
     def test_stale_failure_during_open_extends_window(self, compiled):
@@ -330,8 +322,8 @@ class TestHalfOpenInterleavings:
         svc = reg.replicas("svc")[0]
         reg.record_failure("svc", svc, now=0.0)
         reg.record_failure("svc", svc, now=0.5)   # stale report
-        assert reg.breaker_state("svc", svc, now=1.2) == "open"
-        assert reg.breaker_state("svc", svc, now=1.6) == "half_open"
+        assert reg._replica_state("svc", svc).state(1.2) == "open"
+        assert reg._replica_state("svc", svc).state(1.6) == "half_open"
 
     def test_breakers_probe_independently(self, compiled):
         """Staggered trips on two replicas: each gets its own probe
@@ -345,7 +337,7 @@ class TestHalfOpenInterleavings:
         # Only the first window has elapsed at 1.2 s.
         assert reg.healthy("svc", now=1.2) == [first]
         reg.record_success("svc", first, now=1.2)
-        assert reg.breaker_state("svc", second, now=1.2) == "open"
+        assert reg._replica_state("svc", second).state(1.2) == "open"
         # Probes list ahead of closed replicas once both are back.
         assert reg.healthy("svc", now=1.5) == [second, first]
 
@@ -558,7 +550,7 @@ class TestFaultScenarioRunner:
         reg = replicated_registry(compiled, n=1)
         client = ResilientClient(reg, RetryPolicy(max_attempts=1))
         res = run_fault_scenario(client, "svc",
-                                 uniform_arrivals(100.0, 50), steps=3)
+                                 [(i + 1) / 100.0 for i in range(50)], steps=3)
         assert res.availability == 1.0
         assert res.served == res.total == 50
         assert res.p50_ms > 0
@@ -569,7 +561,7 @@ class TestFaultScenarioRunner:
         inj = FaultInjector()
         reg = replicated_registry(compiled, injector=inj, n=1)
         client = ResilientClient(reg, RetryPolicy(max_attempts=1))
-        arrivals = uniform_arrivals(100.0, 100)  # 0.01 .. 1.0 s
+        arrivals = [(i + 1) / 100.0 for i in range(100)]  # 0.01 .. 1.0 s
         events = [FaultEvent(0.5, "crash", "svc-0")]
         res = run_fault_scenario(client, "svc", arrivals, steps=3,
                                  injector=inj, events=events)
@@ -581,7 +573,7 @@ class TestFaultScenarioRunner:
         reg = replicated_registry(compiled, injector=inj, n=2,
                                   recovery_timeout_s=50e-3)
         client = ResilientClient(reg, RetryPolicy(max_attempts=4))
-        arrivals = uniform_arrivals(100.0, 100)
+        arrivals = [(i + 1) / 100.0 for i in range(100)]
         events = [FaultEvent(0.25, "crash", "svc-0"),
                   FaultEvent(0.50, "repair", "svc-0")]
         res = run_fault_scenario(client, "svc", arrivals, steps=3,
@@ -609,7 +601,7 @@ class TestFaultScenarioRunner:
             client = ResilientClient(reg, RetryPolicy(max_attempts=3),
                                      seed=6)
             return run_fault_scenario(client, "svc",
-                                      uniform_arrivals(200.0, 60),
+                                      [(i + 1) / 200.0 for i in range(60)],
                                       steps=3, injector=inj)
         a, b = run(), run()
         assert a.availability == b.availability

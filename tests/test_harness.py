@@ -37,11 +37,6 @@ class TestTableRendering:
         with pytest.raises(ValueError):
             table.render()
 
-    def test_markdown_output(self):
-        table = ExperimentTable("T", ["a"], [["1"]], notes=["n"])
-        md = table.to_markdown()
-        assert "| a |" in md and "*n*" in md
-
     def test_column_extraction(self):
         table = ExperimentTable("T", ["a", "b"], [["1", "2"]])
         assert table.column("b") == ["2"]

@@ -65,13 +65,3 @@ class TestExpansion:
         assert useful > 7e6
         assert padded >= useful
 
-    def test_dispatch_sustains_pipeline_for_rnn_chains(self, tree):
-        """One compound instruction per ~4 cycles keeps the pipeline
-        fed: a 6-instruction chain dispatches in 24 cycles, well under
-        its 110-cycle issue occupancy on large models."""
-        assert tree.dispatch_sustains(issue_cycles_per_chain=110,
-                                      instructions_per_chain=6)
-
-    def test_dispatch_limits_tiny_chains(self, tree):
-        assert not tree.dispatch_sustains(issue_cycles_per_chain=10,
-                                          instructions_per_chain=6)

@@ -42,12 +42,6 @@ class TestOpcodeMetadata:
     def test_mv_mul_is_not_pointwise(self):
         assert not info(Opcode.MV_MUL).is_pointwise
 
-    def test_operand_counts(self):
-        assert info(Opcode.V_RD).num_operands == 2
-        assert info(Opcode.MV_MUL).num_operands == 1
-        assert info(Opcode.V_TANH).num_operands == 0
-        assert info(Opcode.END_CHAIN).num_operands == 0
-
 
 class TestConstruction:
     def test_v_rd_requires_memid(self):

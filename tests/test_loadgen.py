@@ -1,6 +1,8 @@
 """Tests for arrival traces, fault scenarios, and the batch-1 and
 batching regimes of the one offline serving queue."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from repro.system.loadgen import (
     diurnal_arrivals,
     heavy_tailed_arrivals,
     poisson_arrivals,
-    uniform_arrivals,
 )
 
 
@@ -30,15 +31,9 @@ class TestArrivals:
         times = poisson_arrivals(10.0, 100, seed=2)
         assert all(b > a for a, b in zip(times, times[1:]))
 
-    def test_uniform_spacing(self):
-        times = uniform_arrivals(4.0, 4)
-        assert times == [0.25, 0.5, 0.75, 1.0]
-
     def test_invalid_parameters(self):
         with pytest.raises(LoadError):
             poisson_arrivals(0, 10)
-        with pytest.raises(LoadError):
-            uniform_arrivals(5, 0)
 
 
 def _batch1(service_s):
@@ -52,13 +47,13 @@ class TestBatch1Server:
     ``BatchPolicy(1, 0.0)``: one request at a time, FIFO."""
 
     def test_idle_server_latency_is_service_time(self):
-        result = _batch1(0.001).run(uniform_arrivals(10.0, 20))
+        result = _batch1(0.001).run([(i + 1) / 10.0 for i in range(20)])
         assert result.p50_ms == pytest.approx(1.0)
         assert result.p99_ms == pytest.approx(1.0)
         assert result.batch_sizes == [1] * 20
 
     def test_saturated_server_queues(self):
-        result = _batch1(0.01).run(uniform_arrivals(200.0, 100))
+        result = _batch1(0.01).run([(i + 1) / 200.0 for i in range(100)])
         # Every second request waits behind the previous one.
         assert result.p99_ms > 10.0
         latencies = [r.latency for r in result.requests]
@@ -74,7 +69,7 @@ class TestBatch1Server:
         """Saturated, the server completes one request per service
         time."""
         result = _batch1(0.004).run([0.0] * 100)
-        assert result.throughput_rps == pytest.approx(250.0)
+        assert result.goodput_rps(math.inf) == pytest.approx(250.0)
 
     def test_invalid_service_time(self):
         with pytest.raises(BatchingError):
@@ -121,7 +116,7 @@ class TestBatchingServer:
         result = self.batcher(max_batch=10, timeout_s=0.01).run(
             [0.0] * 100)
         assert result.batch_sizes == [10] * 10
-        assert result.throughput_rps == pytest.approx(10 / 0.02)
+        assert result.goodput_rps(math.inf) == pytest.approx(10 / 0.02)
 
     def test_invalid_parameters(self):
         with pytest.raises(BatchingError):
@@ -147,29 +142,24 @@ class TestComparison:
             gpu_batch_service=lambda b: 0.05 + 0.002 * b,
             max_batch=16, timeout_s=0.02, rates_rps=(100,),
             requests=400, seed=4)
-        assert comparisons[0].bw.throughput_rps == pytest.approx(
+        assert comparisons[0].bw.goodput_rps(math.inf) == pytest.approx(
             100, rel=0.2)
 
     def test_empty_result_nan_with_flag(self):
         """Degenerate results flag themselves and report nan instead
         of raising or fabricating a misleading 0.0."""
-        import math
-
         res = _batch1(0.001).run([])
         assert res.empty and res.batch_sizes == []
         assert math.isnan(res.percentile_latency(50))
         assert math.isnan(res.p99_ms)
         assert math.isnan(res.mean_batch)
-        assert math.isnan(res.throughput_rps)
         assert math.isnan(res.goodput_rps(1.0))
         assert math.isnan(res.slo_attainment(1.0))
 
     def test_empty_fault_scenario_nan_with_flag(self):
-        import math
-
         from repro.system.loadgen import FaultScenarioResult
         res = FaultScenarioResult(outcomes=[], arrivals=[])
-        assert res.empty and not res.has_successes
+        assert res.empty
         assert math.isnan(res.availability)
         assert math.isnan(res.span_s)
         assert math.isnan(res.goodput_rps)
@@ -177,8 +167,6 @@ class TestComparison:
         assert math.isnan(res.mean_attempts)
 
     def test_all_failed_scenario_flags_no_successes(self):
-        import math
-
         from repro.system.faults import InvocationOutcome
         from repro.system.loadgen import FaultScenarioResult
         outcomes = [InvocationOutcome(
@@ -187,7 +175,7 @@ class TestComparison:
             deadline_met=False) for _ in range(3)]
         res = FaultScenarioResult(outcomes=outcomes,
                                   arrivals=[0.0, 0.1, 0.2])
-        assert not res.empty and not res.has_successes
+        assert not res.empty
         assert res.availability == 0.0          # real zero, not nan
         assert math.isnan(res.p99_ms)           # no success latencies
         assert res.mean_attempts == pytest.approx(2.0)

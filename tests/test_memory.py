@@ -66,8 +66,7 @@ class TestVectorRegisterFile:
 
 class TestMatrixRegisterFile:
     def make(self):
-        return MatrixRegisterFile("m", capacity=12, native_dim=4,
-                                  tile_engines=3)
+        return MatrixRegisterFile("m", capacity=12, native_dim=4)
 
     def test_tile_roundtrip(self):
         mrf = self.make()
@@ -91,26 +90,6 @@ class TestMatrixRegisterFile:
             mrf.read_tile(12)
         with pytest.raises(MemoryError_):
             mrf.write_tiles(11, np.zeros((2, 4, 4)))
-
-    def test_round_robin_banking(self):
-        """Tiles round-robin over tile engines (Section V-A)."""
-        mrf = self.make()
-        assert [mrf.bank_of(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
-
-    def test_row_subbanking(self):
-        """Row r of every tile lives in sub-bank r: it feeds
-        dot-product engine r."""
-        mrf = self.make()
-        assert mrf.subbank_of(0, 2) == 2
-        assert mrf.subbank_of(7, 2) == 2
-        with pytest.raises(MemoryError_):
-            mrf.subbank_of(0, 4)
-
-    def test_one_read_port_per_multiplier(self):
-        """Section V-A: 'each input to every single dot product unit
-        requires a dedicated memory port'."""
-        mrf = self.make()
-        assert mrf.read_ports(lanes=4) == 3 * 4 * 4
 
 
 class TestDram:
@@ -144,10 +123,6 @@ class TestDram:
         with pytest.raises(MemoryError_):
             dram.write_vectors(4, np.zeros((4, 4)))
 
-    def test_transfer_time(self):
-        dram = Dram(native_dim=4, bandwidth_gbps=10.0)
-        assert dram.transfer_seconds(10e9) == pytest.approx(1.0)
-
 
 class TestNetworkQueues:
     def test_fifo_order(self):
@@ -172,10 +147,9 @@ class TestNetworkQueues:
     def test_output_drain(self):
         q = NetworkQueues(native_dim=4)
         q.push_output(np.ones((2, 4)))
-        assert q.pending_outputs == 2
         outs = q.pop_outputs()
         assert len(outs) == 2
-        assert q.pending_outputs == 0
+        assert q.pop_outputs() == []
 
     def test_wrong_width_rejected(self):
         q = NetworkQueues(native_dim=4)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.config import BW_S10, NpuConfig
 from repro.functional import FunctionalSimulator
-from repro.harness.tables import fmt, fmt_ratio
+from repro.harness.tables import fmt
 from repro.isa import MemId, ProgramBuilder
 from repro.numerics import BfpFormat, error_stats
 from repro.timing import LatencyConstants, TimingSimulator
@@ -19,10 +19,6 @@ class TestTableFormatting:
         assert fmt(0.1234) == "0.12"
         assert fmt(123.4) == "123"
         assert fmt(12345.6) == "12,346"
-
-    def test_fmt_ratio(self):
-        assert fmt_ratio(2.0, 1.0) == "2.00x"
-        assert fmt_ratio(1.0, 0.0) == "-"
 
 
 class TestNumericsEdges:
@@ -37,15 +33,6 @@ class TestNumericsEdges:
         assert str(BfpFormat(3, block_size=64)) == "1s.5e.3m.b64"
         assert str(BfpFormat(3)) == "1s.5e.3m"
         assert BfpFormat(3, block_size=64).label(native_block=64) == "1s.5e.3m"
-
-
-class TestChainRecord:
-    def test_first_output(self):
-        from repro.timing.report import ChainRecord
-        rec = ChainRecord(index=0, start=10.0, issue=5.0,
-                          depth_first=20.0, completion=35.0,
-                          has_mv_mul=True, rows=1, cols=1)
-        assert rec.first_output == 30.0
 
 
 class TestExecutorEdges:

@@ -16,7 +16,14 @@ definition of the same name. ``TEST_ONLY`` lists the definitions the
 scan finds, each with the reason it stays. The test fails on a
 definition missing from the list (delete it, or give it a reason here)
 and on a listed one that is no longer test-only (drop its line), so the
-list stays exact.
+list stays exact. A reason must say why the definition stays; "audit
+pending" is not one.
+
+The scan is by name, not by execution. ``scripts/reach_trace.py`` checks
+the same set at run time: it traces the CI entry points (examples,
+paper tables, CLI commands, fuzz replay, benchmarks) and reports any
+``TEST_ONLY`` entry they execute, and every ``src/repro`` function none
+of them execute. It takes minutes, so it is not a tier-1 test.
 """
 
 import ast
@@ -31,12 +38,11 @@ ROOT = Path(__file__).resolve().parents[1]
 LIVE_DIRS = ("src", "benchmarks", "examples", "scripts")
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
-_PENDING = "audit pending (ROADMAP item 8): "
-
 #: Test-only definitions, ``module:Owner.name``, and why each stays.
 TEST_ONLY = {
     # Kept: checks of reached code, inverses of reached code, and
-    # simulator accessors that many tests drive.
+    # simulator accessors that many tests drive. A definition cannot be
+    # parked here without a reason; see test_no_reason_defers_the_audit.
     "repro.compiler.interleave:CompiledInterleaved.run_batch":
         "the only functional check of compile_lstm_interleaved, whose "
         "program ablation_interleaving.txt times",
@@ -69,93 +75,9 @@ TEST_ONLY = {
     "repro.timing.timeline:render_trace_timeline":
         "the chain-schedule Gantt renderer; no CLI command prints it, "
         "its tests pin the labels-by-chain-index fix",
-    # Not audited yet: each is a deletion candidate.
-    "repro.compiler.allocator:RegisterAllocator.alloc_vector":
-        _PENDING + "allocation by logical length",
-    "repro.config:NpuConfig.cycles_to_ms":
-        _PENDING + "cycle-to-time conversion",
-    "repro.config:NpuConfig.mrf_capacity_bytes":
-        _PENDING + "on-chip weight capacity in bytes",
-    "repro.criticalpath.analytic:gru_ops_per_step":
-        _PENDING + "closed-form GRU op count",
-    "repro.criticalpath.dfg:Dfg.total_pointwise_ops":
-        _PENDING + "graph work accounting",
     "repro.criticalpath.sdm:sdm_cycles_scheduled":
-        _PENDING + "greedy list schedule checked against the Graham bound",
-    "repro.functional.executor:ExecutionStats.total_flops":
-        _PENDING + "execution statistics",
-    "repro.harness.tables:ExperimentTable.to_markdown":
-        _PENDING + "markdown rendering of an experiment table",
-    "repro.harness.tables:fmt_ratio":
-        _PENDING + "model-vs-paper ratio cell",
-    "repro.isa.assembler:roundtrip":
-        _PENDING + "format-then-parse helper",
-    "repro.isa.chain:InstructionChain.mfus_required":
-        _PENDING + "MFU routing requirement of a chain",
-    "repro.isa.chain:InstructionChain.operand_reads":
-        _PENDING + "chain read set",
-    "repro.isa.chain:InstructionChain.operand_writes":
-        _PENDING + "chain write set",
-    "repro.isa.opcodes:OpcodeInfo.num_operands":
-        _PENDING + "opcode metadata",
-    "repro.isa.program:NpuProgram.dynamic_instruction_count":
-        _PENDING + "program statistics",
-    "repro.isa.program:NpuProgram.static_instruction_count":
-        _PENDING + "program statistics",
-    "repro.isa.program:ProgramBuilder.add_chain":
-        _PENDING + "appending a prebuilt chain",
-    "repro.memory.dram:Dram.transfer_seconds":
-        _PENDING + "DRAM transfer time at peak bandwidth",
-    "repro.memory.netq:NetworkQueues.pending_outputs":
-        _PENDING + "output-queue depth",
-    "repro.memory.regfile:MatrixRegisterFile.bank_of":
-        _PENDING + "MRF banking geometry",
-    "repro.memory.regfile:MatrixRegisterFile.read_ports":
-        _PENDING + "MRF banking geometry",
-    "repro.memory.regfile:MatrixRegisterFile.subbank_of":
-        _PENDING + "MRF banking geometry",
-    "repro.obs.metrics:LatencyHistogram.bucket_counts":
-        _PENDING + "histogram buckets",
-    "repro.obs.metrics:LatencyHistogram.merge":
-        _PENDING + "histogram merge",
-    "repro.obs.timeseries:CounterSeries.add_events":
-        _PENDING + "bulk counter ingest",
-    "repro.obs.timeseries:CounterSeries.cumulative":
-        _PENDING + "running counter totals",
-    "repro.obs.timeseries:QuantileWindow.merge":
-        _PENDING + "quantile-window merge",
-    "repro.obs.timeseries:QuantileWindow.window_counts":
-        _PENDING + "observations per window",
-    "repro.obs.timeseries:RingSeries.last_window":
-        _PENDING + "ring-series bookkeeping",
-    "repro.obs.timeseries:RingSeries.window_start":
-        _PENDING + "ring-series bookkeeping",
-    "repro.system.batching:ServiceTimeCurve.best_batch":
-        _PENDING + "highest-throughput measured batch",
-    "repro.system.batching:record_batch_series":
-        _PENDING + "batch dispatch log to time series",
-    "repro.system.cluster:ClusterResult.has_latencies":
-        _PENDING + "result predicate",
-    "repro.system.faults:FaultInjector.down_nodes":
-        _PENDING + "crash schedule query",
-    "repro.system.faults:FaultInjector.is_down":
-        _PENDING + "crash schedule query",
-    "repro.system.loadgen:FaultScenarioResult.has_successes":
-        _PENDING + "result predicate",
-    "repro.system.loadgen:uniform_arrivals":
-        _PENDING + "equally spaced arrivals",
-    "repro.system.microservice:MicroserviceRegistry.breaker_state":
-        _PENDING + "circuit-breaker query",
-    "repro.system.microservice:MicroserviceRegistry.unpublish":
-        _PENDING + "service withdrawal",
-    "repro.system.network:NetworkModel.round_trip_us":
-        _PENDING + "request/response round trip",
-    "repro.timing.hdd:HddTree.dispatch_sustains":
-        _PENDING + "dispatch-rate predicate",
-    "repro.timing.latency:LatencyModel.dispatch_cycles":
-        _PENDING + "scalar-core dispatch time",
-    "repro.timing.report:ChainRecord.first_output":
-        _PENDING + "chain record field",
+        "the explicit list schedule the live Graham bound "
+        "(sdm_cycles_bound) is property-checked against",
 }
 
 
@@ -219,3 +141,10 @@ def test_test_only_definitions_match_the_committed_set():
     stale = sorted(TEST_ONLY.keys() - test_only)
     assert not stale, ("no longer test-only (reached, renamed or "
                        f"deleted); drop them from TEST_ONLY: {stale}")
+
+
+def test_no_reason_defers_the_audit():
+    parked = sorted(q for q, reason in TEST_ONLY.items()
+                    if reason.lower().startswith("audit pending"))
+    assert not parked, ("a test-only definition needs a reason to stay; "
+                        f"delete these or say why they stay: {parked}")

@@ -19,14 +19,13 @@ def _store(windows=100, interval=1.0):
 def _fill_requests(store, scope, good_per_window, bad_per_window):
     """Write constant per-window good/bad request counts."""
     w = store.windows
-    times = np.repeat(np.arange(w) + 0.5, 1)
     good = store.counter("cluster.requests", scope=scope,
                          status="served")
     bad = store.counter("cluster.requests", scope=scope,
                         status="failed")
-    good.add_events(np.repeat(times, good_per_window))
+    good.add_increments(np.full(w, float(good_per_window)))
     if bad_per_window:
-        bad.add_events(np.repeat(times, bad_per_window))
+        bad.add_increments(np.full(w, float(bad_per_window)))
 
 
 class TestPrimitives:
@@ -77,8 +76,9 @@ class TestAvailability:
                              status="served")
         bad = store.counter("cluster.requests", scope="fleet",
                             status="failed")
-        good.add_events([0.5, 0.5, 1.5])
-        bad.add_events([1.5])
+        good.record(0.5, 2.0)
+        good.record(1.5)
+        bad.record(1.5)
         avail = availability_series(store)
         assert avail[0] == 1.0
         assert avail[1] == 0.5
@@ -87,7 +87,7 @@ class TestAvailability:
     def test_brownout_counts_as_good(self):
         store = _store(windows=2)
         store.counter("cluster.requests", scope="fleet",
-                      status="brownout").add_events([0.5])
+                      status="brownout").record(0.5)
         assert availability_series(store)[0] == 1.0
 
 
@@ -106,9 +106,9 @@ class TestBurnRateAlerts:
         for w in range(100):
             t = w + 0.5
             if 40 <= w < 50:
-                bad.add_events(np.full(50, t))
+                bad.record(t, 50.0)
             else:
-                good.add_events(np.full(50, t))
+                good.record(t, 50.0)
         alerts = SloMonitor(0.999).evaluate(store)
         assert alerts, "burst must fire"
         first = alerts[0]
@@ -128,10 +128,10 @@ class TestBurnRateAlerts:
             # One window at 1% errors: the short view spikes but the
             # 8-window long view dilutes it below the strict factor.
             if w == 100:
-                bad.add_events(np.full(1, t))
-                good.add_events(np.full(99, t))
+                bad.record(t)
+                good.record(t, 99.0)
             else:
-                good.add_events(np.full(100, t))
+                good.record(t, 100.0)
         rules = [BurnRateRule("strict", long_s=8.0, short_s=2.0,
                               factor=1000.0)]
         assert SloMonitor(0.999, burn_rules=rules).evaluate(store) == []
@@ -141,7 +141,7 @@ class TestBurnRateAlerts:
         _fill_requests(store, "fleet", 50, 0)
         bad = store.counter("cluster.requests", scope="rack1",
                             status="failed")
-        bad.add_events(np.repeat(np.arange(40, 50) + 0.5, 30))
+        bad.add_increments(np.full(10, 30.0), first_window=40)
         scopes = {a.scope for a in SloMonitor(0.999).evaluate(store)}
         assert scopes == {"rack1"}
 

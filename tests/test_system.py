@@ -62,11 +62,6 @@ class TestNetworkModel:
             net.propagation_us(Locality.SAME_RACK)
             + net.serialization_us(5000))
 
-    def test_round_trip(self):
-        net = NetworkModel()
-        assert net.round_trip_us(1000, 1000) == pytest.approx(
-            2 * net.transfer_us(1000))
-
     def test_same_datacenter_single_digit_tens_of_us(self):
         """Point-to-point latency stays in the LTL regime."""
         net = NetworkModel()

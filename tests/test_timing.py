@@ -68,9 +68,6 @@ class TestLatencyModel:
         four = model.matrix_chain_cycles(4, 1.0)
         assert four == pytest.approx(4 * one)
 
-    def test_dispatch_cycles(self, model):
-        assert model.dispatch_cycles(10) == 40
-
 
 class TestSchedulerBehaviors:
     def test_large_gru_is_mvm_bound(self):

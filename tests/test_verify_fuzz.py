@@ -250,6 +250,32 @@ def test_corpus_roundtrip_pinned_mrf(tmp_path):
 
 
 @pytest.mark.tier1
+def test_corpus_roundtrip_keeps_float32_bits(tmp_path):
+    """-NaN, a NaN payload, -0.0, +-inf and a subnormal survive a save
+    and a load byte for byte in every state array (json floats turn
+    every NaN into +NaN)."""
+    specials = np.array([0xFFC00000, 0x7FC00123, 0x80000000, 0x7F800000,
+                         0xFF800000, 0x00000001],
+                        dtype=np.uint32).view(np.float32)
+    case = generate_case(4, profile=PROFILES["recurrent"])
+    arrays = [case.vrf_init[mem] for mem in case.vrf_init]
+    arrays += [case.dram_vectors, case.dram_tiles, case.netq_vectors,
+               case.netq_tiles, case.mrf_tiles]
+    for array in arrays:
+        flat = array.reshape(-1)
+        k = min(flat.size, specials.size)
+        flat[:k] = specials[:k]
+    back = load_corpus_case(save_case(case, tmp_path))
+    got = [back.vrf_init[mem] for mem in case.vrf_init]
+    got += [back.dram_vectors, back.dram_tiles, back.netq_vectors,
+            back.netq_tiles, back.mrf_tiles]
+    assert any(a.size >= specials.size for a in arrays)
+    for want, have in zip(arrays, got):
+        assert have.dtype == np.float32 and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+
+
+@pytest.mark.tier1
 def test_corpus_rejects_unknown_format(tmp_path):
     from repro.errors import ReproError
     from repro.verify import case_from_json, case_to_json
