@@ -1,7 +1,7 @@
 """Smoke test for the perf harness (the CI perf gate).
 
-Runs the quick suite end to end through ``scripts/bench.py``, checks the
-``BENCH_perf.json`` payload shape, and asserts the headline gates on the
+Runs the quick suite once, drives ``scripts/bench.py`` over it, checks
+the ``BENCH_perf.json`` payload shape, and asserts the headline gates on the
 LSTM workload — compiled replay, batch=16 replay and dynamic batching
 over their baselines — the same gates CI applies. Full-suite numbers
 live in the committed BENCH_perf.json.
@@ -113,12 +113,17 @@ def test_bench_result_guards_divergence():
     assert rows[0].speedup is not None
 
 
-def test_cli_driver_writes_json(tmp_path, capsys):
+def test_cli_driver_writes_json(quick_payload, tmp_path, capsys,
+                                monkeypatch):
+    """The driver's JSON, table and gates over the fixture's payload:
+    a second quick suite in one process would only re-time it."""
     sys.path.insert(0, str(REPO_ROOT / "scripts"))
     try:
         import bench
     finally:
         sys.path.pop(0)
+    monkeypatch.setattr(bench, "run_suite",
+                        lambda quick: dict(quick_payload))
     out = tmp_path / "BENCH_perf.json"
     rc = bench.main(["--quick", "--output", str(out)])
     assert rc == 0

@@ -4,31 +4,30 @@ Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/reach_trace.py
 
-``tests/test_reach.py`` finds the definitions only tests reach by
-scanning names. This script checks that scan at run time. In this one
-process, with ``sys.setprofile`` recording call events only, it runs:
+In this one process, with ``sys.setprofile`` recording call events
+only, it runs:
 
 * every script under ``examples/``;
 * the outcome-drift table tests (the ``benchmarks/test_*.py`` files
   that ``.github/workflows/ci.yml`` lists);
-* every CLI command through :func:`repro.cli.main`, with the arguments
-  ``tests/test_cli_smoke.py`` uses and the trace-export, chaos,
-  monitor, batching and numerics-sweep smoke commands of CI;
-* the fuzz gate's ``--replay tests/corpus``;
+* every CLI command through :func:`repro.cli.main`: the arguments
+  ``tests/test_cli_smoke.py`` uses, a few commands neither it nor CI
+  runs, and every ``python -m repro`` command of ``ci.yml`` (the fuzz
+  campaigns, ``fuzz --replay tests/corpus`` and the smoke steps);
 * ``benchmarks/perf`` and the ``benchmarks/e2e/run.py --smoke`` child
   of every ``BENCHMARK.json`` workload.
 
-It prints the ``TEST_ONLY`` entries of ``tests/test_reach.py`` that any
-of them executed, then every ``src/repro`` function and method (dunders
-excluded, as in the ratchet) that none executed, with its line count. A
-class counts as executed when one of its methods is. The second list
-includes CLI commands and failure-only paths, so it is the input for an
-audit, not a delete list.
+It then compares the ``src/repro`` functions and methods (dunders
+excluded) that none of them executed with the ``TEST_ONLY`` list of
+``tests/test_reach.py``, where each has the reason it stays. A listed
+class counts as executed when one of its methods is.
 
-Exits 1 if an entry point executed a ``TEST_ONLY`` entry (the name scan
-missed a reach) and 2 if an entry point failed. It takes several
-minutes. CLI artefacts go to a temporary directory; the outcome-drift
-tests rewrite ``benchmarks/results/*.txt`` as CI does.
+Exits 0 when the two sets are equal, 1 when they differ (it prints the
+definitions executed by none but not listed, and the listed ones an
+entry point executed or that no longer exist) and 2 if an entry point
+failed. It takes a few minutes. CLI artefacts go to a temporary
+directory; the outcome-drift tests rewrite ``benchmarks/results/*.txt``
+as CI does.
 """
 
 import ast
@@ -40,6 +39,7 @@ import os
 import pathlib
 import re
 import runpy
+import shlex
 import sys
 import tempfile
 import threading
@@ -52,10 +52,20 @@ SRC = ROOT / "src"
 CORPUS = ROOT / "tests" / "corpus"
 
 
+#: Options of CI's ``repro`` commands that name a file they write.
+_OUTPUT_FLAGS = {"--out", "--output", "--jsonl", "--html", "--prom",
+                 "--corpus-dir"}
+
+
+def _ci_text():
+    return (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+
+
 def _cli_runs(tmp: pathlib.Path):
-    """``repro`` argument lists: test_cli_smoke.py's, then CI's smoke
-    steps, then the commands neither runs."""
-    return [
+    """``repro`` argument lists: test_cli_smoke.py's, the commands
+    neither it nor CI runs, then every ``python -m repro`` command of
+    ci.yml (the fuzz campaigns and the smoke steps) writing into tmp."""
+    runs = [
         ["trace", "lstm", "--hidden", "64", "--steps", "2",
          "--out", str(tmp / "t.json"), "--jsonl", str(tmp / "t.jsonl")],
         ["trace", "gru", "--hidden", "64", "--steps", "2",
@@ -69,7 +79,6 @@ def _cli_runs(tmp: pathlib.Path):
          "--corpus-dir", str(tmp / "corpus")],
         ["fuzz", "--seed", "1", "--iterations", "3", "--profile", "mvm",
          "--config", "fuzz8_exact", "--no-timing"],
-        ["fuzz", "--replay", str(CORPUS)],
         ["bench", "quick", "--output", str(tmp / "bench.json")],
         ["bench", "quick", "--json"],
         ["monitor", "rack_loss", "--requests", "8000", "--seed", "0",
@@ -81,29 +90,30 @@ def _cli_runs(tmp: pathlib.Path):
         ["serve-batch", "--quick", "--hidden", "64",
          "--min-goodput-ratio", "1.1", "--output", str(tmp / "sweep.json"),
          "--prom", str(tmp / "serving.prom")],
-        ["trace", "lstm", "--out", str(tmp / "trace.json")],
-        ["chaos", "rack_loss", "--requests", "50000", "--seed", "0",
-         "--min-availability", "0.95"],
-        ["monitor", "all", "--requests", "20000", "--seed", "0",
-         "--min-precision", "0.8", "--min-recall", "0.8",
-         "--max-mttd", "2.0", "--html", str(tmp / "monitor.html"),
-         "--prom", str(tmp / "monitor.prom")],
-        ["serve-batch", "lstm", "--hidden", "64", "--quick",
-         "--min-goodput-ratio", "1.3", "--output", str(tmp / "b.json"),
-         "--prom", str(tmp / "b.prom")],
-        ["numerics-sweep", "--output", str(tmp / "numerics.json")],
         ["configs"],
         ["experiment", "table1"],
         ["time", "gru", "1536", "25"],
         ["disassemble", "lstm", "256"],
         ["specialize", "gru", "1024", "Stratix 10 280"],
+        ["numerics-sweep", "--formats", "mx_int8", "--rows", "8",
+         "--width", "64", "--json"],
     ]
+    ci = []
+    for line in re.findall(r"python -m repro ([^\n|]+)",
+                           _ci_text().replace("\\\n", " ")):
+        argv = shlex.split(line)
+        ci.append([str(tmp / pathlib.Path(arg).name)
+                   if flag in _OUTPUT_FLAGS else arg
+                   for flag, arg in zip([None] + argv, argv)])
+    if not any(argv[0] == "fuzz" for argv in ci):
+        raise RuntimeError("no repro fuzz campaign named in ci.yml")
+    return runs + ci
 
 
 def _drift_tests():
     """The benchmark files CI's outcome-drift gate regenerates."""
-    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    files = sorted(set(re.findall(r"benchmarks/test_\w+\.py", ci)))
+    files = sorted(set(re.findall(r"benchmarks/test_\w+\.py",
+                                  _ci_text())))
     if not files:
         raise RuntimeError("no benchmarks/test_*.py named in ci.yml")
     return files
@@ -236,27 +246,29 @@ def main() -> int:
            if not is_class and (path, first) in executed}
     ran |= {q for q, (_, _, _, is_class) in defs.items()
             if is_class and any(r.startswith(q + ".") for r in ran)}
-    test_only = _test_only()
+    idle = {q for q, (_, _, _, is_class) in defs.items()
+            if not is_class and q not in ran}
+    listed = set(_test_only())
 
     print("entry points that failed:", "none" if not failed else "")
     for line in failed:
         print(f"  {line}")
-    reached = sorted(set(test_only) & ran)
-    print(f"TEST_ONLY entries executed: {len(reached) or 'none'}")
-    for q in reached:
-        print(f"  {q}")
-    idle = sorted(q for q, (_, _, _, is_class) in defs.items()
-                  if not is_class and q not in ran)
     lines = sum(defs[q][2] for q in idle)
     print(f"src/repro functions none executed: {len(idle)} "
           f"({lines} lines)")
-    for q in idle:
-        mark = "  [TEST_ONLY]" if q in test_only else ""
-        print(f"  {q} ({defs[q][2]} lines){mark}")
+    mismatches = [
+        ("executed by none, not in TEST_ONLY", idle - listed),
+        ("in TEST_ONLY, executed", listed & ran),
+        ("in TEST_ONLY, not a definition", listed - defs.keys()),
+    ]
+    for title, names in mismatches:
+        print(f"{title}: {len(names) or 'none'}")
+        for q in sorted(names):
+            print(f"  {q} ({defs[q][2]} lines)" if q in defs
+                  else f"  {q}")
     if failed:
         return 2
-    return 1 if reached else 0
-
+    return 1 if any(names for _, names in mismatches) else 0
 
 if __name__ == "__main__":
     sys.exit(main())

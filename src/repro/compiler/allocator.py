@@ -26,10 +26,6 @@ class Slot:
     base: int
     count: int
 
-    @property
-    def end(self) -> int:
-        return self.base + self.count
-
 
 class RegisterAllocator:
     """Bump allocator over the MRF and the three VRFs of a config."""
@@ -108,14 +104,6 @@ class RegisterAllocator:
     def used(self, mem: MemId) -> int:
         """Entries consumed so far in ``mem``."""
         return self._next[mem]
-
-    def utilization(self, mem: MemId) -> float:
-        """Fraction of ``mem`` consumed."""
-        return self._next[mem] / self._capacity[mem]
-
-    @property
-    def slots(self) -> Dict[str, Slot]:
-        return dict(self._slots)
 
     def _describe_pressure(self, mem: MemId) -> str:
         owned = [s.name for s in self._slots.values() if s.mem is mem]

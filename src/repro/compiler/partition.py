@@ -16,7 +16,7 @@ bidirectional-RNN split runs as two services
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..config import NpuConfig
 from ..errors import PartitionError
@@ -44,14 +44,6 @@ class Partition:
 
     accelerator: int
     blocks: List[WeightBlock]
-
-    @property
-    def elements(self) -> int:
-        return sum(b.elements for b in self.blocks)
-
-    @property
-    def stages(self) -> Tuple[int, ...]:
-        return tuple(sorted({b.stage for b in self.blocks}))
 
 
 def capacity_elements(config: NpuConfig) -> int:

@@ -9,8 +9,7 @@ from .dfg import (
     lstm_step_dfg,
     recurrent_cycle_depth,
 )
-from .udm import UdmResult, analyze_recurrent as udm_analyze_recurrent, \
-    udm_cycles
+from .udm import udm_cycles
 from .sdm import SdmResult, analyze_recurrent as sdm_analyze_recurrent, \
     sdm_cycles_bound, sdm_cycles_scheduled
 from . import analytic
@@ -18,7 +17,7 @@ from . import analytic
 __all__ = [
     "Dfg", "DfgNode", "dot_depth", "lstm_step_dfg", "gru_step_dfg",
     "conv_layer_dfg", "recurrent_cycle_depth",
-    "UdmResult", "udm_analyze_recurrent", "udm_cycles",
+    "udm_cycles",
     "SdmResult", "sdm_analyze_recurrent",
     "sdm_cycles_bound", "sdm_cycles_scheduled", "analytic",
 ]

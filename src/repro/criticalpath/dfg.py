@@ -101,9 +101,6 @@ class Dfg:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
-    def node(self, name: str) -> DfgNode:
-        return self._nodes[name]
-
     def nodes(self) -> Iterable[DfgNode]:
         return (self._nodes[n] for n in self._order)
 

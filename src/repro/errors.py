@@ -24,10 +24,6 @@ class ChainCapacityError(ChainError):
     """A chain needs more function units than the configuration provides."""
 
 
-class EncodingError(IsaError):
-    """An instruction cannot be encoded/decoded in the binary format."""
-
-
 class AssemblerError(IsaError):
     """Textual assembly could not be parsed."""
 
@@ -70,14 +66,6 @@ class FaultError(ReproError):
     def __init__(self, message: str, kind: str = "transient"):
         super().__init__(message)
         self.kind = kind
-
-
-class DeadlineExceededError(ReproError):
-    """A request could not complete within its SLO deadline."""
-
-
-class AllReplicasDownError(ReproError):
-    """Every replica of a service is crashed or circuit-broken."""
 
 
 class ConfigError(ReproError):

@@ -1389,16 +1389,6 @@ class BatchedReplay:
                 f"batched input shape {arr.shape} != ({self.batch}, {n})")
         self._pending_vectors.append(arr.copy())
 
-    def push_input_tiles(self, tiles: np.ndarray) -> None:
-        """Queue one (B, N, N) stack of matrix tiles."""
-        arr = np.asarray(tiles, dtype=np.float32)
-        n = self.sim.config.native_dim
-        if arr.shape != (self.batch, n, n):
-            raise MemoryError_(
-                f"batched tile shape {arr.shape} != "
-                f"({self.batch}, {n}, {n})")
-        self._pending_tiles.append(arr.copy())
-
     def pop_outputs(self) -> List[List[np.ndarray]]:
         """Drain the output queue: per-request lists of (N,) vectors."""
         outs = self._outputs

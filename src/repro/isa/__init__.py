@@ -4,11 +4,9 @@ from .memspace import MemId, ScalarReg
 from .opcodes import ChainType, FuCategory, Opcode, OpcodeInfo, OperandKind, info
 from .instructions import (
     Instruction,
-    end_chain,
     m_rd,
     m_wr,
     mv_mul,
-    s_wr,
     v_rd,
     v_relu,
     v_sigm,
@@ -20,18 +18,15 @@ from .instructions import (
     vv_max,
     vv_mul,
 )
-from .chain import FuSlot, InstructionChain, chains_from_instructions
+from .chain import FuSlot, InstructionChain
 from .program import Loop, NpuProgram, ProgramBuilder, SetScalar
-from .encoding import decode, decode_stream, encode, encode_stream
 from .assembler import format_program, parse_program
 
 __all__ = [
     "MemId", "ScalarReg", "ChainType", "FuCategory", "Opcode", "OpcodeInfo",
     "OperandKind", "info", "Instruction", "InstructionChain", "FuSlot",
-    "chains_from_instructions", "Loop", "NpuProgram", "ProgramBuilder",
-    "SetScalar", "encode", "decode", "encode_stream", "decode_stream",
+    "Loop", "NpuProgram", "ProgramBuilder", "SetScalar",
     "format_program", "parse_program",
     "v_rd", "v_wr", "m_rd", "m_wr", "mv_mul", "vv_add", "vv_a_sub_b",
     "vv_b_sub_a", "vv_max", "vv_mul", "v_relu", "v_sigm", "v_tanh",
-    "s_wr", "end_chain",
 ]

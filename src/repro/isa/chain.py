@@ -21,7 +21,7 @@ constrained by the microarchitectural implementation".
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ChainCapacityError, ChainError
 from .opcodes import ChainType, FuCategory, Opcode
@@ -93,12 +93,6 @@ class InstructionChain:
     def pointwise_ops(self) -> List[Instruction]:
         """The point-wise (MFU) operations in chain order."""
         return [i for i in self._instructions if i.info.is_pointwise]
-
-    @property
-    def reads(self) -> List[Instruction]:
-        """The head read instruction(s) (always exactly one)."""
-        return [i for i in self._instructions
-                if i.opcode in (Opcode.V_RD, Opcode.M_RD)]
 
     @property
     def writes(self) -> List[Instruction]:
@@ -187,28 +181,3 @@ class InstructionChain:
             used.add(category)
             slots.append(FuSlot(mfu, category, instr))
         return slots
-
-def chains_from_instructions(
-        instructions: Iterable[Instruction]) -> List[InstructionChain]:
-    """Split a flat instruction stream into validated chains.
-
-    ``end_chain`` and the natural chain boundaries (a read opcode starting
-    a new chain after a write) both terminate chains. ``s_wr`` is rejected
-    here — streams with control instructions belong in
-    :class:`repro.isa.program.NpuProgram`.
-    """
-    chains: List[InstructionChain] = []
-    current: List[Instruction] = []
-    for instr in instructions:
-        if instr.opcode is Opcode.END_CHAIN:
-            if current:
-                chains.append(InstructionChain(current))
-                current = []
-            continue
-        if instr.opcode in (Opcode.V_RD, Opcode.M_RD) and current:
-            chains.append(InstructionChain(current))
-            current = []
-        current.append(instr)
-    if current:
-        chains.append(InstructionChain(current))
-    return chains

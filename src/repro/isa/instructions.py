@@ -210,13 +210,3 @@ def v_sigm() -> Instruction:
 def v_tanh() -> Instruction:
     """Point-wise hyperbolic tangent of the chain vector."""
     return Instruction(Opcode.V_TANH)
-
-
-def s_wr(reg: ScalarReg, value: int) -> Instruction:
-    """Write ``value`` into scalar control register ``reg``."""
-    return Instruction(Opcode.S_WR, ScalarReg(reg), value)
-
-
-def end_chain() -> Instruction:
-    """Terminate the current instruction chain."""
-    return Instruction(Opcode.END_CHAIN)

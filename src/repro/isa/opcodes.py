@@ -2,7 +2,7 @@
 
 Each opcode carries static metadata: the implicit chain input/output type
 (vector, matrix, or none) and the shape of its explicit operands. The
-metadata drives chain validation, binary encoding, and the assembler.
+metadata drives chain validation and the assembler.
 """
 
 from __future__ import annotations

@@ -91,30 +91,10 @@ class NpuProgram:
         execution order, with loops unrolled using ``bindings``."""
         yield from _walk(self._items, bindings)
 
-    def chains(self, bindings: Optional[Dict[str, int]] = None
-               ) -> Iterator[InstructionChain]:
-        """Yield only the chains of the dynamic event stream."""
-        for event in self.events(bindings):
-            if isinstance(event, InstructionChain):
-                yield event
-
     def static_chain_count(self) -> int:
         """Number of chains in the program text (loops not unrolled)."""
         return sum(1 for _ in _walk_static(self._items)
                    if isinstance(_, InstructionChain))
-
-    def instruction_stream(
-            self, bindings: Optional[Dict[str, int]] = None
-    ) -> Iterator[Instruction]:
-        """Yield the flat dynamic instruction stream (with ``s_wr`` and
-        ``end_chain`` markers), as dispatched to the top-level scheduler."""
-        from .instructions import end_chain, s_wr
-        for event in self.events(bindings):
-            if isinstance(event, SetScalar):
-                yield s_wr(event.reg, event.value)
-            else:
-                yield from event.instructions
-                yield end_chain()
 
     def __repr__(self) -> str:
         return (f"NpuProgram({self.name!r}, "

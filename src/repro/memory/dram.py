@@ -9,7 +9,7 @@ accounting so the timing model can charge bandwidth.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -19,32 +19,16 @@ from ..errors import MemoryError_
 class Dram:
     """Sparse DRAM with separate vector and matrix-tile address spaces."""
 
-    def __init__(self, native_dim: int,
-                 capacity_bytes: Optional[int] = None):
+    def __init__(self, native_dim: int):
         """
         Args:
             native_dim: Native vector dimension (element counts per entry).
-            capacity_bytes: Optional capacity cap; ``None`` = unbounded.
         """
         self.native_dim = native_dim
-        self.capacity_bytes = capacity_bytes
         self._vectors: Dict[int, np.ndarray] = {}
         self._tiles: Dict[int, np.ndarray] = {}
         self.bytes_read = 0
         self.bytes_written = 0
-
-    def _charge_write(self, nbytes: int) -> None:
-        if self.capacity_bytes is not None:
-            used = self.used_bytes + nbytes
-            if used > self.capacity_bytes:
-                raise MemoryError_(
-                    f"DRAM capacity exceeded: {used} > {self.capacity_bytes}")
-        self.bytes_written += nbytes
-
-    @property
-    def used_bytes(self) -> int:
-        return (sum(v.nbytes for v in self._vectors.values())
-                + sum(t.nbytes for t in self._tiles.values()))
 
     # -- vectors ---------------------------------------------------------
 
@@ -63,7 +47,7 @@ class Dram:
             raise MemoryError_(
                 f"DRAM vector length {vectors.shape[1]} != native "
                 f"dimension {self.native_dim}")
-        self._charge_write(vectors.nbytes)
+        self.bytes_written += vectors.nbytes
         for i, vec in enumerate(vectors):
             self._vectors[index + i] = vec.copy()
 
@@ -87,6 +71,6 @@ class Dram:
         if tiles.shape[1:] != (n, n):
             raise MemoryError_(f"DRAM tile shape {tiles.shape[1:]} != "
                                f"({n}, {n})")
-        self._charge_write(tiles.nbytes)
+        self.bytes_written += tiles.nbytes
         for i, tile in enumerate(tiles):
             self._tiles[index + i] = tile.copy()

@@ -65,13 +65,6 @@ class VectorRegisterFile:
         self.writes += count
         self._data[index:index + count] = vectors
 
-    def clear(self) -> None:
-        self._data.fill(0.0)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self._data.nbytes
-
 
 class MatrixRegisterFile:
     """The MRF: ``capacity`` native N x N tiles of model weights.
@@ -168,19 +161,3 @@ class MatrixRegisterFile:
         if self.fmt is None:
             return self._tiles.copy()
         return decode(self._codes, self._exponents, self.fmt)
-
-    def clear(self) -> None:
-        self.generation += 1
-        if self.fmt is None:
-            self._tiles.fill(0.0)
-        else:
-            self._codes.fill(0)
-            self._exponents.fill(0)
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Bytes of weight storage: the codes and exponents of a BFP
-        MRF, the float32 tiles of an exact one."""
-        if self.fmt is None:
-            return self._tiles.nbytes
-        return self._codes.nbytes + self._exponents.nbytes

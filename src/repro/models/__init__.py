@@ -10,11 +10,11 @@ from .cnn import (
     im2col,
     random_conv_weights,
 )
-from .resnet import NetworkLayer, resnet50_featurizer, total_ops, total_parameters
+from .resnet import NetworkLayer, resnet50_featurizer, total_ops
 
 __all__ = [
     "LstmReference", "LstmShape", "GruReference", "GruShape",
     "ConvSpec", "conv2d_reference", "im2col", "random_conv_weights",
     "TABLE1_CNN_3X3", "TABLE1_CNN_1X1",
-    "NetworkLayer", "resnet50_featurizer", "total_ops", "total_parameters",
+    "NetworkLayer", "resnet50_featurizer", "total_ops",
 ]

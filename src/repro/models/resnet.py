@@ -27,10 +27,6 @@ class NetworkLayer:
     def total_ops(self) -> int:
         return self.spec.matmul_ops * self.count
 
-    @property
-    def total_parameters(self) -> int:
-        return self.spec.parameter_count * self.count
-
 
 def _bottleneck(name: str, spatial: int, in_channels: int, width: int,
                 stride_first: bool) -> List[NetworkLayer]:
@@ -87,8 +83,3 @@ def resnet50_featurizer() -> List[NetworkLayer]:
 def total_ops(layers: List[NetworkLayer]) -> int:
     """Total multiply+add operations across the network."""
     return sum(layer.total_ops for layer in layers)
-
-
-def total_parameters(layers: List[NetworkLayer]) -> int:
-    """Total convolution weights across the network."""
-    return sum(layer.total_parameters for layer in layers)

@@ -35,10 +35,6 @@ class FaultInterval:
     start_s: float
     end_s: float
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
     def render(self) -> str:
         return (f"{self.kind:<14} {self.scope:<6} "
                 f"{self.start_s:8.3f}s .. {self.end_s:8.3f}s")

@@ -169,10 +169,6 @@ class Alert:
     #: Peak burn rate (burn rules) or peak p-q ms (latency rules).
     peak: float
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
     def overlaps(self, start_s: float, end_s: float) -> bool:
         return self.start_s < end_s and start_s < self.end_s
 

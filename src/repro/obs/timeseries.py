@@ -7,16 +7,18 @@ burning, what was p99 *during* the partition — so this module adds the
 storage layer a monitoring plane sits on:
 
 * :class:`CounterSeries` / :class:`GaugeSeries` — fixed-interval
-  ring-buffer series.  Counters store per-window increments with
-  vectorized bulk ingestion (:meth:`CounterSeries.add_increments`
-  takes the output of one ``bincount`` over a whole run) and vectorized
-  counter→rate conversion; gauges are last-write-wins samples taken at
-  scrape instants.
+  ring-buffer series.  Counters store per-window increments
+  (:meth:`CounterSeries.add_increments` takes the output of one
+  ``bincount`` over a whole run); gauges are last-write-wins samples
+  taken at scrape instants (:meth:`GaugeSeries.record_values`).
 * :class:`QuantileWindow` — a streaming latency-quantile estimator:
-  per-window bucket counts over shared log-spaced bounds.  Count grids
-  over the same windows and bounds add exactly, so rack grids sum into
-  the fleet view without retaining samples (bounded memory by
-  construction).
+  per-window bucket counts over shared log-spaced bounds
+  (:meth:`QuantileWindow.add_counts`).  Count grids over the same
+  windows and bounds add exactly, so rack grids sum into the fleet
+  view without retaining samples (bounded memory by construction).
+
+Ingestion is in bulk only: the monitor bins a whole run per window
+with ``bincount`` and hands each series its pre-binned arrays.
 * :class:`TimeSeriesStore` — a labeled get-or-create registry of the
   above, sharing one window grid so every series in a run is aligned.
 
@@ -28,7 +30,6 @@ deterministic quantity.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,17 +84,6 @@ class RingSeries:
 
     # -- window arithmetic --------------------------------------------------
 
-    def window_of(self, t: float) -> int:
-        """Window index containing simulated time ``t``."""
-        k = int(math.floor((t - self.start_s) / self.interval_s))
-        if k < 0:
-            raise ValueError(
-                f"time {t} precedes series start {self.start_s}")
-        return k
-
-    def _slot(self, k: int) -> int:
-        return k % self.capacity
-
     def _advance(self, k: int) -> None:
         """Extend the ring through window ``k``, clearing reused slots
         and evicting windows that fall off the back."""
@@ -112,17 +102,6 @@ class RingSeries:
     @property
     def empty(self) -> bool:
         return self._last < 0
-
-    @property
-    def first_window(self) -> int:
-        return self._first
-
-    def times(self) -> np.ndarray:
-        """Start time of each retained window, oldest first."""
-        if self.empty:
-            return np.empty(0, dtype=np.float64)
-        ks = np.arange(self._first, self._last + 1, dtype=np.float64)
-        return self.start_s + ks * self.interval_s
 
     def values(self) -> np.ndarray:
         """Retained window values, oldest first (``nan`` = no write)."""
@@ -157,19 +136,10 @@ class GaugeSeries(RingSeries):
 
     kind = "gauge"
 
-    def record(self, t: float, value: float) -> None:
-        k = self.window_of(t)
-        if k < self._first:
-            self.dropped_writes += 1
-            return
-        self._advance(k)
-        self._values[self._slot(k)] = float(value)
-
     def record_values(self, values: Sequence[float],
                       first_window: int = 0) -> None:
-        """Bulk-set one sample per window starting at
-        ``first_window`` (last write wins, like :meth:`record` per
-        window) — the flush path for a buffered scrape loop."""
+        """Set one sample per window starting at ``first_window`` (last
+        write wins) — the flush path for a buffered scrape loop."""
         values = np.asarray(values, dtype=np.float64)
         if first_window < 0:
             raise ValueError("first_window must be >= 0")
@@ -192,24 +162,10 @@ class GaugeSeries(RingSeries):
 
 
 class CounterSeries(RingSeries):
-    """Monotonic event counts bucketed per window.
-
-    Slots hold per-window *increments*; :meth:`rates` is the vectorized
-    counter→rate conversion the SLO evaluator and exporters consume.
-    """
+    """Monotonic event counts bucketed per window: slots hold
+    per-window *increments*."""
 
     kind = "counter"
-
-    def record(self, t: float, amount: float = 1.0) -> None:
-        k = self.window_of(t)
-        if k < self._first:
-            self.dropped_writes += 1
-            return
-        self._advance(k)
-        slot = self._slot(k)
-        if np.isnan(self._values[slot]):
-            self._values[slot] = 0.0
-        self._values[slot] += amount
 
     def add_increments(self, counts: Sequence[float],
                        first_window: int = 0) -> None:
@@ -237,10 +193,6 @@ class CounterSeries(RingSeries):
 
     def total(self) -> float:
         return float(self.increments().sum())
-
-    def rates(self) -> np.ndarray:
-        """Per-window event rate (events per time unit), vectorized."""
-        return self.increments() / self.interval_s
 
 
 class QuantileWindow:
@@ -274,31 +226,6 @@ class QuantileWindow:
         self.counts = np.zeros((self.windows, len(self.bounds) + 1),
                                dtype=np.int64)
         self.sums = np.zeros(self.windows, dtype=np.float64)
-
-    def _window_idx(self, times: np.ndarray) -> np.ndarray:
-        ks = np.floor((times - self.start_s)
-                      / self.interval_s).astype(np.int64)
-        # Clamp instead of dropping: the final scrape window absorbs
-        # completions that land exactly at (or past) the grid end.
-        return np.clip(ks, 0, self.windows - 1)
-
-    def add(self, t: float, value: float) -> None:
-        self.add_many(np.asarray([t]), np.asarray([value]))
-
-    def add_many(self, times: Sequence[float],
-                 values: Sequence[float]) -> None:
-        """Vectorized ingestion of ``(time, value)`` observations."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.size == 0:
-            return
-        ws = self._window_idx(times)
-        bs = np.searchsorted(self.bounds, values)
-        nb = len(self.bounds) + 1
-        flat = np.bincount(ws * nb + bs, minlength=self.windows * nb)
-        self.counts += flat.reshape(self.windows, nb)
-        self.sums += np.bincount(ws, weights=values,
-                                 minlength=self.windows)
 
     def add_counts(self, counts: np.ndarray, sums: np.ndarray) -> None:
         """Ingest pre-binned ``(windows, buckets)`` counts (the output
@@ -334,10 +261,6 @@ class QuantileWindow:
             rolled = cum[w] if lo <= 0 else cum[w] - cum[lo - 1]
             out[w] = bucket_quantile(self.bounds, rolled, q)
         return out
-
-    def times(self) -> np.ndarray:
-        ks = np.arange(self.windows, dtype=np.float64)
-        return self.start_s + ks * self.interval_s
 
     def label_str(self) -> str:
         if not self.labels:

@@ -142,29 +142,12 @@ class Tracer:
 
     # -- queries -----------------------------------------------------------
 
-    def find(self, name: Optional[str] = None,
-             track: Optional[str] = None) -> List[Span]:
-        """Spans filtered by name and/or track, in recording order."""
-        return [s for s in self.spans
-                if (name is None or s.name == name)
-                and (track is None or s.track == track)]
-
     def find_events(self, name: Optional[str] = None,
                     track: Optional[str] = None) -> List[InstantEvent]:
         """Instant events filtered by name and/or track."""
         return [e for e in self.events
                 if (name is None or e.name == name)
                 and (track is None or e.track == track)]
-
-    def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent == span.id]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.events.clear()
-        self._stack.clear()
-        self.dropped = 0
-        self._drop_warned = False
 
 
 class NullTracer(Tracer):

@@ -1,7 +1,7 @@
 """Datacenter-scale serving: network, microservices, faults, runtime,
 and the cluster/chaos simulation layer."""
 
-from .network import Locality, NetworkFabric, NetworkModel
+from .network import Locality, NetworkModel
 from .microservice import (
     BatchedInvocationResult,
     FpgaNode,
@@ -79,7 +79,7 @@ from .runtime import (
 )
 
 __all__ = [
-    "Locality", "NetworkFabric", "NetworkModel", "FpgaNode",
+    "Locality", "NetworkModel", "FpgaNode",
     "HardwareMicroservice", "InvocationResult",
     "BatchedInvocationResult", "MicroserviceRegistry",
     "ServiceError",

@@ -216,11 +216,11 @@ class AdaptiveBatchPolicy:
       backlog only a bigger dispatch raises throughput, so growth is
       goodput-optimal no matter what the (queue-dominated) latency
       window says.  With real headroom (windowed p99 below
-      ``grow_headroom * slo_s``) the target doubles; with the window
+      ``GROW_HEADROOM * slo_s``) the target doubles; with the window
       already queue-poisoned it creeps ``+1``, still climbing out of
       the backlog instead of stalling.
     * **shrink** (multiplicative, halve) when there is *no* backlog
-      but the windowed p99 still exceeds ``shrink_headroom * slo_s``
+      but the windowed p99 still exceeds ``SHRINK_HEADROOM * slo_s``
       — latency is batch/timeout-induced, so smaller dispatches are
       the lever.
 
@@ -233,29 +233,22 @@ class AdaptiveBatchPolicy:
     asserts this).
     """
 
-    def __init__(self, slo_s: float, min_batch: int = 1,
-                 max_batch: int = 16, window: int = 64,
-                 grow_headroom: float = 0.5,
-                 shrink_headroom: float = 0.85):
+    #: Latencies the p99 window holds.
+    WINDOW = 64
+    #: Double only while the windowed p99 is below this share of the SLO.
+    GROW_HEADROOM = 0.5
+    #: Halve (without backlog) once the windowed p99 passes this share.
+    SHRINK_HEADROOM = 0.85
+
+    def __init__(self, slo_s: float, max_batch: int = 16):
         if slo_s <= 0:
             raise BatchingError(f"slo_s must be positive, got {slo_s}")
-        if not 1 <= min_batch <= max_batch:
-            raise BatchingError(
-                f"need 1 <= min_batch ({min_batch}) <= max_batch "
-                f"({max_batch})")
-        if window < 1:
-            raise BatchingError(f"window must be >= 1, got {window}")
-        if not 0.0 < grow_headroom < shrink_headroom:
-            raise BatchingError(
-                f"need 0 < grow_headroom ({grow_headroom}) < "
-                f"shrink_headroom ({shrink_headroom})")
+        if max_batch < 1:
+            raise BatchingError(f"max_batch must be >= 1, got {max_batch}")
         self.slo_s = slo_s
-        self.min_batch = min_batch
         self.max_batch = max_batch
-        self.grow_headroom = grow_headroom
-        self.shrink_headroom = shrink_headroom
-        self._latencies: deque = deque(maxlen=window)
-        self.target = min_batch
+        self._latencies: deque = deque(maxlen=self.WINDOW)
+        self.target = 1
         #: ``(dispatch_finish_s, target_after)`` per observation.
         self.trace: List[Tuple[float, int]] = []
 
@@ -267,11 +260,11 @@ class AdaptiveBatchPolicy:
         if queue_depth >= self.target:
             # Backlog: growth is the only throughput lever.  Double on
             # real headroom, creep when the window is queue-poisoned.
-            step = (self.target if p99 < self.grow_headroom * self.slo_s
+            step = (self.target if p99 < self.GROW_HEADROOM * self.slo_s
                     else 1)
             self.target = min(self.max_batch, self.target + step)
-        elif p99 > self.shrink_headroom * self.slo_s:
-            self.target = max(self.min_batch, self.target // 2)
+        elif p99 > self.SHRINK_HEADROOM * self.slo_s:
+            self.target = max(1, self.target // 2)
         self.trace.append((now, self.target))
         return self.target
 

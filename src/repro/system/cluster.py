@@ -47,7 +47,7 @@ from ..obs import Metrics, Tracer, or_null, or_null_metrics, \
     percentile_or_nan
 from .batching import OCCUPANCY_BOUNDS, QUEUE_WAIT_BOUNDS
 from .loadgen import checked_trace
-from .network import NetworkFabric, NetworkModel
+from .network import NetworkModel
 from .runtime import DEFAULT_CPU_FALLBACK_LATENCY_S
 
 _LN10 = math.log(10.0)
@@ -448,10 +448,6 @@ class ClusterResult:
         return self.count(SHED_ADMISSION) + self.count(SHED_DEADLINE)
 
     @property
-    def failed(self) -> int:
-        return self.count(FAILED)
-
-    @property
     def deadline_met(self) -> int:
         return self.served
 
@@ -621,7 +617,6 @@ class ClusterSimulator:
             self.spec, detector_threshold, tracer=self.tracer,
             metrics=self.metrics)
             if detector_threshold is not None else None)
-        self.fabric = NetworkFabric(self.spec.network)
 
     # -- state helpers ----------------------------------------------------
 
@@ -638,8 +633,8 @@ class ClusterSimulator:
                               for i, up in enumerate(self._up)]
 
     def _alive(self, node: int) -> bool:
-        return self._up[node] and self.fabric.connected(
-            "frontend", f"rack{self.spec.rack_of(node)}")
+        return (self._up[node]
+                and self.spec.rack_of(node) not in self._cut_racks)
 
     def _silence(self, node: int, now: float, heap, seq) -> None:
         if self.detector is None:
@@ -869,14 +864,12 @@ class ClusterSimulator:
                     if self._alive(node):
                         self._resume(node, when, heap, seq)
         elif action == "partition":
-            self.fabric.cut("frontend", f"rack{target}")
             self._cut_racks.add(target)
             lost = [node for node in nodes if up[node]]
             for node in lost:
                 self._silence(node, when, heap, seq)
             self._lose(lost, when, upto)
         elif action == "heal":
-            self.fabric.heal("frontend", f"rack{target}")
             self._cut_racks.discard(target)
             for node in nodes:
                 if up[node]:
@@ -949,7 +942,6 @@ class ClusterSimulator:
         self._reachable = [True] * spec.num_nodes
         self._event_log: List[Tuple[float, str, int]] = []
         self._net_s = 2e-6 * spec.network.transfer_us(spec.payload_bytes)
-        self.fabric.heal_all()
         if self.detector is not None:
             self.detector.reset()
 

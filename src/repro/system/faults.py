@@ -221,10 +221,6 @@ class InvocationOutcome:
     error_kind: Optional[str] = None
     error: Optional[str] = None
 
-    @property
-    def latency_ms(self) -> float:
-        return self.latency_s * 1e3
-
 
 class ResilientClient:
     """Retries, failover, and hedging over a replicated registry.

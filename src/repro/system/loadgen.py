@@ -204,22 +204,13 @@ class FaultScenarioResult:
         return len(self.outcomes)
 
     @property
-    def empty(self) -> bool:
-        """No requests were issued — rate/latency statistics are ``nan``."""
-        return not self.outcomes
-
-    @property
     def served(self) -> int:
         return sum(1 for o in self.outcomes if o.ok)
 
     @property
-    def failed(self) -> int:
-        return self.total - self.served
-
-    @property
     def availability(self) -> float:
         """Fraction of requests that produced a result at all; ``nan``
-        for an empty scenario (see :attr:`empty`)."""
+        for an empty scenario."""
         if not self.outcomes:
             return float("nan")
         return self.served / self.total

@@ -139,10 +139,6 @@ class BatchedInvocationResult:
     def total_s(self) -> float:
         return self.network_in_s + self.compute_s + self.network_out_s
 
-    @property
-    def total_ms(self) -> float:
-        return self.total_s * 1e3
-
 
 class HardwareMicroservice:
     """A published model-serving endpoint backed by one FPGA node.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import FrozenSet, Optional, Set
 
 
 class Locality(enum.Enum):
@@ -52,36 +51,3 @@ class NetworkModel:
         """One-way message latency for a payload of ``nbytes``."""
         return self.propagation_us(locality) + self.serialization_us(nbytes)
 
-
-class NetworkFabric:
-    """Mutable reachability overlay on a :class:`NetworkModel`.
-
-    The latency model is immutable; what changes during a chaos
-    scenario is *connectivity* — a TOR failure or a spine partition
-    severs whole localities from each other.  A fabric tracks severed
-    domain pairs (domains are caller-chosen labels: ``"frontend"``,
-    ``"rack3"``, ...) so scenario runners can cut and heal links
-    between failure domains while reusing one latency model.
-    """
-
-    def __init__(self, model: Optional[NetworkModel] = None):
-        self.model = model if model is not None else NetworkModel()
-        self._cuts: Set[FrozenSet[str]] = set()
-
-    def cut(self, a: str, b: str) -> None:
-        """Sever connectivity between domains ``a`` and ``b``."""
-        if a == b:
-            raise ValueError(
-                f"cannot partition domain {a!r} from itself")
-        self._cuts.add(frozenset((a, b)))
-
-    def heal(self, a: str, b: str) -> None:
-        """Restore connectivity between ``a`` and ``b`` (idempotent)."""
-        self._cuts.discard(frozenset((a, b)))
-
-    def heal_all(self) -> None:
-        self._cuts.clear()
-
-    def connected(self, a: str, b: str) -> bool:
-        """Whether ``a`` can currently reach ``b`` (symmetric)."""
-        return frozenset((a, b)) not in self._cuts

@@ -11,29 +11,23 @@ FPGAs invoked concurrently, outputs concatenated on the CPU.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, \
-    Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import AllReplicasDownError, DeadlineExceededError, \
-    FaultError, ReproError
+from ..errors import ReproError
 from ..obs import Tracer, or_null
 from .microservice import HardwareMicroservice, InvocationResult, \
     MicroserviceRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .faults import ResilientClient
 
 
 class RuntimeError_(ReproError):
     """Execution-plan failure."""
 
 
-#: Modeled latency of completing one FPGA-sized request on a CPU —
-#: the federated escape hatch (:class:`FpgaStage.fallback`) and the
+#: Modeled latency of completing one FPGA-sized request on a CPU: the
 #: cluster simulator's brownout path
-#: (:class:`~repro.system.cluster.BrownoutPolicy`) share this default,
+#: (:class:`~repro.system.cluster.BrownoutPolicy`) uses this default,
 #: deliberately far slower than the accelerator it stands in for.
 DEFAULT_CPU_FALLBACK_LATENCY_S = 5e-3
 
@@ -50,29 +44,12 @@ class CpuStage:
 
 @dataclasses.dataclass(frozen=True)
 class FpgaStage:
-    """An accelerated sub-graph served by a hardware microservice.
-
-    ``deadline_s``, ``fallback``, and ``fallback_latency_s`` only take
-    effect when the runtime executes through a
-    :class:`~repro.system.faults.ResilientClient`: the stage then gets
-    its own SLO deadline, and if every replica of the service is down
-    (or retries are exhausted) the ``fallback`` CPU callable — the
-    paper's federated CPU+FPGA escape hatch — completes the stage at
-    an honestly-accounted CPU latency instead of failing the plan.
-    """
+    """An accelerated sub-graph served by a hardware microservice."""
 
     name: str
     service: str
     #: Steps per invocation; ``None`` = length of the input sequence.
     steps: Optional[int] = None
-    #: Per-stage SLO deadline override (``None`` = the client policy's).
-    deadline_s: Optional[float] = None
-    #: CPU fallback over the stage's input sequence, used when the
-    #: resilient invocation fails.
-    fallback: Optional[Callable] = None
-    #: Modeled CPU latency of the fallback (seconds) — deliberately far
-    #: slower than the FPGA path it stands in for.
-    fallback_latency_s: float = DEFAULT_CPU_FALLBACK_LATENCY_S
 
 
 Stage = Union[CpuStage, FpgaStage]
@@ -92,58 +69,15 @@ class PlanResult:
 
 
 class FederatedRuntime:
-    """Executes CPU/FPGA stage plans against a service registry.
-
-    With a :class:`~repro.system.faults.ResilientClient` attached, FPGA
-    stages are invoked through it — retries, replica failover, hedging
-    — under a per-stage deadline, and a stage whose service is
-    unreachable completes through its declared CPU ``fallback`` (or
-    raises :class:`~repro.errors.AllReplicasDownError` /
-    :class:`~repro.errors.DeadlineExceededError` /
-    :class:`~repro.errors.FaultError` if it has none).
-    """
+    """Executes CPU/FPGA stage plans against a service registry."""
 
     def __init__(self, registry: MicroserviceRegistry,
-                 client: Optional["ResilientClient"] = None,
                  tracer: Optional[Tracer] = None):
         self.registry = registry
-        self.client = client
         #: Optional :class:`~repro.obs.Tracer` (simulated-seconds
         #: timebase): one ``plan`` span per execution with a child span
-        #: per CPU/FPGA stage, and a ``fallback`` instant event when a
-        #: stage completes on its CPU escape hatch.
+        #: per CPU/FPGA stage.
         self.tracer = or_null(tracer)
-
-    def _invoke_resilient(self, stage: FpgaStage, seq: List, steps: int,
-                          now: float, functional: bool):
-        """One FPGA stage through the resilient client; returns
-        ``(latency_s, result_or_None, used_fallback)``."""
-        client = self.client
-        policy = client.policy
-        if stage.deadline_s is not None:
-            policy = dataclasses.replace(policy,
-                                         deadline_s=stage.deadline_s)
-        saved = client.policy
-        client.policy = policy
-        try:
-            outcome = client.invoke(
-                stage.service, steps, now=now,
-                functional_inputs=seq if functional else None)
-        finally:
-            client.policy = saved
-        if outcome.ok:
-            return outcome.latency_s, outcome.result, False
-        if stage.fallback is not None:
-            # Federated escape hatch: the CPU finishes the stage, paying
-            # the time already burned on the FPGA path plus CPU compute.
-            return (outcome.latency_s + stage.fallback_latency_s,
-                    None, True)
-        if outcome.error_kind == "all_replicas_down":
-            raise AllReplicasDownError(outcome.error)
-        if outcome.error_kind == "deadline_exceeded":
-            raise DeadlineExceededError(outcome.error)
-        raise FaultError(outcome.error or
-                         f"stage {stage.name!r} failed", kind="transient")
 
     def execute(self, stages: Sequence[Stage],
                 inputs: List[np.ndarray],
@@ -171,31 +105,14 @@ class FederatedRuntime:
                 steps = stage.steps if stage.steps is not None else len(seq)
                 span = tracer.begin(f"fpga:{stage.name}", t0,
                                     service=stage.service, steps=steps)
-                if self.client is not None:
-                    latency, result, used_fallback = \
-                        self._invoke_resilient(stage, seq, steps,
-                                               now=t0,
-                                               functional=functional)
-                    if used_fallback:
-                        value = stage.fallback(seq)
-                        tracer.instant("fallback", t0 + latency,
-                                       stage=stage.name,
-                                       service=stage.service)
-                    elif functional:
-                        value = result.outputs
-                    latencies.append(latency)
-                    tracer.end(span, t0 + latency,
-                               fallback=used_fallback)
-                else:
-                    service: HardwareMicroservice = \
-                        self.registry.lookup(stage.service)
-                    result: InvocationResult = service.invoke(
-                        steps,
-                        functional_inputs=seq if functional else None)
-                    if functional:
-                        value = result.outputs
-                    latencies.append(result.total_s)
-                    tracer.end(span, t0 + result.total_s)
+                service: HardwareMicroservice = \
+                    self.registry.lookup(stage.service)
+                result: InvocationResult = service.invoke(
+                    steps, functional_inputs=seq if functional else None)
+                if functional:
+                    value = result.outputs
+                latencies.append(result.total_s)
+                tracer.end(span, t0 + result.total_s)
             else:  # pragma: no cover - defensive
                 raise RuntimeError_(f"unknown stage {stage!r}")
         total = sum(latencies)

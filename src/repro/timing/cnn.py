@@ -136,10 +136,6 @@ class CnnNetworkTiming:
         return 1.0 / self.latency_s
 
     @property
-    def effective_tflops(self) -> float:
-        return self.total_ops / self.latency_s / 1e12
-
-    @property
     def stream_bound_layers(self) -> int:
         return sum(1 for layer in self.layers if layer.stream_bound)
 

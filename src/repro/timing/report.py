@@ -63,9 +63,3 @@ class TimingReport:
         if self.total_cycles == 0:
             return 0.0
         return self.mvm_busy_cycles / self.total_cycles
-
-    def summary(self) -> str:
-        return (f"{self.config.name}: {self.total_cycles:.0f} cycles "
-                f"({self.latency_ms:.4f} ms), "
-                f"{self.effective_tflops:.2f} TFLOPS effective, "
-                f"{100 * self.utilization:.1f}% utilization")

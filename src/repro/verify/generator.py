@@ -83,26 +83,17 @@ class FuzzProfile:
     """Opcode/shape weights steering program generation."""
 
     name: str = "default"
-    #: Relative event weights.
-    w_scalar_write: float = 2.0
+    #: Relative weight of a matrix-chain event (scalar writes weigh
+    #: :data:`_W_SCALAR_WRITE`, vector chains :data:`_W_VECTOR_CHAIN`).
     w_matrix_chain: float = 1.5
-    w_vector_chain: float = 8.0
-    w_loop: float = 1.0
     #: Probability a vector chain carries an ``mv_mul``.
     p_mv_mul: float = 0.55
     #: Probability a chain head / terminal touches the network queue.
     p_netq: float = 0.25
-    #: Point-wise opcode weights (Table II PWV rows).
-    pointwise_weights: Sequence[float] = (1.0,) * 8
     #: Mean number of point-wise ops per vector chain.
     mean_pointwise: float = 2.0
     #: Probability of a multicast (second ``v_wr``) terminal.
     p_multicast: float = 0.2
-    #: Maximum mega-SIMD rows/columns multiplier.
-    max_dim: int = 3
-    #: Events per program (before loop folding).
-    min_events: int = 4
-    max_events: int = 14
     #: Restrict the per-seed configuration draw to these
     #: :data:`FUZZ_CONFIGS` names (``None`` = :data:`DEFAULT_POOL`).
     config_pool: Optional[Sequence[str]] = None
@@ -165,10 +156,19 @@ PROFILES: Dict[str, FuzzProfile] = {
                              config_pool=DEFAULT_POOL + ("fuzz16_m7",)),
 }
 
-#: Point-wise opcodes in the order ``pointwise_weights`` indexes them.
+#: Relative weights of scalar-write and vector-chain events.
+_W_SCALAR_WRITE = 2.0
+_W_VECTOR_CHAIN = 8.0
+#: Maximum mega-SIMD rows/columns multiplier.
+_MAX_DIM = 3
+#: Events per program (before loop folding), inclusive.
+_MIN_EVENTS, _MAX_EVENTS = 4, 14
+
+#: Point-wise opcodes (Table II PWV rows), drawn with equal odds.
 _POINTWISE = (Opcode.VV_ADD, Opcode.VV_A_SUB_B, Opcode.VV_B_SUB_A,
               Opcode.VV_MAX, Opcode.VV_MUL, Opcode.V_RELU, Opcode.V_SIGM,
               Opcode.V_TANH)
+_POINTWISE_P = np.full(len(_POINTWISE), 1.0 / len(_POINTWISE))
 
 _FU_OF = {Opcode.VV_ADD: FuCategory.ADD_SUB,
           Opcode.VV_A_SUB_B: FuCategory.ADD_SUB,
@@ -269,10 +269,9 @@ def generate_case(seed: int, profile: Optional[FuzzProfile] = None,
     state.pinned = pinned
     if not pinned:
         _emit_mrf_init(state, events)
-    n_events = int(rng.integers(profile.min_events,
-                                profile.max_events + 1))
-    weights = np.array([profile.w_scalar_write, profile.w_matrix_chain,
-                        profile.w_vector_chain], dtype=np.float64)
+    n_events = int(rng.integers(_MIN_EVENTS, _MAX_EVENTS + 1))
+    weights = np.array([_W_SCALAR_WRITE, profile.w_matrix_chain,
+                        _W_VECTOR_CHAIN], dtype=np.float64)
     weights /= weights.sum()
     for _ in range(n_events):
         kind = rng.choice(3, p=weights)
@@ -404,7 +403,7 @@ def _emit_scalar_write(state: _GenState, events: List[object]) -> None:
     if reg is ScalarReg.Iterations:
         value = int(rng.integers(0, 16))
     else:
-        value = int(rng.integers(1, state.profile.max_dim + 1))
+        value = int(rng.integers(1, _MAX_DIM + 1))
         if reg is ScalarReg.Rows:
             state.rows = value
         else:
@@ -490,13 +489,13 @@ def _emit_fused_group(state: _GenState, events: List[object]) -> None:
     0's; with even odds their terminal writes to one VRF are laid out
     the same way (otherwise each member writes where it likes).
 
-    Rows are set to ``max_dim``: three 8- or 16-lane rows fill whole
+    Rows are set to ``_MAX_DIM``: three 8- or 16-lane rows fill whole
     packed lanes at 3, 4 or 6 slots per lane, which fusing a packed
     group needs. A write may land on the head or on another member's
     operands; the plan must then fuse less or not at all."""
     rng = state.rng
     config = state.config
-    rows = state.profile.max_dim
+    rows = _MAX_DIM
     if state.rows != rows:
         events.append(SetScalar(ScalarReg.Rows, rows))
         state.rows = rows
@@ -556,14 +555,11 @@ def _pointwise_run(state: _GenState) -> List[object]:
     """Sample point-wise ops under the MFU routing capacity (greedy
     placement mirroring ``InstructionChain.assign_function_units``)."""
     rng = state.rng
-    profile = state.profile
-    weights = np.asarray(profile.pointwise_weights, dtype=np.float64)
-    weights = weights / weights.sum()
-    target = rng.poisson(profile.mean_pointwise)
+    target = rng.poisson(state.profile.mean_pointwise)
     ops: List[object] = []
     mfu, used = 0, set()
     for _ in range(target):
-        op = _POINTWISE[int(rng.choice(len(_POINTWISE), p=weights))]
+        op = _POINTWISE[int(rng.choice(len(_POINTWISE), p=_POINTWISE_P))]
         category = _FU_OF[op]
         trial_mfu, trial_used = mfu, set(used)
         while category in trial_used:

@@ -133,21 +133,17 @@ class TestAdaptivePolicy:
         assert pol.trace == [(0.1, 1)]
 
     def test_target_stays_bounded(self):
-        pol = AdaptiveBatchPolicy(slo_s=1.0, min_batch=2, max_batch=4)
+        pol = AdaptiveBatchPolicy(slo_s=1.0, max_batch=4)
         for _ in range(10):
-            pol.observe(0.1, 2, queue_depth=99, latencies_s=[0.01])
+            pol.observe(0.1, 1, queue_depth=99, latencies_s=[0.01])
         assert pol.target == 4
         for _ in range(10):
             pol.observe(0.2, 4, queue_depth=0, latencies_s=[2.0])
-        assert pol.target == 2
+        assert pol.target == 1
 
     @pytest.mark.parametrize("kwargs", [
         dict(slo_s=0.0),
-        dict(slo_s=1.0, min_batch=0),
-        dict(slo_s=1.0, min_batch=5, max_batch=4),
-        dict(slo_s=1.0, window=0),
-        dict(slo_s=1.0, grow_headroom=0.9, shrink_headroom=0.85),
-        dict(slo_s=1.0, grow_headroom=0.0),
+        dict(slo_s=1.0, max_batch=0),
     ])
     def test_rejects_malformed_policies(self, kwargs):
         with pytest.raises(BatchingError):

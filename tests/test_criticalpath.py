@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.criticalpath import Dfg, analytic, conv_layer_dfg, dot_depth, gru_step_dfg, lstm_step_dfg, recurrent_cycle_depth, sdm_analyze_recurrent, sdm_cycles_bound, sdm_cycles_scheduled, udm_analyze_recurrent, \
+from repro.criticalpath import Dfg, analytic, conv_layer_dfg, dot_depth, gru_step_dfg, lstm_step_dfg, recurrent_cycle_depth, sdm_analyze_recurrent, sdm_cycles_bound, sdm_cycles_scheduled, \
     udm_cycles
 from repro.models.cnn import TABLE1_CNN_1X1, TABLE1_CNN_3X3
 
@@ -105,13 +105,6 @@ class TestTable1Values:
 
 
 class TestRecurrentAnalysis:
-    def test_udm_recurrent_scales_linearly(self):
-        g = lstm_step_dfg(512)
-        one = udm_analyze_recurrent(g, 1).cycles
-        ten = udm_analyze_recurrent(g, 10).cycles
-        per = recurrent_cycle_depth(g)
-        assert ten - one == 9 * per
-
     def test_sdm_recurrent_matches_table5_gru2816(self):
         """SDM for GRU h=2816 t=750 is 1.581 ms (Table V)."""
         g = gru_step_dfg(2816)
@@ -125,8 +118,6 @@ class TestRecurrentAnalysis:
 
     def test_invalid_steps(self):
         g = lstm_step_dfg(64)
-        with pytest.raises(ValueError):
-            udm_analyze_recurrent(g, 0)
         with pytest.raises(ValueError):
             sdm_analyze_recurrent(g, 0, 100)
 

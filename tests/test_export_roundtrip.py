@@ -3,6 +3,7 @@ equality, and Prometheus golden output."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (Metrics, Tracer, chrome_trace_events,
@@ -113,9 +114,12 @@ class TestPrometheus:
         store = TimeSeriesStore(interval_s=1.0, windows=4)
         store.counter("cluster.requests", scope="fleet",
                       status="served").add_increments([1.0, 2.0])
-        store.gauge("cluster.nodes_up", scope="fleet").record(0.5, 24)
+        store.gauge("cluster.nodes_up", scope="fleet").record_values([24])
+        # 0.4 ms in window 0, 9.0 ms in window 2.
         store.quantile("cluster.latency_ms", bounds=(1.0, 8.0),
-                       scope="fleet").add_many([0.5, 2.5], [0.4, 9.0])
+                       scope="fleet").add_counts(
+            np.array([[1, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+            np.array([0.4, 0.0, 9.0, 0.0]))
         got = render_prometheus(store=store)
         assert got == (
             "# HELP repro_cluster_latency_ms Histogram "
@@ -138,9 +142,9 @@ class TestPrometheus:
 
     def test_deterministic_and_sorted(self):
         store = TimeSeriesStore(interval_s=1.0, windows=4)
-        store.counter("b", scope="rack1").record(0.5)
-        store.counter("b", scope="rack0").record(0.5)
-        store.counter("a", scope="fleet").record(0.5)
+        store.counter("b", scope="rack1").add_increments([1.0])
+        store.counter("b", scope="rack0").add_increments([1.0])
+        store.counter("a", scope="fleet").add_increments([1.0])
         one = render_prometheus(store=store)
         two = render_prometheus(store=store)
         assert one == two

@@ -152,10 +152,11 @@ class TestTextCnn:
                 model.predict(tokens)
 
     def test_max_pool_uses_vv_max(self, cfg, model):
-        from repro.isa import Opcode
+        from repro.isa import InstructionChain, Opcode
         compiled = compile_text_cnn(model, cfg)
         ops = [i.opcode
-               for c in compiled.program.chains({"positions": 1})
+               for c in compiled.program.events({"positions": 1})
+               if isinstance(c, InstructionChain)
                for i in c]
         assert Opcode.VV_MAX in ops
 

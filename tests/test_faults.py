@@ -1,23 +1,19 @@
 """Tests for fault injection, replica failover, circuit breakers,
-resilient invocation, runtime fallback, and the fault scenario runner."""
+resilient invocation, and the fault scenario runner."""
 
 import numpy as np
 import pytest
 
 from repro.compiler import compile_lstm
-from repro.errors import AllReplicasDownError, ConfigError, \
-    DeadlineExceededError, FaultError
+from repro.errors import ConfigError, FaultError
 from repro.models import LstmReference
 from repro.obs import Metrics, Tracer
 from repro.system import (
-    CpuStage,
     FaultEvent,
     FaultInjector,
     FaultProfile,
     FaultSample,
-    FederatedRuntime,
     FpgaNode,
-    FpgaStage,
     HardwareMicroservice,
     MicroserviceRegistry,
     ResilientClient,
@@ -477,72 +473,6 @@ class TestResilientClient:
             RetryPolicy(jitter_frac=2.0)
         with pytest.raises(ConfigError, match="hedge_after_s"):
             RetryPolicy(hedge_after_s=-1.0)
-
-
-class TestRuntimeResilience:
-    def test_fallback_completes_plan_when_all_down(self, compiled, rng):
-        inj = FaultInjector()
-        reg = replicated_registry(compiled, injector=inj, n=2,
-                                  name="lstm", failure_threshold=1,
-                                  recovery_timeout_s=10.0)
-        inj.crash("lstm-0")
-        inj.crash("lstm-1")
-        runtime = FederatedRuntime(
-            reg, client=ResilientClient(reg, RetryPolicy(max_attempts=4)))
-        xs = [rng.uniform(-1, 1, 16).astype(np.float32)
-              for _ in range(3)]
-        fallback_out = [np.zeros(16, dtype=np.float32)] * 3
-        stage = FpgaStage("rnn", "lstm",
-                          fallback=lambda seq: fallback_out,
-                          fallback_latency_s=3e-3)
-        result = runtime.execute([stage], xs, functional=True)
-        assert result.value is fallback_out
-        assert result.total_latency_s >= 3e-3  # honest CPU accounting
-
-    def test_no_fallback_raises_all_replicas_down(self, compiled, rng):
-        inj = FaultInjector()
-        reg = replicated_registry(compiled, injector=inj, n=1,
-                                  name="lstm", failure_threshold=1,
-                                  recovery_timeout_s=10.0)
-        inj.crash("lstm-0")
-        runtime = FederatedRuntime(
-            reg, client=ResilientClient(reg, RetryPolicy(max_attempts=4)))
-        xs = [np.zeros(16, dtype=np.float32)] * 3
-        with pytest.raises(AllReplicasDownError):
-            runtime.execute([FpgaStage("rnn", "lstm")], xs)
-
-    def test_stage_deadline_override_raises(self, compiled):
-        inj = FaultInjector()
-        reg = replicated_registry(compiled, injector=inj, n=1,
-                                  name="lstm", failure_threshold=10)
-        inj.crash("lstm-0")
-        client = ResilientClient(
-            reg, RetryPolicy(max_attempts=5, base_backoff_s=200e-6))
-        runtime = FederatedRuntime(reg, client=client)
-        xs = [np.zeros(16, dtype=np.float32)] * 3
-        stage = FpgaStage("rnn", "lstm", deadline_s=100e-6)
-        with pytest.raises(DeadlineExceededError):
-            runtime.execute([stage], xs)
-        # The override is transient: the client's policy is restored.
-        assert client.policy.deadline_s == pytest.approx(
-            RetryPolicy().deadline_s)
-
-    def test_resilient_functional_plan_matches_reference(self, compiled,
-                                                         rng):
-        reg = replicated_registry(compiled, n=2, name="lstm")
-        runtime = FederatedRuntime(
-            reg, client=ResilientClient(reg, RetryPolicy()))
-        xs = [rng.uniform(-1, 1, 16).astype(np.float32)
-              for _ in range(3)]
-        scale = CpuStage("scale", lambda seq: [0.5 * x for x in seq])
-        result = runtime.execute([scale, FpgaStage("rnn", "lstm")], xs,
-                                 functional=True)
-        scaled = [0.5 * x for x in xs]
-        want = compiled.run_sequence(scaled)
-        assert all(g.dtype == w.dtype and np.array_equal(g, w)
-                   for g, w in zip(result.value, want))
-        ref = LstmReference(16, 16, seed=0).run(scaled)
-        assert np.allclose(result.value[-1], ref[-1], atol=0.05)
 
 
 class TestFaultScenarioRunner:

@@ -5,12 +5,7 @@ import pytest
 
 from repro.compiler import compile_gru, compile_lstm
 from repro.config import NpuConfig
-from repro.isa import (
-    decode_stream,
-    encode_stream,
-    format_program,
-    parse_program,
-)
+from repro.isa import format_program, parse_program
 from repro.models import GruReference, LstmReference
 from repro.timing import TimingSimulator
 
@@ -38,41 +33,6 @@ class TestCompileSerializeExecute:
             compiled._push_padded(sim, x)
         sim.run(reparsed, bindings={"steps": 3})
         outputs = compiled._collect_outputs(sim, 3)
-        want = model.run(xs)
-        assert np.allclose(outputs[-1], want[-1], atol=1e-5)
-
-    def test_gru_through_binary_encoding(self, cfg, rng):
-        """The dynamic instruction stream survives binary encoding and
-        re-execution as raw chains."""
-        from repro.isa import NpuProgram, chains_from_instructions
-        from repro.isa.opcodes import Opcode
-        from repro.isa.program import SetScalar
-
-        model = GruReference(20, 20, seed=22)
-        compiled = compile_gru(model, cfg)
-        stream = list(compiled.program.instruction_stream({"steps": 2}))
-        decoded = decode_stream(encode_stream(stream))
-
-        # Rebuild a flat program from the decoded stream.
-        items = []
-        pending = []
-        for instr in decoded:
-            if instr.opcode is Opcode.S_WR:
-                items.append(SetScalar(instr.operand1, instr.operand2))
-            elif instr.opcode is Opcode.END_CHAIN:
-                items.extend(chains_from_instructions(pending))
-                pending = []
-            else:
-                pending.append(instr)
-        flat = NpuProgram(items, name="decoded")
-
-        sim = compiled.new_simulator(exact=True)
-        xs = [rng.uniform(-1, 1, 20).astype(np.float32)
-              for _ in range(2)]
-        for x in xs:
-            compiled._push_padded(sim, x)
-        sim.run(flat)
-        outputs = compiled._collect_outputs(sim, 2)
         want = model.run(xs)
         assert np.allclose(outputs[-1], want[-1], atol=1e-5)
 

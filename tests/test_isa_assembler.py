@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AssemblerError
 from repro.isa import (
+    InstructionChain,
     MemId,
     ProgramBuilder,
     ScalarReg,
@@ -33,8 +34,8 @@ loop 3 {
 class TestParse:
     def test_sample_parses(self):
         program = parse_program(SAMPLE)
-        chains = list(program.chains())
-        assert len(chains) == 6
+        assert sum(isinstance(e, InstructionChain)
+                   for e in program.events()) == 6
 
     def test_scalar_writes_parsed(self):
         program = parse_program("s_wr Rows, 4\n")
@@ -49,7 +50,8 @@ class TestParse:
     def test_symbolic_loop_count(self):
         program = parse_program(
             "loop steps {\n v_rd NetQ\n v_wr NetQ\n}\n")
-        assert len(list(program.chains({"steps": 5}))) == 5
+        assert sum(isinstance(e, InstructionChain)
+                   for e in program.events({"steps": 5})) == 5
 
     def test_unknown_mnemonic(self):
         with pytest.raises(AssemblerError):

@@ -5,14 +5,13 @@ import pytest
 from repro.errors import ChainCapacityError, ChainError
 from repro.isa import (
     FuCategory,
+    Instruction,
     InstructionChain,
     MemId,
-    chains_from_instructions,
-    end_chain,
+    Opcode,
     m_rd,
     m_wr,
     mv_mul,
-    s_wr,
     ScalarReg,
     v_rd,
     v_relu,
@@ -65,9 +64,11 @@ class TestStructure:
 
     def test_control_instructions_rejected_in_chain(self):
         with pytest.raises(ChainError):
-            InstructionChain([v_rd(MemId.NetQ), end_chain()])
+            InstructionChain([v_rd(MemId.NetQ),
+                              Instruction(Opcode.END_CHAIN)])
         with pytest.raises(ChainError):
-            InstructionChain([v_rd(MemId.NetQ), s_wr(ScalarReg.Rows, 2),
+            InstructionChain([v_rd(MemId.NetQ),
+                              Instruction(Opcode.S_WR, ScalarReg.Rows, 2),
                               v_wr(MemId.InitialVrf, 0)])
 
     def test_multicast_writes_allowed(self):
@@ -144,34 +145,3 @@ class TestFuAssignment:
         gru_htilde = vec_chain(mv_mul(0), vv_mul(0), vv_add(1), v_tanh(),
                                vv_mul(2), vv_add(3))
         assert gru_htilde.assign_function_units(2)[-1].mfu_index == 1
-
-
-class TestChainsFromInstructions:
-    def test_split_on_end_chain(self):
-        stream = [v_rd(MemId.NetQ), v_wr(MemId.InitialVrf, 0),
-                  end_chain(), v_rd(MemId.NetQ),
-                  v_wr(MemId.InitialVrf, 1), end_chain()]
-        chains = chains_from_instructions(stream)
-        assert len(chains) == 2
-
-    def test_split_on_new_read(self):
-        stream = [v_rd(MemId.NetQ), v_wr(MemId.InitialVrf, 0),
-                  v_rd(MemId.NetQ), v_wr(MemId.InitialVrf, 1)]
-        assert len(chains_from_instructions(stream)) == 2
-
-    def test_mixed_vector_and_matrix(self):
-        stream = [m_rd(MemId.NetQ), m_wr(MemId.MatrixRf, 0),
-                  v_rd(MemId.InitialVrf, 0), mv_mul(0),
-                  v_wr(MemId.NetQ)]
-        chains = chains_from_instructions(stream)
-        assert len(chains) == 2
-        assert chains[0].is_matrix_chain
-        assert chains[1].has_mv_mul
-
-    def test_trailing_chain_without_end_marker(self):
-        stream = [v_rd(MemId.NetQ), v_wr(MemId.NetQ)]
-        assert len(chains_from_instructions(stream)) == 1
-
-    def test_invalid_fragment_raises(self):
-        with pytest.raises(ChainError):
-            chains_from_instructions([v_rd(MemId.NetQ), end_chain()])

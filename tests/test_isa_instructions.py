@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IsaError
-from repro.isa import ChainType, FuCategory, Instruction, MemId, Opcode, ScalarReg, end_chain, info, m_rd, m_wr, mv_mul, s_wr, v_rd, v_relu, v_sigm, v_tanh, v_wr, vv_a_sub_b, vv_add, vv_b_sub_a, vv_max, \
+from repro.isa import ChainType, FuCategory, Instruction, MemId, Opcode, ScalarReg, info, m_rd, m_wr, mv_mul, v_rd, v_relu, v_sigm, v_tanh, v_wr, vv_a_sub_b, vv_add, vv_b_sub_a, vv_max, \
     vv_mul
 
 
@@ -90,13 +90,13 @@ class TestConstruction:
             assert instr.operand2 is None
 
     def test_s_wr_operands(self):
-        instr = s_wr(ScalarReg.Rows, 4)
+        instr = Instruction(Opcode.S_WR, ScalarReg.Rows, 4)
         assert instr.operand1 is ScalarReg.Rows
         assert instr.operand2 == 4
 
     def test_s_wr_rejects_bad_register(self):
         with pytest.raises((IsaError, ValueError)):
-            s_wr(17, 4)
+            Instruction(Opcode.S_WR, 17, 4)
 
     def test_mem_id_property(self):
         assert v_wr(MemId.AddSubVrf, 3).mem_id is MemId.AddSubVrf
@@ -129,10 +129,11 @@ class TestFormatting:
         assert str(v_tanh()) == "v_tanh"
 
     def test_str_scalar(self):
-        assert str(s_wr(ScalarReg.Columns, 5)) == "s_wr Columns, 5"
+        assert str(Instruction(Opcode.S_WR, ScalarReg.Columns, 5)) == \
+            "s_wr Columns, 5"
 
     def test_str_end_chain(self):
-        assert str(end_chain()) == "end_chain"
+        assert str(Instruction(Opcode.END_CHAIN)) == "end_chain"
 
     @pytest.mark.parametrize("ctor,arg", [
         (vv_add, 1), (vv_a_sub_b, 2), (vv_b_sub_a, 3), (vv_max, 4),

@@ -3,8 +3,14 @@
 import pytest
 
 from repro.errors import ChainError, IsaError
-from repro.isa import InstructionChain, Loop, MemId, Opcode, ProgramBuilder, ScalarReg, \
+from repro.isa import InstructionChain, Loop, MemId, ProgramBuilder, ScalarReg, \
     SetScalar
+
+
+def chains(program, bindings=None):
+    """The chains of the program's dynamic event stream."""
+    return [e for e in program.events(bindings)
+            if isinstance(e, InstructionChain)]
 
 
 def simple_chain_program(steps=3):
@@ -24,8 +30,7 @@ class TestBuilder:
         b.v_relu()
         b.v_wr(MemId.NetQ)
         program = b.build()
-        chains = list(program.chains())
-        assert len(chains) == 2
+        assert len(chains(program)) == 2
 
     def test_multicast_does_not_split_chain(self):
         b = ProgramBuilder("p")
@@ -66,7 +71,7 @@ class TestBuilder:
                 b.v_rd(MemId.NetQ)
                 b.v_wr(MemId.NetQ)
         program = b.build()
-        assert len(list(program.chains())) == 6
+        assert len(chains(program)) == 6
 
     def test_negative_loop_count_rejected(self):
         b = ProgramBuilder("p")
@@ -84,7 +89,7 @@ class TestBuilder:
 class TestProgram:
     def test_loop_unrolls_in_events(self):
         program = simple_chain_program(steps=4)
-        assert len(list(program.chains())) == 4
+        assert len(chains(program)) == 4
 
     def test_runtime_binding(self):
         b = ProgramBuilder("p")
@@ -92,8 +97,8 @@ class TestProgram:
             b.v_rd(MemId.NetQ)
             b.v_wr(MemId.NetQ)
         program = b.build()
-        assert len(list(program.chains({"steps": 7}))) == 7
-        assert len(list(program.chains({"steps": 0}))) == 0
+        assert len(chains(program, {"steps": 7})) == 7
+        assert len(chains(program, {"steps": 0})) == 0
 
     def test_missing_binding_raises(self):
         b = ProgramBuilder("p")
@@ -102,7 +107,7 @@ class TestProgram:
             b.v_wr(MemId.NetQ)
         program = b.build()
         with pytest.raises(IsaError):
-            list(program.chains())
+            chains(program)
 
     def test_bad_binding_value_raises(self):
         b = ProgramBuilder("p")
@@ -111,22 +116,7 @@ class TestProgram:
             b.v_wr(MemId.NetQ)
         program = b.build()
         with pytest.raises(IsaError):
-            list(program.chains({"n": -3}))
-
-    def test_instruction_stream_has_end_chain_markers(self):
-        program = simple_chain_program(steps=2)
-        stream = list(program.instruction_stream())
-        assert [i.opcode for i in stream] == [
-            Opcode.V_RD, Opcode.V_WR, Opcode.END_CHAIN,
-            Opcode.V_RD, Opcode.V_WR, Opcode.END_CHAIN]
-
-    def test_instruction_stream_includes_s_wr(self):
-        b = ProgramBuilder("p")
-        b.set_rows(2)
-        b.v_rd(MemId.NetQ)
-        b.v_wr(MemId.NetQ)
-        stream = list(b.build().instruction_stream())
-        assert stream[0].opcode is Opcode.S_WR
+            chains(program, {"n": -3})
 
     def test_loop_resolve_count(self):
         loop = Loop(5, ())
@@ -181,5 +171,5 @@ class TestPaperLstmListing:
         assert program.static_chain_count() == 5
 
     def test_every_chain_fits_two_mfus(self):
-        for chain in self.build().chains({"steps": 1}):
+        for chain in chains(self.build(), {"steps": 1}):
             chain.assign_function_units(2)

@@ -159,7 +159,7 @@ class TestComparison:
     def test_empty_fault_scenario_nan_with_flag(self):
         from repro.system.loadgen import FaultScenarioResult
         res = FaultScenarioResult(outcomes=[], arrivals=[])
-        assert res.empty
+        assert res.total == 0
         assert math.isnan(res.availability)
         assert math.isnan(res.span_s)
         assert math.isnan(res.goodput_rps)
@@ -175,7 +175,7 @@ class TestComparison:
             deadline_met=False) for _ in range(3)]
         res = FaultScenarioResult(outcomes=outcomes,
                                   arrivals=[0.0, 0.1, 0.2])
-        assert not res.empty
+        assert res.total == 3
         assert res.availability == 0.0          # real zero, not nan
         assert math.isnan(res.p99_ms)           # no success latencies
         assert res.mean_attempts == pytest.approx(2.0)

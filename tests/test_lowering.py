@@ -12,7 +12,7 @@ from repro.compiler import (
 from repro.compiler.lowering import compile_rnn_shape
 from repro.config import NpuConfig
 from repro.errors import CapacityError, CompileError
-from repro.isa import MemId, Opcode
+from repro.isa import InstructionChain, MemId, Opcode
 from repro.models import (
     ConvSpec,
     GruReference,
@@ -20,6 +20,12 @@ from repro.models import (
     conv2d_reference,
     random_conv_weights,
 )
+
+
+def step_chains(compiled):
+    """The chains of one timestep of ``compiled``'s program."""
+    return [e for e in compiled.program.events({"steps": 1})
+            if isinstance(e, InstructionChain)]
 
 
 def seq(rng, n, dim):
@@ -52,17 +58,17 @@ class TestLstmLowering:
     def test_chains_per_step(self, small_config):
         """Ten chains per timestep: xt load, 4 xW, f, i, o, c, h."""
         model = compile_rnn_shape("lstm", 30, small_config, input_dim=30)
-        chains = list(model.program.chains({"steps": 1}))
+        chains = step_chains(model)
         assert len(chains) == 10
 
     def test_eight_mv_muls_per_step(self, small_config):
         model = compile_rnn_shape("lstm", 30, small_config)
-        chains = list(model.program.chains({"steps": 1}))
+        chains = step_chains(model)
         assert sum(1 for c in chains if c.has_mv_mul) == 8
 
     def test_every_chain_fits_config_mfus(self, small_config):
         model = compile_rnn_shape("lstm", 30, small_config)
-        for chain in model.program.chains({"steps": 1}):
+        for chain in step_chains(model):
             chain.assign_function_units(small_config.mfus)
 
     def test_state_persists_across_invocations(self, small_config, rng):
@@ -131,16 +137,16 @@ class TestGruLowering:
     def test_chains_per_step(self, small_config):
         """Nine chains: xt, 3 xW, r, z, zbar, zh, fused h."""
         model = compile_rnn_shape("gru", 24, small_config)
-        assert len(list(model.program.chains({"steps": 1}))) == 9
+        assert len(step_chains(model)) == 9
 
     def test_six_mv_muls_per_step(self, small_config):
         model = compile_rnn_shape("gru", 24, small_config)
-        chains = list(model.program.chains({"steps": 1}))
+        chains = step_chains(model)
         assert sum(1 for c in chains if c.has_mv_mul) == 6
 
     def test_uses_vv_b_sub_a_for_one_minus_z(self, small_config):
         model = compile_rnn_shape("gru", 24, small_config)
-        ops = [i.opcode for c in model.program.chains({"steps": 1})
+        ops = [i.opcode for c in step_chains(model)
                for i in c]
         assert Opcode.VV_B_SUB_A in ops
 
@@ -223,7 +229,7 @@ class TestPaperCompactness:
         operations from one instruction."""
         from repro.config import BW_S10
         compiled = compile_rnn_shape("gru", 2816, BW_S10)
-        chains = list(compiled.program.chains({"steps": 1}))
+        chains = step_chains(compiled)
         n = BW_S10.native_dim
         biggest = max(
             8 * 8 * n * n  # rows x cols tiles at native dim

@@ -75,7 +75,8 @@ def test_lstm_node_holds_one_byte_per_weight():
     n = BW_S10.native_dim
     per_tile = n * n + n   # 1s.5e.2m: one exponent per native row
     assert mrf.writes == 72
-    assert mrf.capacity_bytes == mrf.capacity * per_tile
+    assert mrf._codes.nbytes + mrf._exponents.nbytes == \
+        mrf.capacity * per_tile
     held = {k: v for k, v in vars(mrf).items() if isinstance(v, np.ndarray)}
     assert sorted(held) == ["_codes", "_exponents"]
     assert all(a.itemsize == 1 for a in held.values())

@@ -48,6 +48,16 @@ from repro.timing import (
 )
 
 
+def named(tracer, name):
+    """The tracer's spans called ``name``, in recording order."""
+    return [s for s in tracer.spans if s.name == name]
+
+
+def children(tracer, span):
+    """The spans whose parent is ``span``."""
+    return [s for s in tracer.spans if s.parent == span.id]
+
+
 class TestTracer:
     def test_nesting_via_stack(self):
         tr = Tracer(unit="cycles")
@@ -59,7 +69,7 @@ class TestTracer:
         assert inner.track == "a"          # inherited from parent
         assert after.parent is None
         assert outer.duration == 5.0
-        assert tr.children(outer) == [inner]
+        assert children(tr, outer) == [inner]
 
     def test_end_attrs_merge(self):
         tr = Tracer()
@@ -71,9 +81,9 @@ class TestTracer:
         tr = Tracer(unit="s")
         tr.instant("fault", 1.5, track="faults", node="n0")
         tr.span("req", 0.0, 1.0, track="client")
-        assert tr.find(name="req")[0].end == 1.0
+        assert named(tr, "req")[0].end == 1.0
         assert tr.find_events(name="fault")[0].attrs["node"] == "n0"
-        assert tr.find(track="nope") == []
+        assert tr.find_events(track="nope") == []
 
     def test_bounded_buffer_drops(self):
         tr = Tracer(max_events=3)
@@ -96,23 +106,6 @@ class TestTracer:
             tr.instant("lost", 2, track="t")
         assert tr.dropped == 2
         assert metrics.counter("obs.trace.dropped").value == 2
-
-    def test_clear_rearms_drop_warning(self):
-        tr = Tracer(max_events=1)
-        tr.span("keep", 0, 1, track="t")
-        with pytest.warns(RuntimeWarning):
-            tr.span("lost", 1, 2, track="t")
-        tr.clear()
-        tr.span("keep", 0, 1, track="t")
-        with pytest.warns(RuntimeWarning):
-            tr.span("lost", 1, 2, track="t")
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.span("s", 0, 1, track="t")
-        tr.instant("i", 0, track="t")
-        tr.clear()
-        assert not tr.spans and not tr.events and tr.dropped == 0
 
     def test_null_tracer_is_inert(self):
         tr = NullTracer()
@@ -276,16 +269,16 @@ class TestExecutorTracing:
                                      metrics=metrics)
         xs = [np.ones(8, dtype=np.float32)] * 2
         compiled.run_sequence(xs, sim=sim)
-        chains = tracer.find(name="chain")
+        chains = named(tracer, "chain")
         assert len(chains) == sim.stats.chains_executed
         # every chain span contains per-instruction child spans
         first = chains[0]
-        kids = tracer.children(first)
+        kids = children(tracer, first)
         assert kids and all(k.duration == 1.0 for k in kids)
         assert metrics.counter("executor.chains").value == len(chains)
         assert metrics.counter("executor.macs").value == \
             sim.stats.macs
-        runs = tracer.find(name="run")
+        runs = named(tracer, "run")
         assert runs and runs[0].attrs["chains"] == len(chains)
 
     def test_traced_run_matches_untraced(self, tiny_config):
@@ -349,8 +342,8 @@ class TestSchedulerTracing:
     def test_issue_drain_children_and_stall_counters(self):
         tracer, metrics = Tracer(), Metrics()
         self.make_run(tracer=tracer, metrics=metrics)
-        chain = tracer.find(name="chain")[0]
-        kids = {k.name for k in tracer.children(chain)}
+        chain = named(tracer, "chain")[0]
+        kids = {k.name for k in children(tracer, chain)}
         assert kids == {"issue", "drain"}
         assert metrics.counter("timing.mvm_busy_cycles").value > 0
         assert "timing.dispatch_stall_cycles" in metrics.counters
@@ -387,18 +380,18 @@ class TestServingTracing:
         client, tracer, metrics = served
         outcomes = [client.invoke("svc", 4, now=i * 1e-3)
                     for i in range(30)]
-        requests = tracer.find(name="request")
+        requests = named(tracer, "request")
         assert len(requests) == 30
         ok_request = next(
             r for r, o in zip(requests, outcomes) if o.ok)
-        attempts = [s for s in tracer.children(ok_request)
+        attempts = [s for s in children(tracer, ok_request)
                     if s.name == "attempt"]
         assert attempts
         success = next(a for a in attempts if a.attrs["ok"])
-        replicas = [s for s in tracer.children(success)
+        replicas = [s for s in children(tracer, success)
                     if s.name == "replica"]
         assert len(replicas) == 1
-        parts = [s.name for s in tracer.children(replicas[0])]
+        parts = [s.name for s in children(tracer, replicas[0])]
         assert parts == ["net_in", "compute", "net_out"]
         assert metrics.counter("serving.requests").value == 30
         assert metrics.counter("serving.attempts").value >= 30
@@ -432,29 +425,18 @@ class TestServingTracing:
             [(o.ok, o.latency_s, o.attempts, o.replicas_tried)
              for o in traced]
 
-    def test_runtime_stage_spans_and_fallback_event(self, small_config):
+    def test_runtime_stage_spans(self, small_config):
         compiled = compile_lstm(LstmReference(16, 16, seed=0),
                                 small_config)
         tracer = Tracer(unit="s")
-        injector = FaultInjector(seed=0)
-        injector.crash("svc-0")
         registry = MicroserviceRegistry(tracer=tracer)
         registry.publish_replica(HardwareMicroservice(
-            "svc", FpgaNode("svc-0", compiled), injector=injector))
-        client = ResilientClient(registry,
-                                 RetryPolicy(max_attempts=2),
-                                 tracer=tracer)
-        runtime = FederatedRuntime(registry, client=client,
-                                   tracer=tracer)
-        stages = [
-            CpuStage("pre", lambda v: v),
-            FpgaStage("rnn", "svc", fallback=lambda seq: seq,
-                      fallback_latency_s=1e-3),
-        ]
+            "svc", FpgaNode("svc-0", compiled)))
+        runtime = FederatedRuntime(registry, tracer=tracer)
+        stages = [CpuStage("pre", lambda v: v), FpgaStage("rnn", "svc")]
         result = runtime.execute(stages,
                                  [np.zeros(16, dtype=np.float32)] * 2)
-        plan = tracer.find(name="plan")[0]
-        names = [s.name for s in tracer.children(plan)]
-        assert names[0] == "cpu:pre" and "fpga:rnn" in names
+        plan = named(tracer, "plan")[0]
+        names = [s.name for s in children(tracer, plan)]
+        assert names == ["cpu:pre", "fpga:rnn"]
         assert plan.end == pytest.approx(result.total_latency_s)
-        assert tracer.find_events(name="fallback")

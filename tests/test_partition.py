@@ -25,7 +25,7 @@ class TestPartitioning:
         blocks = rnn_weight_blocks("gru", 32)
         parts = partition_blocks(blocks, cfg)
         assert len(parts) == 1
-        assert parts[0].elements == 6 * 32 * 32
+        assert sum(b.elements for b in parts[0].blocks) == 6 * 32 * 32
 
     def test_stacked_layers_split_across_accelerators(self, cfg):
         # One layer of LSTM-40: 8 * 1600 = 12800 elements; two layers
@@ -33,8 +33,8 @@ class TestPartitioning:
         blocks = rnn_weight_blocks("lstm", 40, layers=2)
         parts = partition_blocks(blocks, cfg)
         assert len(parts) == 2
-        assert parts[0].stages == (0,)
-        assert parts[1].stages == (1,)
+        assert {b.stage for b in parts[0].blocks} == {0}
+        assert {b.stage for b in parts[1].blocks} == {1}
 
     def test_stage_atomicity(self, cfg):
         """Blocks of one stage never split across accelerators."""

@@ -12,7 +12,6 @@ from repro.isa import (
     InstructionChain,
     MemId,
     ProgramBuilder,
-    chains_from_instructions,
     mv_mul,
     v_rd,
     v_relu,
@@ -105,17 +104,6 @@ def test_chain_validation_never_crashes(body):
     except ChainError:
         return
     assert chain.writes
-
-
-@given(random_body())
-@settings(max_examples=100)
-def test_stream_splitting_never_crashes(body):
-    try:
-        chains = chains_from_instructions(body)
-    except ChainError:
-        return
-    for chain in chains:
-        assert len(chain) >= 1
 
 
 # -- timing model invariants -------------------------------------------------

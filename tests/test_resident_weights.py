@@ -84,9 +84,9 @@ def test_node_keeps_one_derived_copy_of_its_weights():
         operand_bytes += w_stack.nbytes + scales.nbytes
     # Everything else the node allocated (the VRFs, plans, timing model)
     # is far smaller than one more copy of a group's weights.
-    vrf_bytes = sum(v.capacity_bytes for v in sim.vrfs.values())
-    assert held < (sim.mrf.capacity_bytes + vrf_bytes + operand_bytes
-                   + 11_520_000)
+    vrf_bytes = sum(v._data.nbytes for v in sim.vrfs.values())
+    mrf_bytes = sim.mrf._codes.nbytes + sim.mrf._exponents.nbytes
+    assert held < mrf_bytes + vrf_bytes + operand_bytes + 11_520_000
 
 
 @pytest.mark.tier1

@@ -76,9 +76,8 @@ class TestAvailability:
                              status="served")
         bad = store.counter("cluster.requests", scope="fleet",
                             status="failed")
-        good.record(0.5, 2.0)
-        good.record(1.5)
-        bad.record(1.5)
+        good.add_increments([2.0, 1.0])
+        bad.add_increments([1.0], first_window=1)
         avail = availability_series(store)
         assert avail[0] == 1.0
         assert avail[1] == 0.5
@@ -87,7 +86,7 @@ class TestAvailability:
     def test_brownout_counts_as_good(self):
         store = _store(windows=2)
         store.counter("cluster.requests", scope="fleet",
-                      status="brownout").record(0.5)
+                      status="brownout").add_increments([1.0])
         assert availability_series(store)[0] == 1.0
 
 
@@ -103,12 +102,9 @@ class TestBurnRateAlerts:
                              status="served")
         bad = store.counter("cluster.requests", scope="fleet",
                             status="failed")
-        for w in range(100):
-            t = w + 0.5
-            if 40 <= w < 50:
-                bad.record(t, 50.0)
-            else:
-                good.record(t, 50.0)
+        good.add_increments(np.full(40, 50.0))
+        bad.add_increments(np.full(10, 50.0), first_window=40)
+        good.add_increments(np.full(50, 50.0), first_window=50)
         alerts = SloMonitor(0.999).evaluate(store)
         assert alerts, "burst must fire"
         first = alerts[0]
@@ -123,15 +119,12 @@ class TestBurnRateAlerts:
                              status="served")
         bad = store.counter("cluster.requests", scope="fleet",
                             status="failed")
-        for w in range(200):
-            t = w + 0.5
-            # One window at 1% errors: the short view spikes but the
-            # 8-window long view dilutes it below the strict factor.
-            if w == 100:
-                bad.record(t)
-                good.record(t, 99.0)
-            else:
-                good.record(t, 100.0)
+        # One window at 1% errors: the short view spikes but the
+        # 8-window long view dilutes it below the strict factor.
+        served = np.full(200, 100.0)
+        served[100] = 99.0
+        good.add_increments(served)
+        bad.add_increments([1.0], first_window=100)
         rules = [BurnRateRule("strict", long_s=8.0, short_s=2.0,
                               factor=1000.0)]
         assert SloMonitor(0.999, burn_rules=rules).evaluate(store) == []
@@ -151,10 +144,12 @@ class TestLatencyAlerts:
         store = _store(windows=64)
         qw = store.quantile("cluster.latency_ms", scope="fleet",
                             bounds=tuple(np.geomspace(0.1, 100, 60)))
-        for w in range(64):
-            t = w + 0.5
-            ms = 50.0 if 30 <= w < 40 else 1.0
-            qw.add_many(np.full(20, t), np.full(20, ms))
+        # 20 requests a window: 50 ms in windows 30-39, else 1 ms.
+        ms = np.where((np.arange(64) >= 30) & (np.arange(64) < 40),
+                      50.0, 1.0)
+        counts = np.zeros_like(qw.counts)
+        counts[np.arange(64), np.searchsorted(qw.bounds, ms)] = 20
+        qw.add_counts(counts, 20 * ms)
         mon = SloMonitor(0.999, burn_rules=[],
                          latency_rules=[LatencyRule(
                              "p99", window_s=2.0, threshold_ms=10.0)])
@@ -171,9 +166,10 @@ class TestBacklogAlerts:
         for node in range(8):
             g = store.gauge("cluster.backlog_s", scope="rack0",
                             node=str(node))
-            for w in range(32):
-                val = 0.5 if node == 3 and 10 <= w < 20 else 0.001
-                g.record(w + 0.5, val)
+            vals = np.full(32, 0.001)
+            if node == 3:
+                vals[10:20] = 0.5
+            g.record_values(vals)
         mon = SloMonitor(0.999, burn_rules=[],
                          backlog_rules=[BacklogRule(
                              abs_floor_s=0.01, rel_factor=6.0,
@@ -188,8 +184,7 @@ class TestBacklogAlerts:
         for node in range(8):
             g = store.gauge("cluster.backlog_s", scope="rack0",
                             node=str(node))
-            for w in range(32):
-                g.record(w + 0.5, 0.5)  # everyone equally backed up
+            g.record_values(np.full(32, 0.5))  # everyone equally backed up
         mon = SloMonitor(0.999, burn_rules=[],
                          backlog_rules=[BacklogRule(
                              abs_floor_s=0.01, rel_factor=6.0)])
@@ -200,8 +195,9 @@ class TestCapacityAlerts:
     def test_live_node_drop_fires(self):
         store = _store(windows=32)
         g = store.gauge("cluster.nodes_live", scope="fleet")
-        for w in range(32):
-            g.record(w + 0.5, 18.0 if 12 <= w < 20 else 24.0)
+        live = np.full(32, 24.0)
+        live[12:20] = 18.0
+        g.record_values(live)
         mon = SloMonitor(0.999, burn_rules=[],
                          capacity_rules=[CapacityRule()])
         alerts = mon.evaluate(store)
@@ -213,8 +209,7 @@ class TestCapacityAlerts:
     def test_full_fleet_never_fires(self):
         store = _store(windows=8)
         g = store.gauge("cluster.nodes_live", scope="fleet")
-        for w in range(8):
-            g.record(w + 0.5, 24.0)
+        g.record_values(np.full(8, 24.0))
         mon = SloMonitor(0.999, burn_rules=[],
                          capacity_rules=[CapacityRule()])
         assert mon.evaluate(store) == []

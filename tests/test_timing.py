@@ -201,12 +201,6 @@ class TestReport:
             compiled.program, bindings={"steps": 20})
         assert 0 < report.mvm_occupancy < 1
 
-    def test_summary_string(self):
-        compiled = compile_rnn_shape("gru", 512, BW_S10)
-        report = TimingSimulator(BW_S10).run(
-            compiled.program, bindings={"steps": 1}, nominal_ops=1e6)
-        assert "BW_S10" in report.summary()
-
 
 class TestTable5Calibration:
     """The frozen constants reproduce the paper's measured per-step

@@ -138,9 +138,9 @@ def test_every_profile_reaches_batched_replay(profile):
         case = generate_case(seed, profile=PROFILES[profile])
         plan = load_simulator(case).plan_for(case.program)
         writes_mrf = any(
-            chain.is_matrix_chain
+            isinstance(chain, InstructionChain) and chain.is_matrix_chain
             and chain.instructions[1].mem_id is MemId.MatrixRf
-            for chain in case.program.chains())
+            for chain in case.program.events())
         assert plan.batchable is not writes_mrf, case.note
         if writes_mrf:
             assert "m_rd>m_wr" in plan.fallback_step_kinds
@@ -430,8 +430,9 @@ def test_shrink_keeps_failure_and_reduces_size():
     def pretend_failing(candidate):
         # "Fails" iff the program still contains a vector chain; the
         # shrinker must keep one while deleting everything else.
-        return any(not c.is_matrix_chain for c in candidate.program
-                   .chains())
+        return any(isinstance(c, InstructionChain)
+                   and not c.is_matrix_chain
+                   for c in candidate.program.events())
 
     shrunk = shrink_case(case, pretend_failing)
     assert pretend_failing(shrunk)
