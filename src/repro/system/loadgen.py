@@ -86,19 +86,22 @@ def poisson_arrivals(rate_rps: float, count: int,
 
 def _homogeneous_times(rate_rps: float, duration_s: float,
                        rng: np.random.Generator) -> np.ndarray:
-    """Event times of a homogeneous Poisson process over a duration."""
-    times: List[np.ndarray] = []
+    """Event times of a homogeneous Poisson process over a duration:
+    the sorted prefix below ``duration_s`` of the drawn times, as a
+    slice (the draw is about 10% longer than the result)."""
+    blocks: List[np.ndarray] = []
     t = 0.0
     # Over-draw ~10% past the expected count, looping in the (rare)
     # case the trace still falls short of the duration.
     chunk = max(int(rate_rps * duration_s * 1.1) + 16, 64)
     while t < duration_s:
-        gaps = rng.exponential(1.0 / rate_rps, chunk)
-        block = t + np.cumsum(gaps)
-        times.append(block)
+        block = rng.exponential(1.0 / rate_rps, chunk)
+        np.cumsum(block, out=block)
+        block += t
+        blocks.append(block)
         t = float(block[-1])
-    all_times = np.concatenate(times)
-    return all_times[all_times < duration_s]
+    times = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return times[:np.searchsorted(times, duration_s)]
 
 
 def diurnal_arrivals(base_rate_rps: float, peak_rate_rps: float,
@@ -115,9 +118,16 @@ def diurnal_arrivals(base_rate_rps: float, peak_rate_rps: float,
         raise LoadError("duration and period must be positive")
     rng = np.random.default_rng(seed)
     t = _homogeneous_times(peak_rate_rps, duration_s, rng)
-    rate_t = base_rate_rps + (peak_rate_rps - base_rate_rps) * 0.5 * (
-        1.0 - np.cos(2.0 * np.pi * t / period_s))
-    keep = rng.random(t.size) < rate_t / peak_rate_rps
+    # The thinning probability, one operation at a time in one buffer:
+    # base + (peak - base) * 0.5 * (1 - cos(2 pi t / period)), / peak.
+    p = np.multiply(t, 2.0 * np.pi)
+    p /= period_s
+    np.cos(p, out=p)
+    np.subtract(1.0, p, out=p)
+    p *= (peak_rate_rps - base_rate_rps) * 0.5
+    p += base_rate_rps
+    p /= peak_rate_rps
+    keep = rng.random(t.size) < p
     return t[keep]
 
 
@@ -147,10 +157,14 @@ def bursty_arrivals(base_rate_rps: float, burst_rate_rps: float,
     bounds = np.cumsum(np.stack([quiet[:len(burst)], burst],
                                 axis=1).ravel())
     t = _homogeneous_times(burst_rate_rps, duration_s, rng)
-    # Even segment index (0, 2, ...) = quiet state, odd = burst.
-    in_burst = (np.searchsorted(bounds, t, side="right") % 2) == 1
-    rate_t = np.where(in_burst, burst_rate_rps, base_rate_rps)
-    keep = rng.random(t.size) < rate_t / burst_rate_rps
+    # Even segment index (0, 2, ...) = quiet state, odd = burst.  The
+    # candidates are sorted, so each segment is one run of them: a
+    # search per bound finds the runs and a repeated parity marks them.
+    runs = np.diff(np.searchsorted(t, bounds), prepend=0, append=t.size)
+    # Thinning keeps a candidate with probability rate / burst_rate:
+    # always in a burst, base / burst_rate in quiet time.
+    keep = rng.random(t.size) < base_rate_rps / burst_rate_rps
+    keep |= np.repeat(np.arange(runs.size) % 2 == 1, runs)
     return t[keep]
 
 

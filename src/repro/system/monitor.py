@@ -61,7 +61,8 @@ def _pow2_exponent(bounds: Sequence[float]) -> Optional[int]:
 
 
 def _pow2_buckets(values: np.ndarray, e0: int, nb: int) -> np.ndarray:
-    """Histogram bucket per value for bounds ``2**e0 .. 2**(e0+nb-2)``.
+    """Histogram bucket per value for bounds ``2**e0 .. 2**(e0+nb-2)``,
+    computed in place: the result is ``values``' buffer as int64.
 
     Equivalent to ``searchsorted(bounds, values)`` for positive float64
     input: the exponent field is ``floor(log2 v)``, and a non-zero
@@ -72,7 +73,8 @@ def _pow2_buckets(values: np.ndarray, e0: int, nb: int) -> np.ndarray:
     # Decrementing the raw bits borrows out of the exponent field
     # exactly when the mantissa is zero, so ``exponent(bits-1) + 1``
     # is ceil(log2 v) in three array passes with no mantissa test.
-    bs = values.view(np.int64) - 1
+    bs = values.view(np.int64)
+    bs -= 1
     bs >>= 52
     bs -= 1022 + e0
     np.clip(bs, 0, nb - 1, out=bs)
@@ -109,9 +111,10 @@ class FleetMonitor:
         self._fleet_gauges = ()
         self._rack_gauges: list = []
         self._node_gauges: list = []
-        self._fleet_buf = np.empty((0, 3))
-        self._rack_up_buf = np.empty((0, 0))
-        self._node_backlog = np.empty((0, 0))
+        self._fleet_buf = np.empty((0, 2))
+        self._when = np.empty(0)
+        self._up_buf = np.empty((0, 0), dtype=bool)
+        self._free_buf = np.empty((0, 0))
 
     # -- simulator-facing hooks -------------------------------------------
 
@@ -156,52 +159,53 @@ class FleetMonitor:
                         node=str(node))
             for node in range(spec.num_nodes)]
         # Scrape buffers: one row per scheduled scrape (scrape i lands
-        # mid-window i), flushed into the gauge series after the run —
-        # the in-loop cost is a handful of scalar stores, not 30+
-        # ring-buffer writes per tick.
-        self._fleet_buf = np.full((self.windows, 3), np.nan)
-        self._rack_up_buf = np.full((self.windows, spec.racks), np.nan)
-        self._node_backlog = np.full(
-            (self.windows, spec.num_nodes), np.nan)
+        # mid-window i), holding the raw state the scrape read.  The
+        # gauges' arithmetic runs after the run, in
+        # :meth:`_flush_scrapes`: the in-loop cost is two row copies
+        # and a few scalar stores, not 30+ ring-buffer writes per tick.
+        self._fleet_buf = np.empty((self.windows, 2))
+        self._when = np.empty(self.windows)
+        self._up_buf = np.empty((self.windows, spec.num_nodes),
+                                dtype=bool)
+        self._free_buf = np.empty((self.windows, spec.num_nodes))
         return (np.arange(self.windows) + 0.5) * interval
 
     def scrape(self, when: float, sim) -> None:
-        """One scheduled scrape: sample live simulator state into the
-        per-window buffers (:meth:`finish` flushes them to the gauge
+        """One scheduled scrape: copy live simulator state into the
+        per-window buffers (:meth:`finish` turns them into the gauge
         series).  Reads only; never mutates ``sim``."""
         idx = self.scrapes
         self.scrapes += 1
-        if idx >= self._fleet_buf.shape[0]:
+        if idx >= self._when.size:
             return
-        up = sim._up
+        self._when[idx] = when
+        self._up_buf[idx] = sim._up
+        self._free_buf[idx] = sim._free_at
         fleet = self._fleet_buf[idx]
-        fleet[0] = sum(up)
-        fleet[1] = len(sim._view)
-        fleet[2] = len(sim.detector.evicted) if sim.detector else 0
-        rack_up = self._rack_up_buf[idx]
-        for r, (nodes, _, _) in enumerate(self._rack_gauges):
-            rack_up[r] = sum(up[i] for i in nodes)
-        row = np.asarray(sim._free_at, dtype=np.float64)
-        row -= when
-        np.maximum(row, 0.0, out=row)
-        self._node_backlog[idx] = row
+        fleet[0] = len(sim._view)
+        fleet[1] = len(sim.detector.evicted) if sim.detector else 0
 
     def _flush_scrapes(self) -> None:
-        """Bulk-write the scrape buffers into the gauge series."""
-        scraped = min(self.scrapes, self._fleet_buf.shape[0])
+        """Turn the scraped rows into gauges and bulk-write them into
+        the series: nodes up per rack and fleet-wide, and each node's
+        backlog ``max(free_at - when, 0)`` with its rack's maximum."""
+        scraped = min(self.scrapes, self._when.size)
         if not scraped:
             return
         g_up, g_live, g_evicted = self._fleet_gauges
+        up = self._up_buf[:scraped]
         fleet = self._fleet_buf[:scraped]
-        g_up.record_values(fleet[:, 0])
-        g_live.record_values(fleet[:, 1])
-        g_evicted.record_values(fleet[:, 2])
-        backlog = self._node_backlog[:scraped]
-        for r, (nodes, rack_up, rack_backlog) in \
-                enumerate(self._rack_gauges):
-            rack_up.record_values(self._rack_up_buf[:scraped, r])
-            rack_backlog.record_values(
-                backlog[:, list(nodes)].max(axis=1))
+        g_up.record_values(up.sum(axis=1, dtype=np.float64))
+        g_live.record_values(fleet[:, 0])
+        g_evicted.record_values(fleet[:, 1])
+        backlog = self._free_buf[:scraped]
+        backlog -= self._when[:scraped, None]
+        np.maximum(backlog, 0.0, out=backlog)
+        for nodes, rack_up, rack_backlog in self._rack_gauges:
+            rack = slice(nodes.start, nodes.stop)
+            rack_up.record_values(up[:, rack].sum(axis=1,
+                                                  dtype=np.float64))
+            rack_backlog.record_values(backlog[:, rack].max(axis=1))
         for node, gauge in enumerate(self._node_gauges):
             gauge.record_values(backlog[:, node])
 
@@ -251,27 +255,31 @@ class FleetMonitor:
                         else np.asarray(node_of, dtype=np.int64))
         # Arrivals are sorted, so each window is one run of requests:
         # its edges come from a search, and a window's key offset is
-        # repeated over its run — the same windows as clipping
+        # added to its run by slice — the same windows as clipping
         # ``int(rel * (1 / interval))`` per request, in fewer passes.
         rel = arrivals if store.start_s == 0.0 \
             else arrivals - store.start_s
         edges = np.searchsorted(rel * (1.0 / store.interval_s),
                                 np.arange(1, windows, dtype=np.float64))
-        base += np.repeat(np.arange(windows) * stride,
-                          np.diff(edges, prepend=0, append=rel.size))
+        ends = edges.tolist() + [rel.size]
+        for window in range(1, windows):
+            base[ends[window - 1]:ends[window]] += window * stride
 
         # The latency pass slices ``base`` before the status pass
-        # consumes it in place.
+        # consumes it in place; each n-sized array is dropped after
+        # its last use.
         finite = np.isfinite(latency)
         skey = base[finite]
-        ms = latency[finite]
-        ms *= 1e3
 
         # Request counters per (status, scope): one keyed bincount
         # over (rack_slot, window, status).
         base += status
         grid = np.bincount(base, minlength=cells) \
             .reshape(nslots, windows, stride)
+        del base
+        ms = latency[finite]
+        del finite
+        ms *= 1e3
         fleet_grid = grid.sum(axis=0)
         for code, name in STATUS_NAMES.items():
             fleet = fleet_grid[:, code]
@@ -288,14 +296,14 @@ class FleetMonitor:
         # finite completions; the fleet window is the slot sum, so
         # unrouted completions (brownouts) count fleet-wide but in no
         # rack (the mergeable-window layout).
-        if self._pow2_e0 is not None:
-            bs = _pow2_buckets(ms, self._pow2_e0, nb)
-        else:
-            bs = np.searchsorted(fleet_q.bounds, ms)
         lat_sums = np.ascontiguousarray(np.bincount(
             skey, weights=ms, minlength=cells)
             .reshape(nslots, windows, stride)[:, :, 0])
-        skey += bs
+        if self._pow2_e0 is not None:
+            skey += _pow2_buckets(ms, self._pow2_e0, nb)
+        else:
+            skey += np.searchsorted(fleet_q.bounds, ms)
+        del ms
         lat_counts = np.bincount(skey, minlength=cells) \
             .reshape(nslots, windows, stride)[:, :, :nb]
         fleet_q.add_counts(lat_counts.sum(axis=0),

@@ -126,10 +126,6 @@ TEST_ONLY = {
     "repro.isa.program:_walk_static":
         "walks loop bodies for static_chain_count",
     # Live code on a branch no entry point configures.
-    "repro.functional.executor:FunctionalSimulator._quantized_input_f64":
-        "both mv_mul engines' float64 path for BFP formats too wide "
-        "for the packed and mantissa GEMVs; no served model or fuzz "
-        "configuration uses one",
     "repro.obs.metrics:LatencyHistogram.observe_many":
         "the batched cluster's bulk queue-wait and occupancy metrics; "
         "no entry point runs a batched cluster with metrics on",

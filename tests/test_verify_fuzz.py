@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from repro.verify import (CaseInvalid, PROFILES, case_to_json,
                           generate_case, load_corpus_case, replay_corpus,
                           run_differential, run_fuzz, save_case,
                           shrink_case)
-from repro.verify.differential import _compare_arrays, load_simulator
+from repro.verify.differential import (_BATCH_SCALES, _compare_arrays,
+                                      load_simulator)
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
@@ -152,7 +154,8 @@ def test_every_profile_reaches_batched_replay(profile):
 def test_committed_corpus_reaches_batched_replay(monkeypatch):
     """The corpus replay (a CI step) keeps batched replay covered: it
     holds batchable pinned-weight cases on a packed, an unpacked
-    mantissa and an exact configuration, and a ``fuzz128_m2`` case
+    mantissa, a float64 and an exact configuration, and a
+    ``fuzz128_m2`` case
     whose batched check rounds through the magic-add float16 kernel
     (arrays of ``F16_KERNEL_MIN_SIZE`` elements or more; the
     interpreters' arrays there hold at most 3 x 128)."""
@@ -172,14 +175,48 @@ def test_committed_corpus_reaches_batched_replay(monkeypatch):
         if sim.plan_for(case.program).batchable:
             assert case.mrf_tiles is not None, path.name
             modes.add("exact" if sim.exact else
-                      "packed" if sim._pack_slots else "mantissa")
+                      "packed" if sim._pack_slots else
+                      "mantissa" if sim._mantissa_gemv else "float64")
         if case.config.name == "fuzz128_m2":
             kernel_sizes.clear()
             assert check_batched_replay(case)[0] == [], path.name
             assert kernel_sizes, f"{path.name}: the kernel did not run"
             kernel_cases += 1
-    assert modes == {"packed", "mantissa", "exact"}
+    assert modes == {"packed", "mantissa", "float64", "exact"}
     assert kernel_cases == 1
+
+
+@pytest.mark.tier1
+def test_committed_corpus_reaches_float64_inputs(monkeypatch):
+    """The ``fuzz32_m10`` corpus case's format is too wide for the
+    packed and mantissa GEMVs (32 x 1023^2 > 2^24), so its ``mv_mul``
+    quantizes its inputs through ``_quantized_input_f64`` in the
+    interpreter, in sequential compiled replay and in batched replay,
+    and every engine agrees with the oracle."""
+    from repro.functional.executor import FunctionalSimulator
+    from repro.verify.differential import check_batched_replay
+    quantize, callers = FunctionalSimulator._quantized_input_f64, []
+
+    def recording(self, value):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return quantize(self, value)
+
+    monkeypatch.setattr(FunctionalSimulator, "_quantized_input_f64",
+                        recording)
+    case = load_corpus_case(CORPUS_DIR / "seed0-recurrent-fuzz32_m10.json")
+    assert case.config.name == "fuzz32_m10"
+    assert run_differential(case).ok
+    sim = load_simulator(case)
+    assert not (sim._pack_slots or sim._mantissa_gemv or sim.exact)
+    callers.clear()
+    sim.run(case.program)
+    assert "_mv_mul_vectorized" in callers
+    callers.clear()
+    load_simulator(case).run(case.program, compiled=True)
+    assert "_f64_member" in callers
+    callers.clear()
+    assert check_batched_replay(case)[0] == []
+    assert callers.count("_f64_member") == len(_BATCH_SCALES)
 
 
 @pytest.mark.tier1
